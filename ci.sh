@@ -5,7 +5,7 @@
 # budgeted (wall-clock-independent) annealing contract, two identical passes
 # catch the class of bug where SA results silently depend on machine load or
 # sanitizer slowdown.  The TSan config guards the runtime layer (thread
-# pool + restart portfolio): runtime_test exercises 8-thread fork-joins and
+# pool + plan executor): runtime_test exercises 8-thread fork-joins and
 # multi-backend races under instrumentation.
 #
 # The final stage runs every plain bench binary from the Release build in
@@ -37,11 +37,12 @@ cmake --build build-tsan -j "$JOBS"
 # suite).  Both already ran in the full pass above; re-running them serially
 # keeps the two concurrency contracts visible as their own CI signal.
 (cd build-tsan && ctest --output-on-failure -R '^(cost_test|runtime_test)$')
-# Tempering under TSan, as its own leg: the round-barrier exchange loop and
-# the cross-backend reseed path are the only places replicas touch shared
-# state mid-run, so their thread-invariance suites get a dedicated
-# instrumented pass.
-./build-tsan/runtime_test --gtest_filter='Tempering.*'
+# The plan executor under TSan, as its own leg: every portfolio, batch and
+# tempering run goes through its fork-joins, and the round-barrier exchange
+# loop and the cross-backend reseed path are the only places cells touch
+# shared state mid-run, so the executor's thread-invariance suites get a
+# dedicated instrumented pass.
+./build-tsan/runtime_test --gtest_filter='Portfolio.*:BatchPlacer.*:Tempering.*'
 # Serve layer under both sanitizers, as its own leg: the deadline monitor
 # thread, the shared result cache (quarantine/eviction under the store
 # mutex) and the worker fan-out are the serve stack's concurrency surface,

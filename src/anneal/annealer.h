@@ -20,10 +20,9 @@
 //
 // Cancellation: `AnnealOptions::cancel` (util/cancel_token.h) is the third,
 // externally triggered stopping rule.  EVERY entry point honours it through
-// the same seam — `anneal` / `annealWithRestarts` (both the scratch and the
-// incremental-evaluator overloads) and the resumable `AnnealDriver` that
-// sessions and runners build on — because the check lives in the two sweep
-// loops they all share.  The contract:
+// the same seam — `anneal`, `annealWithRestarts` and the backend sessions
+// the runtime layer builds on — because they all run the one sweep loop of
+// `AnnealDriver`, where the check lives.  The contract:
 //
 //   * Granularity: the flag is tested once per SWEEP (temperature step),
 //     never mid-move.  A run is therefore cancelled only at a point where
@@ -44,6 +43,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -80,8 +80,8 @@ struct AnnealResult {
 // ---------------------------------------------------------------------------
 // Restart schedule — the shared vocabulary of every multi-start driver.
 //
-// Both the sequential restart loop below and the parallel portfolio runner
-// (runtime/portfolio.h) derive their per-restart seeds and sweep budgets
+// Both the sequential restart loop below and the parallel plan executor
+// (runtime/plan_executor.h) derive their per-restart seeds and sweep budgets
 // from these helpers.
 
 /// Seed of the restart following `seed` (an LCG step with Knuth's MMIX
@@ -128,7 +128,7 @@ constexpr std::size_t resolveMovesPerTemp(std::size_t movesPerTemp,
 }
 
 // ---------------------------------------------------------------------------
-// Evaluation seams.  The annealing loops below are written against a small
+// Evaluation seams.  The annealing loop below is written against a small
 // evaluator interface so that one implementation serves both cost styles:
 //
 //   full(s)     evaluate `s` and make it the evaluator's committed state
@@ -288,82 +288,23 @@ void annealPass(State& cur, double& curCost, std::size_t count, Eval& eval,
   }
 }
 
-template <class State, class Eval, class MoveF>
-AnnealResult<State> annealImpl(State init, Eval& eval, MoveF& move,
-                               const AnnealOptions& opt) {
-  Rng rng(opt.seed);
-  Stopwatch clock;
-
-  State cur = std::move(init);
-  double curCost = eval.full(cur);
-  AnnealResult<State> result{cur, curCost, 0, 0, 0, 0.0};
-  State moveBuf = cur;  // persistent candidate buffer (in-place move style)
-
-  // Calibrate t0 so that `initialAcceptance` of sampled uphill moves pass:
-  // a 50-move random walk that accepts everything and records the uphill
-  // deltas.
-  double upSum = 0.0;
-  std::size_t upCount = 0;
-  {
-    State probe = cur;
-    double probeCost = curCost;
-    annealPass(probe, probeCost, 50, eval, move, rng, moveBuf,
-               [&](double delta) {
-                 if (delta > 0.0) {
-                   upSum += delta;
-                   ++upCount;
-                 }
-                 return true;
-               },
-               [] {});
-  }
-  eval.rebase(cur);  // the calibration walk moved the committed state
-  double meanUp = upCount ? upSum / static_cast<double>(upCount) : 1.0;
-  if (meanUp <= 0.0) meanUp = 1.0;
-  double t = -meanUp / std::log(opt.initialAcceptance);
-  double tFreeze = t * opt.freezeRatio;
-
-  std::size_t movesPerTemp =
-      resolveMovesPerTemp(opt.movesPerTemp, opt.sizeHint);
-
-  const bool timed = opt.timeLimitSec > 0.0;
-  while (t > tFreeze &&
-         (opt.maxSweeps == 0 || result.sweeps < opt.maxSweeps) &&
-         (!timed || clock.seconds() < opt.timeLimitSec) &&
-         !cancelRequested(opt.cancel)) {
-    annealPass(cur, curCost, movesPerTemp, eval, move, rng, moveBuf,
-               [&](double delta) {
-                 ++result.movesTried;
-                 return delta <= 0.0 || rng.uniform() < std::exp(-delta / t);
-               },
-               [&] {
-                 ++result.movesAccepted;
-                 if (curCost < result.bestCost) {
-                   result.best = cur;
-                   result.bestCost = curCost;
-                 }
-               });
-    t *= opt.coolingFactor;
-    ++result.sweeps;
-  }
-  result.seconds = clock.seconds();
-  return result;
-}
-
 // ---------------------------------------------------------------------------
-// AnnealDriver — the restart loop above, unrolled into a resumable state
+// AnnealDriver — the one annealing loop of the library, as a resumable state
 // machine.
 //
-// The driver executes exactly the trajectory `annealWithRestartsImpl`
-// executes — same RNG stream, same calibration, same per-restart leftover
-// budgets, same merge and stop rules — but in sweep-sized steps the caller
-// can pause between.  That is the seam the parallel-tempering runner
-// (runtime/tempering.h) needs: K replicas advance in fixed-length rounds,
-// exchange states at the barrier, and resume with their RNG, temperature
-// and incremental evaluator state intact.  `runSweeps` crosses restart
-// boundaries on its own, so a paused driver run to completion produces the
-// sequential result bit for bit (pinned by the degeneration suite in
-// tests/runtime_test.cpp).
+// Every entry point runs on it: `anneal` (one run, restarts off),
+// `annealWithRestarts` and every backend session (restarts on).  A run
+// seeds its RNG, calibrates t0 with a 50-move accept-all walk, then cools
+// geometrically until it freezes, exhausts its leftover sweep budget or its
+// time cap; with restarts on, a finished run's leftover budget funds the
+// next run on `nextRestartSeed`.  The caller advances the schedule in
+// sweep-sized steps it can pause between.  That is the seam the plan
+// executor (runtime/plan_executor.h) needs: K replicas advance in
+// fixed-length rounds, exchange states at the barrier, and resume with
+// their RNG, temperature and incremental evaluator state intact.
+// `runSweeps` crosses restart boundaries on its own, so a paused driver run
+// to completion produces the sequential result bit for bit (pinned by the
+// degeneration suite in tests/runtime_test.cpp).
 //
 // `tempScale` multiplies the calibrated t0 of every run the driver starts
 // (and tFreeze follows, so the freeze horizon keeps the same sweep count).
@@ -378,21 +319,27 @@ AnnealResult<State> annealImpl(State init, Eval& eval, MoveF& move,
 template <class State, class Eval, class MoveF>
 class AnnealDriver {
  public:
+  /// `restarts = false` ends the schedule with its first run: the plain
+  /// `anneal` loop.
   AnnealDriver(const State& init, Eval eval, MoveF move,
-               const AnnealOptions& options, double tempScale = 1.0)
+               const AnnealOptions& options, double tempScale = 1.0,
+               bool restarts = true)
       : eval_(std::forward<Eval>(eval)),
         move_(std::forward<MoveF>(move)),
         options_(options),
         tempScale_(tempScale),
         init_(init),
-        best_{init, eval_.full(init), 0, 0, 0, 0.0},
+        // The first merge adopts the first run's best (which starts at
+        // init); each run evaluates its own start state.
+        best_{init, std::numeric_limits<double>::infinity(), 0, 0, 0, 0.0},
         cur_(init),
         moveBuf_(init),
         probe_(init),
         runResult_{init, 0.0, 0, 0, 0, 0.0},
         seed_(options.seed),
         sweepCapped_(options.maxSweeps > 0),
-        timed_(options.timeLimitSec > 0.0) {
+        timed_(options.timeLimitSec > 0.0),
+        restarts_(restarts) {
     options_.movesPerTemp =
         resolveMovesPerTemp(options.movesPerTemp, options.sizeHint);
     beginRun();
@@ -521,7 +468,8 @@ class AnnealDriver {
     runResult_.sweeps = 0;
 
     // Calibrate t0 so that `initialAcceptance` of sampled uphill moves
-    // pass — the 50-move accept-all walk of annealImpl, verbatim.
+    // pass: a 50-move random walk that accepts everything and records the
+    // uphill deltas.
     double upSum = 0.0;
     std::size_t upCount = 0;
     probe_ = cur_;
@@ -567,7 +515,7 @@ class AnnealDriver {
     // progress; stop instead of spinning.
     bool sweepsLeft = sweepCapped_ && best_.sweeps < options_.maxSweeps;
     bool timeLeft = timed_ && clock_.seconds() < options_.timeLimitSec;
-    if ((sweepCapped_ && !sweepsLeft) || (timed_ && !timeLeft) ||
+    if (!restarts_ || (sweepCapped_ && !sweepsLeft) || (timed_ && !timeLeft) ||
         (!sweepCapped_ && !timed_) || runResult_.sweeps == 0) {
       finished_ = true;
       return;
@@ -597,18 +545,9 @@ class AnnealDriver {
   std::uint64_t seed_;
   const bool sweepCapped_;
   const bool timed_;
+  const bool restarts_;
   bool finished_ = false;
 };
-
-template <class State, class Eval, class MoveF>
-AnnealResult<State> annealWithRestartsImpl(const State& init, Eval& eval,
-                                           MoveF& move,
-                                           const AnnealOptions& options) {
-  // The driver IS the historic restart loop (same trajectory, bit for bit);
-  // the sequential entry point just runs it to completion in one go.
-  AnnealDriver<State, Eval&, MoveF&> driver(init, eval, move, options);
-  return driver.finalize();
-}
 
 }  // namespace detail
 
@@ -626,34 +565,9 @@ AnnealResult<State> annealWithRestartsImpl(const State& init, Eval& eval,
 template <class State, class CostF, class MoveF>
 AnnealResult<State> anneal(State init, CostF&& cost, MoveF&& move,
                            const AnnealOptions& opt) {
-  detail::ScratchEval<CostF> eval{cost};
-  return detail::annealImpl(std::move(init), eval, move, opt);
-}
-
-/// Incremental-protocol overload: states are decoded to placements and
-/// delta-evaluated by `model` (cost/cost_model.h) — a rejected move is a
-/// rollback, not a state copy plus full recompute.
-///
-/// `model`:   propose/commit/rollback cost model, owned by the caller.
-///            After the run its committed state is the LAST-ACCEPTED state
-///            of the trajectory, not `result.best` — re-evaluate the best
-///            state (e.g. `model.evaluateBreakdown(*decode(result.best))`)
-///            for result reporting.
-/// `decode`:  the packing step; returns an optional-like handle to the
-///            decoded placement — `std::optional<Placement>` by value, or
-///            `const Placement*` into a reusable scratch buffer (the
-///            allocation-free style; the result need only stay valid until
-///            the next decode call).  An empty/null result marks the state
-///            infeasible (`model.infeasibleCost()`).
-///
-/// The trajectory — every cost value, every RNG draw, every acceptance —
-/// is bit-identical to the scratch overload fed the equivalent
-/// decode-then-evaluate cost lambda.
-template <class State, class Model, class DecodeF, class MoveF>
-AnnealResult<State> anneal(State init, Model& model, DecodeF&& decode,
-                           MoveF&& move, const AnnealOptions& opt) {
-  detail::IncrementalEval<Model, DecodeF> eval{model, decode};
-  return detail::annealImpl(std::move(init), eval, move, opt);
+  detail::AnnealDriver<State, detail::ScratchEval<CostF>, MoveF&> driver(
+      init, {cost}, move, opt, 1.0, /*restarts=*/false);
+  return driver.finalize();
 }
 
 /// Repeats annealing runs (freshly seeded each round) until the sweep budget
@@ -676,18 +590,9 @@ template <class State, class CostF, class MoveF>
 AnnealResult<State> annealWithRestarts(const State& init, CostF&& cost,
                                        MoveF&& move,
                                        const AnnealOptions& options) {
-  detail::ScratchEval<CostF> eval{cost};
-  return detail::annealWithRestartsImpl(init, eval, move, options);
-}
-
-/// Incremental-protocol overload of the restart driver; see the `anneal`
-/// overload above for the model/decode contract.
-template <class State, class Model, class DecodeF, class MoveF>
-AnnealResult<State> annealWithRestarts(const State& init, Model& model,
-                                       DecodeF&& decode, MoveF&& move,
-                                       const AnnealOptions& options) {
-  detail::IncrementalEval<Model, DecodeF> eval{model, decode};
-  return detail::annealWithRestartsImpl(init, eval, move, options);
+  detail::AnnealDriver<State, detail::ScratchEval<CostF>, MoveF&> driver(
+      init, {cost}, move, options);
+  return driver.finalize();
 }
 
 }  // namespace als

@@ -80,8 +80,8 @@ FlatBStarResult placeFlatBStarSA(const Circuit& circuit,
 /// it).  `tempScale` multiplies the calibrated t0 of every internal restart
 /// (1.0 = the sequential schedule, exactly).
 ///
-/// Not movable or shareable across threads concurrently; the tempering
-/// runner advances each session from one thread at a time with fork-join
+/// Not movable or shareable across threads concurrently; the plan
+/// executor advances each session from one thread at a time with fork-join
 /// barriers in between, which is all the contract requires.
 class FlatBStarSession {
  public:

@@ -1,5 +1,5 @@
 // Placement -> B*-tree conversion (the cross-backend seeding seam of
-// runtime/tempering.h).
+// runtime/plan_executor.h).
 //
 // Left-edge / adjacency reconstruction.  Modules are sorted by (x, y, id)
 // and become tree nodes in that order; each subsequent module attaches to

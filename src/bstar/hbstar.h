@@ -214,7 +214,7 @@ class HBStarSession {
 
   /// Always returns false: the hierarchical encoding (islands, CC grids,
   /// per-node trees) cannot be reconstructed from a flat placement, so this
-  /// backend never adopts foreign seeds (the tempering runner falls back to
+  /// backend never adopts foreign seeds (the plan executor falls back to
   /// keeping the replica's own state).
   bool reseedFromPlacement(const Placement& placement);
 

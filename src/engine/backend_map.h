@@ -1,6 +1,6 @@
-// EngineOptions -> native backend-options mapping, shared by the engine
-// facade (engine/placement_engine.cpp) and the resumable replica sessions
-// (engine/replica_session.cpp) so the two construction paths cannot drift.
+// EngineOptions -> native backend-options mapping of the resumable replica
+// sessions (engine/replica_session.cpp) — the one construction path behind
+// both the engine facade's `place()` and the runtime layer's executor.
 //
 // All backend option structs share the SA-knob field names; objective knobs
 // that only some backends carry (a backend whose representation guarantees

@@ -13,12 +13,14 @@
 //   * at most one `place()` call may use a given scratch at a time; reuse
 //     across sequential runs, circuits and backends is encouraged (that is
 //     the point), concurrent sharing is a race;
-//   * the runtime layer (runtime/portfolio.h) creates one PlaceScratch per
-//     pool worker per run/race/batch call and stamps the right sub-scratch
-//     into each slice's options — slices on one worker run sequentially,
-//     so the contract holds by construction (the scratches are per-call,
-//     not per-runner: PortfolioRunner stays const and stateless, which is
-//     what allows concurrent callers).
+//   * the plan executor (runtime/plan_executor.h) either creates one
+//     PlaceScratch per pool worker per call — on its barrier-free route
+//     each cell runs start to finish inside one task, so cells on one
+//     worker run sequentially — or takes a caller's per-cell bank when
+//     sessions stay alive across round barriers.  Either way the contract
+//     holds by construction (per-worker scratches are per-call, not
+//     per-runner: the runners stay const and stateless, which is what
+//     allows concurrent callers).
 #pragma once
 
 #include "bstar/flat_placer.h"

@@ -2,53 +2,11 @@
 
 #include <array>
 
-#include "bstar/flat_placer.h"
-#include "bstar/hbstar.h"
-#include "engine/backend_map.h"
-#include "engine/place_scratch.h"
-#include "seqpair/sa_placer.h"
-#include "slicing/slicing_placer.h"
+#include "engine/replica_session.h"
 
 namespace als {
 
 namespace {
-
-// All backend option structs share the SA-knob field names (mapped by
-// engine/backend_map.h) and all backend result structs share the output
-// field names, so one wrapper maps both.
-template <class BackendOptions, class BackendResult>
-class BackendEngine final : public PlacementEngine {
- public:
-  using PlaceFn = BackendResult (*)(const Circuit&, const BackendOptions&);
-
-  BackendEngine(EngineBackend backend, PlaceFn place)
-      : backend_(backend), place_(place) {}
-
-  EngineBackend backend() const override { return backend_; }
-  std::string_view name() const override { return backendName(backend_); }
-
-  EngineResult place(const Circuit& circuit,
-                     const EngineOptions& options) const override {
-    BackendOptions opt = mapEngineOptions<BackendOptions>(options);
-    BackendResult r = place_(circuit, opt);
-    EngineResult result;
-    result.placement = std::move(r.placement);
-    result.area = r.area;
-    result.hpwl = r.hpwl;
-    result.cost = r.cost;
-    result.movesTried = r.movesTried;
-    result.sweeps = r.sweeps;
-    result.seconds = r.seconds;
-    result.restartsRun = 1;
-    result.bestRestart = 0;
-    result.bestSeed = options.seed;
-    return result;
-  }
-
- private:
-  EngineBackend backend_;
-  PlaceFn place_;
-};
 
 constexpr std::array<EngineBackend, 4> kBackends = {
     EngineBackend::FlatBStar,
@@ -71,24 +29,13 @@ std::string_view backendName(EngineBackend backend) {
   return "unknown";
 }
 
+EngineResult PlacementEngine::place(const Circuit& circuit,
+                                    const EngineOptions& options) const {
+  return makeReplicaSession(backend_, circuit, options)->finish();
+}
+
 std::unique_ptr<PlacementEngine> makeEngine(EngineBackend backend) {
-  switch (backend) {
-    case EngineBackend::FlatBStar:
-      return std::make_unique<BackendEngine<FlatBStarOptions, FlatBStarResult>>(
-          backend, &placeFlatBStarSA);
-    case EngineBackend::SeqPair:
-      return std::make_unique<
-          BackendEngine<SeqPairPlacerOptions, SeqPairPlacerResult>>(
-          backend, &placeSeqPairSA);
-    case EngineBackend::Slicing:
-      return std::make_unique<
-          BackendEngine<SlicingPlacerOptions, SlicingPlacerResult>>(
-          backend, &placeSlicingSA);
-    case EngineBackend::HBStar:
-      return std::make_unique<BackendEngine<HBPlacerOptions, HBPlacerResult>>(
-          backend, &placeHBStarSA);
-  }
-  return nullptr;
+  return std::make_unique<PlacementEngine>(backend);
 }
 
 }  // namespace als

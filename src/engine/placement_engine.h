@@ -9,22 +9,25 @@
 // parallel-restart and sharding layers — need one seam.  `PlacementEngine`
 // is that seam: one options struct carrying the shared SA knobs (sweep
 // budget, seed, cooling, wirelength weight), one result struct carrying the
-// shared outputs, and a factory keyed by `EngineBackend`.
+// shared outputs, and a factory keyed by `EngineBackend`.  A `place()` call
+// is one resumable session (engine/replica_session.h) run to completion in
+// one go, so the one-shot facade and the runtime layer's round-based
+// executor share a single backend-erasure layer.
 //
 // All engines honor the deterministic annealing contract of
 // anneal/annealer.h: `maxSweeps` is the primary budget — for a fixed seed
 // the result is bit-identical across machines and runs — and `timeLimitSec`
 // is only a secondary wall-clock cap.
 //
-// Thread-safety contract (load-bearing for runtime/portfolio.h): every
-// registered engine's `place()` is stateless and re-entrant.  It may touch
-// only (a) its own stack, (b) the `const Circuit&` read-only, and (c) an RNG
-// constructed inside the call from `options.seed`.  No backend may keep
-// mutable statics, lazily cache into the circuit, or share an RNG across
-// calls.  Concurrent `place()` calls on one engine instance — or on many
-// engines over the same circuit — are therefore race-free, provided the
-// caller does not mutate the circuit while placements run.  New backends
-// must uphold this contract before registration in `makeEngine`.
+// Thread-safety contract (load-bearing for runtime/plan_executor.h): every
+// backend session is stateless across instances.  It may touch only (a) its
+// own members, (b) the `const Circuit&` read-only, and (c) an RNG
+// constructed from `options.seed`.  No backend may keep mutable statics,
+// lazily cache into the circuit, or share an RNG across sessions.
+// Concurrent `place()` calls on one engine instance — or on many engines
+// over the same circuit — are therefore race-free, provided the caller does
+// not mutate the circuit while placements run.  New backends must uphold
+// this contract before registration in `makeReplicaSession`.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +42,11 @@
 namespace als {
 
 struct PlaceScratch;  // engine/place_scratch.h
+
+/// Upper bound on `EngineOptions::numRestarts` wherever a count arrives from
+/// outside the program (CLI flags, wire options).  An uncapped budget plans
+/// one slice per restart, so an unbounded count is an allocation bomb.
+inline constexpr std::size_t kMaxRestarts = 1'000'000;
 
 enum class EngineBackend {
   FlatBStar,  ///< flat B*-tree, constraints as penalties (bstar/flat_placer.h)
@@ -79,7 +87,7 @@ struct EngineOptions {
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;    ///< 0 = auto (10x module count)
 
-  // Multi-start knobs, honored by the runtime layer (runtime/portfolio.h):
+  // Multi-start knobs, honored by the runtime layer (runtime/plan_executor.h):
   // `maxSweeps` stays the *total* budget and is split across `numRestarts`
   // seed-scheduled slices fanned over `numThreads` threads.  A plain
   // `place()` call is always one restart on the calling thread and ignores
@@ -88,12 +96,13 @@ struct EngineOptions {
   std::size_t numThreads = 1;   ///< worker threads (0 = all hardware cores)
 
   // Parallel-tempering knobs (runtime/tempering.h): when `tempering` is on,
-  // the runtime layer runs the `numRestarts` budget slices as coupled
-  // replicas on a geometric temperature ladder instead of independent
-  // restarts.  Results stay bit-identical at any thread count; with
-  // `exchangeInterval = 0` AND `ladderRatio = 1.0` they degenerate to the
-  // independent-restart portfolio exactly (see runtime/tempering.h for why
-  // both are needed).  A plain `place()` call ignores all four fields.
+  // the runtime layer runs the `numRestarts` budget slices under the ladder
+  // exchange policy — coupled replicas on a geometric temperature ladder —
+  // instead of as independent restarts.  Results stay bit-identical at any
+  // thread count; with `exchangeInterval = 0` AND `ladderRatio = 1.0` they
+  // degenerate to the independent-restart portfolio exactly (see
+  // runtime/plan_executor.h for why both are needed).  A plain `place()`
+  // call ignores all four fields.
   bool tempering = false;
   std::size_t exchangeInterval = 4;  ///< sweeps per round (0 = never exchange)
   /// t0 multiplier between rungs (> 0).  Ratios below 1 are legal and make
@@ -109,8 +118,8 @@ struct EngineOptions {
   /// Optional warm decode buffers (engine/place_scratch.h): the engine maps
   /// the backend's sub-scratch into the native options.  Contents never
   /// influence results; at most one place() call may use it at a time.  The
-  /// portfolio runner manages its own per-worker scratches and ignores a
-  /// caller-provided one.
+  /// runtime layer manages its own scratches and ignores a caller-provided
+  /// one.
   PlaceScratch* scratch = nullptr;
 
   /// Cooperative cancellation (util/cancel_token.h), honored by every
@@ -137,19 +146,23 @@ struct EngineResult {
   std::uint64_t bestSeed = 0;    ///< seed the winning restart annealed with
 };
 
-class PlacementEngine {
- public:
-  virtual ~PlacementEngine() = default;
-  virtual EngineBackend backend() const = 0;
-  virtual std::string_view name() const = 0;
-  virtual EngineResult place(const Circuit& circuit,
-                             const EngineOptions& options) const = 0;
-};
-
 /// All registered backends, in a stable order (useful for sweeps/benches).
 std::span<const EngineBackend> allBackends();
 
 std::string_view backendName(EngineBackend backend);
+
+class PlacementEngine {
+ public:
+  explicit PlacementEngine(EngineBackend backend) : backend_(backend) {}
+  EngineBackend backend() const { return backend_; }
+  std::string_view name() const { return backendName(backend_); }
+  /// One restart on the calling thread: `makeReplicaSession(...)->finish()`.
+  EngineResult place(const Circuit& circuit,
+                     const EngineOptions& options) const;
+
+ private:
+  EngineBackend backend_;
+};
 
 std::unique_ptr<PlacementEngine> makeEngine(EngineBackend backend);
 

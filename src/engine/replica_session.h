@@ -1,18 +1,19 @@
-// Backend-erased resumable annealing runs — the engine-level seam the
-// parallel-tempering runner (runtime/tempering.h) drives.
+// Backend-erased resumable annealing runs — the engine-level seam every
+// placement runs through: the engine facade's `place()` is one session run
+// to completion, and the plan executor (runtime/plan_executor.h) drives
+// grids of them in rounds.
 //
 // Each backend exposes a concrete session type (FlatBStarSession,
 // SeqPairSession, SlicingSession, HBStarSession) that is its one-shot
 // place function cut at sweep granularity.  `ReplicaSession` erases the
 // backend so a runner can hold a heterogeneous fleet; `makeReplicaSession`
-// maps `EngineOptions` to the native options exactly as the engine facade
-// does (engine/backend_map.h), so a session run to completion in one go
-// returns the same EngineResult `makeEngine(b)->place(...)` would —
-// bit for bit.
+// maps `EngineOptions` to the native options (engine/backend_map.h), so a
+// session run to completion in one go returns what the backend's one-shot
+// place function returns — bit for bit.
 //
 // Threading contract: a session may move between threads across calls but
-// is never called concurrently; the tempering runner advances replicas in
-// fork-join rounds, which satisfies this by construction.
+// is never called concurrently; the executor advances sessions in fork-join
+// rounds, which satisfies this by construction.
 #pragma once
 
 #include <memory>
@@ -55,7 +56,7 @@ class ReplicaSession {
   virtual bool reseedFromPlacement(const Placement& placement) = 0;
 
   /// Finalizes (running any leftover budget first) and assembles the result
-  /// exactly as the engine facade does for this backend; `bestSeed` is the
+  /// from the backend's native one; `bestSeed` is the
   /// session's constructing seed, `restartsRun`/`bestRestart` report one
   /// restart (the runner overwrites the aggregate fields).
   virtual EngineResult finish() = 0;

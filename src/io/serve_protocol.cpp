@@ -173,8 +173,8 @@ CacheKey makeCacheKey(std::string_view circuitText, EngineBackend backend,
 
 std::string applyJobOption(EngineOptions& options, std::string_view key,
                            std::string_view value) {
-  auto bad = [&](const char* what) {
-    return "bad OPT " + std::string(key) + ": " + what;
+  auto bad = [&](std::string_view what) {
+    return "bad OPT " + std::string(key) + ": " + std::string(what);
   };
   double d = 0.0;
   std::uint64_t u = 0;
@@ -220,6 +220,11 @@ std::string applyJobOption(EngineOptions& options, std::string_view key,
   if (key == "sweeps" || key == "mpt" || key == "restarts" ||
       key == "threads" || key == "exch") {
     if (!parseNumber(value, u)) return bad("nonnegative integer");
+    // An uncapped budget plans one slice per restart: bound the count
+    // before a worker thread tries to allocate it.
+    if (key == "restarts" && u > kMaxRestarts) {
+      return bad("integer at most " + std::to_string(kMaxRestarts));
+    }
     if (key == "sweeps") options.maxSweeps = u;
     else if (key == "mpt") options.movesPerTemp = u;
     else if (key == "restarts") options.numRestarts = u;

@@ -121,7 +121,8 @@ CacheKey makeCacheKey(std::string_view circuitText, EngineBackend backend,
 /// success, else a message naming the key.  Keys mirror the canonical
 /// options string plus the non-identity knobs a client may set
 /// (`restarts`, `threads`); unknown keys are errors (a silently dropped
-/// knob would poison the cache key contract).
+/// knob would poison the cache key contract), and so is a `restarts` count
+/// above `kMaxRestarts`.
 std::string applyJobOption(EngineOptions& options, std::string_view key,
                            std::string_view value);
 

@@ -1,119 +1,18 @@
 #include "runtime/portfolio.h"
 
-#include <iterator>
-#include <memory>
 #include <stdexcept>
 
-#include "anneal/annealer.h"
-#include "engine/place_scratch.h"
-#include "runtime/tempering.h"
 #include "util/stopwatch.h"
 
 namespace als {
 
-namespace {
-
-/// One warm decode scratch per pool slot (engine/place_scratch.h).  A slot
-/// runs its slices sequentially, so its scratch is never shared; creation
-/// is lazy because a short plan may not touch every slot.  Scratch contents
-/// never influence results, so slot scheduling cannot either.
-class WorkerScratches {
- public:
-  explicit WorkerScratches(std::size_t slots) : scratches_(slots) {}
-
-  PlaceScratch* at(std::size_t slot) {
-    std::unique_ptr<PlaceScratch>& s = scratches_[slot];
-    if (s == nullptr) s = std::make_unique<PlaceScratch>();
-    return s.get();
-  }
-
- private:
-  std::vector<std::unique_ptr<PlaceScratch>> scratches_;
-};
-
-}  // namespace
-
-EngineOptions sliceEngineOptions(const EngineOptions& base,
-                                 const RestartSlice& slice,
-                                 std::size_t resolvedMovesPerTemp) {
-  EngineOptions opt = base;
-  opt.seed = slice.seed;
-  opt.maxSweeps = slice.maxSweeps;
-  opt.movesPerTemp = resolvedMovesPerTemp;
-  opt.numRestarts = 1;
-  opt.numThreads = 1;
-  opt.scratch = nullptr;
-  return opt;
-}
-
-EngineResult reducePortfolioSlices(std::vector<EngineResult>&& slices) {
-  std::size_t winner = 0;
-  for (std::size_t i = 1; i < slices.size(); ++i) {
-    if (slices[i].cost < slices[winner].cost ||
-        (slices[i].cost == slices[winner].cost &&
-         slices[i].bestSeed < slices[winner].bestSeed)) {
-      winner = i;
-    }
-  }
-  std::size_t movesTried = 0, sweeps = 0;
-  double seconds = 0.0;
-  for (const EngineResult& slice : slices) {
-    movesTried += slice.movesTried;
-    sweeps += slice.sweeps;
-    seconds += slice.seconds;
-  }
-  EngineResult result = std::move(slices[winner]);
-  result.movesTried = movesTried;
-  result.sweeps = sweeps;
-  result.seconds = seconds;
-  result.restartsRun = slices.size();
-  result.bestRestart = winner;  // slice position == schedule index
-  return result;
-}
-
-std::vector<RestartSlice> makeRestartPlan(const EngineOptions& options) {
-  std::size_t restarts = options.numRestarts > 0 ? options.numRestarts : 1;
-  // A zero sweep budget means "uncapped" throughout the library, so no
-  // slice may round down to zero: cap the slice count at the total budget.
-  if (options.maxSweeps > 0 && restarts > options.maxSweeps) {
-    restarts = options.maxSweeps;
-  }
-  std::vector<RestartSlice> plan(restarts);
-  for (std::size_t i = 0; i < restarts; ++i) {
-    plan[i] = {i, portfolioSeedAt(options.seed, i),
-               splitSweepBudget(options.maxSweeps, restarts, i)};
-  }
-  return plan;
-}
-
 EngineResult PortfolioRunner::run(const Circuit& circuit, EngineBackend backend,
                                   const EngineOptions& options) const {
-  if (options.tempering) {
-    return TemperingRunner(pool_).run(circuit, backend, options).result;
-  }
   Stopwatch clock;
-  const std::vector<RestartSlice> plan = makeRestartPlan(options);
-  const std::size_t movesPerTemp =
-      resolveMovesPerTemp(options.movesPerTemp, circuit.moduleCount());
-  const std::unique_ptr<PlacementEngine> engine = makeEngine(backend);
-
-  std::vector<EngineResult> slices(plan.size());
-  auto runOn = [&](ThreadPool& pool) {
-    WorkerScratches scratches(pool.threadCount());
-    pool.parallelFor(plan.size(), [&](std::size_t i, std::size_t slot) {
-      EngineOptions opt = sliceEngineOptions(options, plan[i], movesPerTemp);
-      opt.scratch = scratches.at(slot);
-      slices[i] = engine->place(circuit, opt);
-    });
-  };
-  if (pool_ != nullptr) {
-    runOn(*pool_);
-  } else {
-    ThreadPool pool(options.numThreads);
-    runOn(pool);
-  }
-
-  EngineResult result = reducePortfolioSlices(std::move(slices));
+  PlanOutcome out = executePlan(
+      pool_, {.circuits = {&circuit, 1}, .backends = {&backend, 1},
+              .options = options});
+  EngineResult result = std::move(out.results[0]);
   result.seconds = clock.seconds();
   return result;
 }
@@ -124,56 +23,12 @@ PortfolioRunner::RaceOutcome PortfolioRunner::race(
   if (backends.empty()) {
     throw std::invalid_argument("PortfolioRunner::race: no backends given");
   }
-  if (options.tempering) {
-    TemperingOutcome t = TemperingRunner(pool_).race(circuit, backends, options);
-    return RaceOutcome{std::move(t.result), t.backend};
-  }
   Stopwatch clock;
-  const std::vector<RestartSlice> plan = makeRestartPlan(options);
-  const std::size_t restarts = plan.size();
-  const std::size_t movesPerTemp =
-      resolveMovesPerTemp(options.movesPerTemp, circuit.moduleCount());
-
-  std::vector<std::unique_ptr<PlacementEngine>> engines;
-  engines.reserve(backends.size());
-  for (EngineBackend backend : backends) engines.push_back(makeEngine(backend));
-
-  // One flattened backend-major grid so a slow backend cannot leave threads
-  // idle while another still has unclaimed restarts.
-  std::vector<EngineResult> grid(backends.size() * restarts);
-  auto runOn = [&](ThreadPool& pool) {
-    WorkerScratches scratches(pool.threadCount());
-    pool.parallelFor(grid.size(), [&](std::size_t task, std::size_t slot) {
-      const std::size_t backend = task / restarts;
-      const std::size_t restart = task % restarts;
-      EngineOptions opt = sliceEngineOptions(options, plan[restart], movesPerTemp);
-      opt.scratch = scratches.at(slot);
-      grid[task] = engines[backend]->place(circuit, opt);
-    });
-  };
-  if (pool_ != nullptr) {
-    runOn(*pool_);
-  } else {
-    ThreadPool pool(options.numThreads);
-    runOn(pool);
-  }
-
-  // Reduce each backend's portfolio, then pick the winner on the total
-  // order (cost, seed, position in `backends`): strict improvement only,
-  // so an exact tie keeps the earliest backend.
-  RaceOutcome outcome;
-  for (std::size_t b = 0; b < backends.size(); ++b) {
-    std::vector<EngineResult> slices(
-        std::make_move_iterator(grid.begin() + b * restarts),
-        std::make_move_iterator(grid.begin() + (b + 1) * restarts));
-    EngineResult result = reducePortfolioSlices(std::move(slices));
-    if (b == 0 || result.cost < outcome.result.cost ||
-        (result.cost == outcome.result.cost &&
-         result.bestSeed < outcome.result.bestSeed)) {
-      outcome.result = std::move(result);
-      outcome.backend = backends[b];
-    }
-  }
+  PlanOutcome out = executePlan(
+      pool_,
+      {.circuits = {&circuit, 1}, .backends = backends, .options = options});
+  const std::size_t winner = raceWinner(out.results);
+  RaceOutcome outcome{std::move(out.results[winner]), backends[winner]};
   outcome.result.seconds = clock.seconds();
   return outcome;
 }
@@ -181,43 +36,10 @@ PortfolioRunner::RaceOutcome PortfolioRunner::race(
 std::vector<EngineResult> BatchPlacer::placeAll(
     std::span<const Circuit> circuits, EngineBackend backend,
     const EngineOptions& options) const {
-  const std::vector<RestartSlice> plan = makeRestartPlan(options);
-  const std::size_t restarts = plan.size();
-  const std::unique_ptr<PlacementEngine> engine = makeEngine(backend);
-
-  std::vector<std::size_t> movesPerTemp(circuits.size());
-  for (std::size_t c = 0; c < circuits.size(); ++c) {
-    movesPerTemp[c] =
-        resolveMovesPerTemp(options.movesPerTemp, circuits[c].moduleCount());
-  }
-
-  std::vector<EngineResult> grid(circuits.size() * restarts);
-  auto runOn = [&](ThreadPool& pool) {
-    WorkerScratches scratches(pool.threadCount());
-    pool.parallelFor(grid.size(), [&](std::size_t task, std::size_t slot) {
-      const std::size_t c = task / restarts;
-      const std::size_t restart = task % restarts;
-      EngineOptions opt = sliceEngineOptions(options, plan[restart], movesPerTemp[c]);
-      opt.scratch = scratches.at(slot);
-      grid[task] = engine->place(circuits[c], opt);
-    });
-  };
-  if (pool_ != nullptr) {
-    runOn(*pool_);
-  } else {
-    ThreadPool pool(options.numThreads);
-    runOn(pool);
-  }
-
-  std::vector<EngineResult> results;
-  results.reserve(circuits.size());
-  for (std::size_t c = 0; c < circuits.size(); ++c) {
-    std::vector<EngineResult> slices(
-        std::make_move_iterator(grid.begin() + c * restarts),
-        std::make_move_iterator(grid.begin() + (c + 1) * restarts));
-    results.push_back(reducePortfolioSlices(std::move(slices)));
-  }
-  return results;
+  return executePlan(pool_, {.circuits = circuits,
+                             .backends = {&backend, 1},
+                             .options = options})
+      .results;
 }
 
 }  // namespace als

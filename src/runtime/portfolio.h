@@ -1,70 +1,43 @@
-// Parallel restart portfolio over the PlacementEngine seam — the middle of
-// the runtime layer (thread pool -> portfolio -> engine -> backends).
+// Restart portfolios, backend races and batches — the plain-result callers
+// of the plan executor (runtime/plan_executor.h; thread pool -> plan
+// executor -> replica sessions -> backends).
 //
 // A portfolio run splits one deterministic sweep budget into
 // `options.numRestarts` slices, each annealing from its own seed of the
-// shared restart schedule (anneal/annealer.h), fans the slices across a
-// deterministic ThreadPool, and reduces to the best slice with a total-order
-// tie-break on (cost, seed, backend).  Because every slice is a pure
-// function of its (seed, budget) pair and the reduction is performed in
-// schedule order over an index-addressed result array, the outcome is
-// bit-identical for `numThreads = 1` and `numThreads = N` — the property
-// tests/runtime_test.cpp asserts per backend.
+// shared restart schedule (anneal/annealer.h), and reduces to the best slice
+// with a total-order tie-break on (cost, seed, backend).  The runners below
+// only choose the grid — one circuit x one backend, one circuit x several
+// backends, or several circuits x one backend — and hand it to the
+// executor, which fans the cells over a deterministic ThreadPool.  The
+// outcome is bit-identical for `numThreads = 1` and `numThreads = N` — the
+// property tests/runtime_test.cpp asserts per backend.
 //
-// `movesPerTemp == 0` auto-scaling is resolved ONCE per run (from the
-// circuit's module count, the hint every registered backend uses) and the
-// resolved value is stamped into each slice, so split-budget restarts anneal
-// on exactly the schedule the equivalent sequential run would have used.
+// `options.tempering` selects the executor's ladder policy for every
+// runner alike: the slices become coupled parallel-tempering replicas
+// (runtime/tempering.h exposes the per-replica accounting).
+//
+// `movesPerTemp == 0` auto-scaling is resolved ONCE per circuit (from its
+// module count, the hint every registered backend uses) and the resolved
+// value is stamped into each slice, so split-budget restarts anneal on
+// exactly the schedule the equivalent sequential run would have used.
 //
 // `timeLimitSec`, when positive, caps each slice's wall clock individually;
 // as everywhere else in the library, results under an active time cap are
 // not reproducible.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "engine/placement_engine.h"
+#include "runtime/plan_executor.h"
 #include "runtime/thread_pool.h"
 
 namespace als {
 
-/// One restart's slice of a portfolio plan.
-struct RestartSlice {
-  std::size_t index = 0;      ///< position in the restart schedule
-  std::uint64_t seed = 0;     ///< portfolioSeedAt(options.seed, index)
-  std::size_t maxSweeps = 0;  ///< splitSweepBudget slice (0 = uncapped)
-};
-
-/// The deterministic plan a portfolio executes: `options.numRestarts`
-/// slices (at least one), seeds from the portfolio seed schedule, sweep
-/// budgets summing exactly to `options.maxSweeps`.  When `maxSweeps > 0`
-/// the slice count is capped at the total budget — a slice budget of zero
-/// would mean "uncapped" everywhere in the library, not "no work".
-std::vector<RestartSlice> makeRestartPlan(const EngineOptions& options);
-
-/// Options of one slice: own seed and budget, shared resolved movesPerTemp,
-/// multi-start knobs neutralized (a slice is exactly one engine run), the
-/// caller's scratch dropped (runners hand each slice the scratch of the
-/// worker executing it).  Every field the caller set — objective weights,
-/// the cancel token — flows through unchanged.  Shared by the portfolio,
-/// tempering and serve runners so their per-slice schedules cannot drift.
-EngineOptions sliceEngineOptions(const EngineOptions& base,
-                                 const RestartSlice& slice,
-                                 std::size_t resolvedMovesPerTemp);
-
-/// Collapses one portfolio's slices (in schedule order) into the aggregate
-/// result: (cost, seed) winner's placement, summed moves/sweeps/seconds,
-/// `bestRestart` = winner's schedule index.  Scanning in schedule order over
-/// an index-addressed array keeps the choice independent of which thread
-/// finished first — the reduction behind the portfolio, tempering and serve
-/// runners alike (callers overwrite `seconds` with their wall clock).
-EngineResult reducePortfolioSlices(std::vector<EngineResult>&& slices);
-
-/// Fans seed-split restarts (and whole-backend races) over a thread pool.
-/// Const and stateless per call: one runner may serve concurrent callers
-/// when constructed over distinct pools.
+/// Runs restart portfolios and backend races over a thread pool.  Const and
+/// stateless per call: one runner may serve concurrent callers when
+/// constructed over distinct pools.
 class PortfolioRunner {
  public:
   /// Pool-per-run mode: each run sizes a pool from `options.numThreads`.
@@ -86,9 +59,9 @@ class PortfolioRunner {
   };
 
   /// Races full restart portfolios of several backends over one pool; the
-  /// flattened backend x restart grid saturates the pool.  Winner by
-  /// (cost, seed, position in `backends`).  Throws std::invalid_argument
-  /// when `backends` is empty.
+  /// backend x restart grid saturates the pool.  Winner by (cost, seed,
+  /// position in `backends`).  Throws std::invalid_argument when `backends`
+  /// is empty.
   RaceOutcome race(const Circuit& circuit,
                    std::span<const EngineBackend> backends,
                    const EngineOptions& options) const;
@@ -98,8 +71,9 @@ class PortfolioRunner {
 };
 
 /// Places many circuits with one backend/options over one pool.  The
-/// flattened circuit x restart grid keeps all threads busy even when
-/// `numRestarts` is small.  Results are index-aligned with `circuits`;
+/// circuit x restart grid keeps all threads busy even when `numRestarts`
+/// is small.  Results are index-aligned with `circuits` and equal each
+/// circuit's own `PortfolioRunner::run` (tempering included), except that
 /// each result's `seconds` is the summed annealing time of that circuit's
 /// slices (the batch shares one wall clock).
 class BatchPlacer {

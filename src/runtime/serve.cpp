@@ -4,15 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <limits>
 #include <thread>
 
-#include "anneal/annealer.h"
-#include "engine/place_scratch.h"
-#include "engine/replica_session.h"
 #include "io/benchmark_format.h"
-#include "runtime/portfolio.h"
-#include "runtime/tempering.h"
+#include "runtime/plan_executor.h"
 #include "runtime/thread_pool.h"
 #include "util/stopwatch.h"
 
@@ -38,14 +33,12 @@ struct ServeEngine::Slot {
 
 struct ServeEngine::Worker {
   std::thread thread;
-  ThreadPool pool{1};     ///< tempering rounds run inline on the worker
-  TemperingScratch bank;  ///< per-slice warm buffers, reused across jobs
+  ThreadPool pool{1};     ///< plan rounds run inline on the worker
+  TemperingScratch bank;  ///< per-cell warm buffers, reused across jobs
 
   // Reused per-job state (capacity persists across jobs):
   EngineResult result;
   EngineBackend resultBackend = EngineBackend::FlatBStar;
-  std::vector<std::unique_ptr<ReplicaSession>> sessions;
-  std::vector<EngineResult> sliceResults;
 };
 
 struct ServeEngine::Impl {
@@ -250,67 +243,43 @@ void ServeEngine::workerLoop(Worker& worker) {
   }
 }
 
-/// The round loop of one restart job: per-slice sessions advanced
-/// `progressInterval` sweeps at a time.  Reducing the finished sessions with
-/// the shared portfolio reduction makes the outcome bit-identical to
-/// `PortfolioRunner::run` on the same options (sessions run to completion
-/// equal the one-shot engine call, slice for slice).
-EngineResult ServeEngine::runSessionRounds(Worker& worker, Slot& slot,
-                                           const Circuit& circuit,
-                                           EngineBackend backend,
-                                           const EngineOptions& options) {
+/// Runs one parsed job through the plan executor on the worker's pool and
+/// bank.  The round hook enforces the sweep deadline and reports PROGRESS at
+/// the first barrier at or past each `progressInterval` multiple of sweeps
+/// per cell: every round of a restart job, whose round IS the interval, and
+/// whichever rounds cross a multiple when a tempering job's exchange
+/// interval sets its rounds.  Paused sessions resume bit-identically, so the
+/// outcome equals `PortfolioRunner::run` on the same options.
+EngineResult ServeEngine::computeJob(Worker& worker, Slot& slot,
+                                     const Circuit& circuit,
+                                     const EngineOptions& options) {
   const ProgressFn& onProgress = slot.job.onProgress;
+  const std::size_t deadlineSweeps = slot.job.deadlineSweeps;
   const std::size_t interval = options_.progressInterval;
-  const std::vector<RestartSlice> plan = makeRestartPlan(options);
-  const std::size_t movesPerTemp =
-      resolveMovesPerTemp(options.movesPerTemp, circuit.moduleCount());
-  while (worker.bank.replicas.size() < plan.size()) {
-    worker.bank.replicas.push_back(std::make_unique<PlaceScratch>());
-  }
-  worker.sessions.clear();
-  worker.sessions.reserve(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    EngineOptions sliceOpt = sliceEngineOptions(options, plan[i], movesPerTemp);
-    sliceOpt.scratch = worker.bank.replicas[i].get();
-    worker.sessions.push_back(
-        makeReplicaSession(backend, circuit, sliceOpt, 1.0));
-  }
-
-  std::size_t round = 0;
-  std::size_t sweepsDone = 0;
-  for (;;) {
-    bool anyActive = false;
-    for (auto& session : worker.sessions) {
-      if (!session->finished()) sweepsDone += session->runSweeps(interval);
-      anyActive = anyActive || !session->finished();
-    }
-    ++round;
+  std::size_t reported = 0;  // progressInterval multiples reported so far
+  std::size_t events = 0;
+  const RoundHook hook{interval, [&](const RoundStatus& status) {
     // Sweep-budget deadline, round-granular: once the job's TOTAL sweeps
     // cross the budget, cancel — the still-active sessions wind down during
     // the next round's sweep checks (same bound as a client CANCEL).
-    if (slot.job.deadlineSweeps > 0 &&
-        sweepsDone >= slot.job.deadlineSweeps &&
+    if (deadlineSweeps > 0 && status.sweepsDone >= deadlineSweeps &&
         !slot.deadlined.load(std::memory_order_relaxed)) {
       slot.deadlined.store(true, std::memory_order_relaxed);
       slot.cancel.cancel();
     }
-    if (onProgress) {
-      double best = std::numeric_limits<double>::infinity();
-      for (auto& session : worker.sessions) {
-        best = std::min(best, session->bestCost());
-      }
-      onProgress(round, sweepsDone, best);
+    const std::size_t reached = status.round * status.roundSweeps / interval;
+    if (reached > reported) {
+      reported = reached;
+      if (onProgress) onProgress(++events, status.sweepsDone, status.bestCost);
     }
-    if (!anyActive) break;
-  }
-
-  worker.sliceResults.clear();
-  worker.sliceResults.reserve(worker.sessions.size());
-  for (auto& session : worker.sessions) {
-    worker.sliceResults.push_back(session->finish());
-  }
-  worker.sessions.clear();
-  return reducePortfolioSlices(std::move(worker.sliceResults));
+  }};
+  const EngineBackend backend = slot.job.backend;
+  PlanOutcome out = executePlan(&worker.pool, {.circuits = {&circuit, 1},
+                                               .backends = {&backend, 1},
+                                               .options = options,
+                                               .hook = &hook,
+                                               .bank = &worker.bank});
+  return std::move(out.results[0]);
 }
 
 void ServeEngine::executeJob(Worker& worker, Slot& slot) {
@@ -336,15 +305,7 @@ void ServeEngine::executeJob(Worker& worker, Slot& slot) {
       Stopwatch computeClock;
       EngineOptions options = slot.job.options;
       options.cancel = &slot.cancel;
-      if (options.tempering) {
-        TemperingRunner runner(&worker.pool);
-        worker.result =
-            runner.run(parsed.circuit, slot.job.backend, options, &worker.bank)
-                .result;
-      } else {
-        worker.result = runSessionRounds(worker, slot, parsed.circuit,
-                                         slot.job.backend, options);
-      }
+      worker.result = computeJob(worker, slot, parsed.circuit, options);
       worker.result.seconds = computeClock.seconds();
       outcome.result = &worker.result;
       // Deadline wins precedence: its cancellation is the engine's doing,

@@ -6,12 +6,12 @@
 // the job id and its content-addressed `CacheKey` — or rejects immediately
 // when all slots are taken (the backpressure signal a loaded daemon gives
 // its clients).  Accepted jobs are executed FIFO by a fixed crew of worker
-// threads; each worker owns a warm `TemperingScratch` bank and a one-thread
-// `ThreadPool`, so parallelism comes from concurrent JOBS, not from threads
-// within a job — and because every run is deterministic and thread-count
-// invariant, N concurrent clients observe bit-identical per-job placements
-// to a lone client (pinned by tests/serve_test.cpp and the als_replay
-// harness).
+// threads; each worker owns a warm per-cell `TemperingScratch` bank and a
+// one-thread `ThreadPool`, so parallelism comes from concurrent JOBS, not
+// from threads within a job — and because every run is deterministic and
+// thread-count invariant, N concurrent clients observe bit-identical
+// per-job placements to a lone client (pinned by tests/serve_test.cpp and
+// the als_replay harness).
 //
 // Execution of one job:
 //   1. `ResultCache::fetch` on the job's key — a hit completes the job
@@ -19,13 +19,15 @@
 //      measures; `makeCacheKey` + fetch reuse caller buffers throughout).
 //   2. On a miss the circuit is parsed; parse failures complete the job
 //      with `JobOutcome::error`.
-//   3. Restart jobs run as per-slice `ReplicaSession`s advanced in rounds
-//      of `progressInterval` sweeps — `onProgress` fires once per round —
-//      and reduce with the shared portfolio reduction, which makes the
-//      outcome bit-identical to `PortfolioRunner::run` on the same options
-//      (the session run-to-completion contract, engine/replica_session.h).
-//      Tempering jobs route through `TemperingRunner` with the worker's
-//      scratch bank (no per-round progress; the runner is monolithic).
+//   3. Every job — restart or tempering — runs through the plan executor
+//      (runtime/plan_executor.h) on the worker's pool and bank, with a
+//      round hook.  A restart job's round is `progressInterval` sweeps per
+//      slice; a tempering job's round stays its `exchangeInterval` (its
+//      result depends on it), or `progressInterval` when it never
+//      exchanges.  `onProgress` fires at the first round barrier at or past
+//      each `progressInterval` multiple of sweeps per cell — every round
+//      for a restart job.  Paused sessions resume bit-identically, so the
+//      outcome equals `PortfolioRunner::run` on the same options.
 //   4. A successful, uncancelled result is stored in the cache; cancelled
 //      and failed runs never are (they are not pure functions of the key).
 //
@@ -42,13 +44,13 @@
 // deadline (`Job::deadlineSeconds`, measured from SUBMIT — queue wait
 // counts, which is what a client's latency budget means) enforced by a
 // monitor thread, and/or a sweep budget (`Job::deadlineSweeps`, total
-// sweeps across restart slices) checked at round granularity.  An expired
-// deadline cancels the run and flags the outcome `deadlineExpired` —
+// sweeps across all slices or replicas) checked at round granularity.  An
+// expired deadline cancels the run and flags the outcome `deadlineExpired` —
 // precedence over plain `cancelled` — and, like a cancellation, the
 // best-so-far result is delivered but NEVER cached.  A cache hit always
 // completes as a hit: if the answer is already known, no deadline can make
-// serving it wrong.  Sweep deadlines apply to restart jobs only (tempering
-// runs are monolithic); wall deadlines cover both.
+// serving it wrong.  Both deadlines apply to every job, restart or
+// tempering.
 //
 // The serve layer forces `timeLimitSec = 0` and `numThreads = 1` on every
 // job (reproducibility and the parallelism-across-jobs scheduling model;
@@ -71,7 +73,7 @@ struct ServeOptions {
   std::size_t workers = 1;        ///< job-executing threads (min 1)
   /// Total job slots (pending + running); `submit` rejects when exhausted.
   std::size_t queueCapacity = 16;
-  /// Sweeps each restart slice advances between progress events (min 1).
+  /// Sweeps per slice (or replica) between progress events (min 1).
   std::size_t progressInterval = 32;
   std::string cacheDir;  ///< persisted result store ("" = memory-only)
   /// Result cache size cap, memory + disk entries together (0 = unbounded);
@@ -123,7 +125,8 @@ class ServeEngine {
     /// the cache key — a deadline changes whether a run finishes, never
     /// what a finished run produces.
     double deadlineSeconds = 0.0;
-    /// Total-sweep budget across restart slices (0 = none); round-granular.
+    /// Total-sweep budget across slices or replicas (0 = none);
+    /// round-granular.
     std::size_t deadlineSweeps = 0;
     ProgressFn onProgress;  ///< per round; may be empty
     DoneFn onDone;          ///< exactly once per accepted job; may be empty
@@ -164,10 +167,8 @@ class ServeEngine {
   void workerLoop(Worker& worker);
   void executeJob(Worker& worker, Slot& slot);
   void deadlineLoop();
-  EngineResult runSessionRounds(Worker& worker, Slot& slot,
-                                const Circuit& circuit,
-                                EngineBackend backend,
-                                const EngineOptions& options);
+  EngineResult computeJob(Worker& worker, Slot& slot, const Circuit& circuit,
+                          const EngineOptions& options);
 
   ServeOptions options_;
   std::unique_ptr<ResultCache> cache_;

@@ -1,11 +1,11 @@
 // Deterministic fork-join thread pool — the bottom of the runtime layer
-// (thread pool -> portfolio -> engine -> backends).
+// (thread pool -> plan executor -> replica sessions -> backends).
 //
 // The pool is intentionally work-stealing-free: `parallelFor(count, fn)`
 // runs `fn(0) .. fn(count-1)` where each index is claimed exactly once from
 // a single shared counter.  Which *thread* runs which index varies run to
 // run, but every index's work is required to be a pure function of the
-// index (the portfolio layer guarantees this by giving each restart its own
+// index (the plan executor guarantees this by giving each cell its own
 // seed, budget and result slot), so the *values* produced are independent
 // of scheduling, thread count, and machine load.  That is the property the
 // `numThreads = 1` vs `numThreads = N` bit-identity tests lean on.
@@ -55,7 +55,7 @@ class ThreadPool {
   /// Slotted variant: `fn(i, slot)` additionally receives the identity of
   /// the participating thread — 0 for the caller, 1..threadCount()-1 for
   /// the workers.  Within one fork-join a slot runs its indices strictly
-  /// sequentially, so slot-indexed resources (e.g. the portfolio layer's
+  /// sequentially, so slot-indexed resources (e.g. the plan executor's
   /// per-worker decode scratches) need no further synchronization.  Which
   /// *indices* land on which slot is scheduling-dependent; only state whose
   /// contents cannot influence results may be keyed by slot.

@@ -1,5 +1,5 @@
 // Placement -> sequence pair conversion (the cross-backend seeding seam of
-// runtime/tempering.h).
+// runtime/plan_executor.h).
 //
 // Diagonal-order construction: alpha sorts the modules by the center
 // anti-diagonal (x_c - y_c), beta by the center diagonal (x_c + y_c), both

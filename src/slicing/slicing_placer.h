@@ -81,7 +81,7 @@ class SlicingSession {
 
   /// Always returns false: a general placement has no exact normalized
   /// Polish expression, so this backend never adopts foreign seeds (the
-  /// tempering runner falls back to keeping the replica's own state).
+  /// plan executor falls back to keeping the replica's own state).
   bool reseedFromPlacement(const Placement& placement);
 
   SlicingPlacerResult finish();

@@ -37,6 +37,19 @@ struct ToyModel {
   void invalidate() {}
 };
 
+/// Drives the annealing loop with the incremental-protocol evaluator over
+/// `model`: states decode to themselves, `restarts` as in the driver.
+template <class MoveF>
+AnnealResult<double> annealIncremental(ToyModel& model, double init,
+                                       MoveF& move, const AnnealOptions& opt,
+                                       bool restarts) {
+  auto decode = [](double x) { return std::optional<double>(x); };
+  using Eval = detail::IncrementalEval<ToyModel, decltype(decode)>;
+  detail::AnnealDriver<double, Eval, MoveF&> driver(
+      init, Eval{model, decode}, move, opt, 1.0, restarts);
+  return driver.finalize();
+}
+
 TEST(Annealer, MinimizesQuadratic) {
   AnnealOptions opt;
   opt.seed = 1;
@@ -143,11 +156,10 @@ TEST(Annealer, RestartsAreDeterministicAndDoNotMutateOptions) {
 }
 
 TEST(Annealer, IncrementalOverloadRetracesTheScratchTrajectory) {
-  // The incremental-protocol overload must be a pure evaluation-strategy
+  // The incremental-protocol evaluator must be a pure evaluation-strategy
   // swap: same RNG stream, same costs, same acceptances — bit-identical
-  // results to the scratch overload.
+  // results to the scratch-cost `anneal`.
   auto move = [](double x, Rng& rng) { return x + rng.normal(0.0, 0.5); };
-  auto decode = [](double x) { return std::optional<double>(x); };
   AnnealOptions opt;
   opt.seed = 21;
   opt.maxSweeps = 120;
@@ -155,7 +167,8 @@ TEST(Annealer, IncrementalOverloadRetracesTheScratchTrajectory) {
 
   auto scratch = anneal(10.0, &ToyModel::costOf, move, opt);
   ToyModel model;
-  auto incremental = anneal(10.0, model, decode, move, opt);
+  auto incremental =
+      annealIncremental(model, 10.0, move, opt, /*restarts=*/false);
 
   EXPECT_EQ(scratch.best, incremental.best);
   EXPECT_EQ(scratch.bestCost, incremental.bestCost);
@@ -176,13 +189,13 @@ TEST(Annealer, IncrementalOverloadRetracesTheScratchTrajectory) {
 
 TEST(Annealer, IncrementalRestartsMatchScratchRestarts) {
   auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
-  auto decode = [](double x) { return std::optional<double>(x); };
   AnnealOptions opt;
   opt.seed = 23;
   opt.maxSweeps = 400;  // enough for several freeze-terminated restarts
   auto scratch = annealWithRestarts(5.0, &ToyModel::costOf, move, opt);
   ToyModel model;
-  auto incremental = annealWithRestarts(5.0, model, decode, move, opt);
+  auto incremental =
+      annealIncremental(model, 5.0, move, opt, /*restarts=*/true);
   EXPECT_EQ(scratch.best, incremental.best);
   EXPECT_EQ(scratch.bestCost, incremental.bestCost);
   EXPECT_EQ(scratch.movesTried, incremental.movesTried);

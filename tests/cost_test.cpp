@@ -460,8 +460,8 @@ TEST(CostModel, InvalidateFallsBackToScratchAndReseeds) {
   EXPECT_EQ(model.committedCost(), model.evaluate(q));
 }
 
-// The incremental annealer overload must retrace the scratch overload's
-// trajectory bit for bit: same costs, same RNG draws, same acceptances,
+// The incremental evaluator must retrace the scratch-cost trajectory of the
+// annealing loop bit for bit: same costs, same RNG draws, same acceptances,
 // same best state.  This is the refactor's engine-level identity argument
 // in miniature (tests/io_golden_test.cpp pins the full-engine numbers).
 TEST(CostModel, AnnealTrajectoryMatchesScratchBitForBit) {
@@ -491,7 +491,10 @@ TEST(CostModel, AnnealTrajectoryMatchesScratchBitForBit) {
   auto scratch = annealWithRestarts(BStarTree(n), cost, move, opt);
 
   CostModel model(c, obj);
-  auto incremental = annealWithRestarts(BStarTree(n), model, decode, move, opt);
+  using Eval = detail::IncrementalEval<CostModel, decltype(decode)>;
+  detail::AnnealDriver<BStarTree, Eval, decltype(move)&> driver(
+      BStarTree(n), Eval{model, decode}, move, opt);
+  auto incremental = driver.finalize();
 
   EXPECT_EQ(scratch.bestCost, incremental.bestCost);
   EXPECT_EQ(scratch.movesTried, incremental.movesTried);

@@ -254,6 +254,40 @@ TEST(BatchPlacer, MatchesPerCircuitPortfolios) {
   }
 }
 
+// A tempering batch runs one ladder per circuit through the same executor
+// as a lone tempering run, so each circuit's result equals its own
+// TemperingRunner::run — at any thread count (seconds aside: the batch
+// reports summed annealing time).
+TEST(BatchPlacer, TemperingMatchesPerCircuitTemperingRuns) {
+  std::vector<Circuit> circuits;
+  circuits.push_back(makeTableICircuit(TableICircuit::ComparatorV2));
+  circuits.push_back(makeTableICircuit(TableICircuit::MillerV2));
+  circuits.push_back(loadCorpusCircuit(CorpusCircuit::Apte));
+  EngineOptions opt;
+  opt.maxSweeps = 96;
+  opt.numRestarts = 4;
+  opt.seed = 7;
+  opt.tempering = true;
+  opt.exchangeInterval = 2;
+  opt.ladderRatio = 1.5;
+  TemperingRunner tempering;
+  BatchPlacer batch;
+  for (std::size_t threads : {1u, 8u}) {
+    opt.numThreads = threads;
+    std::vector<EngineResult> results =
+        batch.placeAll(circuits, EngineBackend::SeqPair, opt);
+    ASSERT_EQ(results.size(), circuits.size());
+    for (std::size_t i = 0; i < circuits.size(); ++i) {
+      TemperingOutcome expected =
+          tempering.run(circuits[i], EngineBackend::SeqPair, opt);
+      EXPECT_GT(expected.exchangesAccepted, 0u) << "circuit " << i;
+      expectBitIdentical(expected.result, results[i],
+                         "tempering batch circuit " + std::to_string(i) +
+                             " at " + std::to_string(threads) + " threads");
+    }
+  }
+}
+
 void expectSameReplicas(const TemperingOutcome& a, const TemperingOutcome& b,
                         std::string_view label) {
   EXPECT_EQ(a.rounds, b.rounds) << label;

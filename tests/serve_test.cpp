@@ -67,7 +67,8 @@ struct CompletedJob {
 CompletedJob runJob(ServeEngine& engine, std::string_view circuitText,
                     EngineBackend backend, const EngineOptions& options,
                     double deadlineSeconds = 0.0,
-                    std::size_t deadlineSweeps = 0) {
+                    std::size_t deadlineSweeps = 0,
+                    ServeEngine::ProgressFn onProgress = nullptr) {
   CompletedJob out;
   std::mutex m;
   std::condition_variable cv;
@@ -77,6 +78,7 @@ CompletedJob runJob(ServeEngine& engine, std::string_view circuitText,
   job.options = options;
   job.deadlineSeconds = deadlineSeconds;
   job.deadlineSweeps = deadlineSweeps;
+  job.onProgress = std::move(onProgress);
   job.onDone = [&](const ServeEngine::JobOutcome& o) {
     std::lock_guard<std::mutex> lock(m);
     out.cacheHit = o.cacheHit;
@@ -248,6 +250,19 @@ TEST(CacheKeyTest, UnknownJobOptionIsAnError) {
   EXPECT_NE(applyJobOption(options, "sweeps", "banana"), "");
 }
 
+// An uncapped budget plans one slice per restart, so an unbounded count
+// would be an allocation bomb on a worker thread.  Parse only: no such job
+// is ever run.
+TEST(CacheKeyTest, RestartCountIsBoundedAtParse) {
+  EngineOptions options;
+  EXPECT_NE(applyJobOption(options, "restarts", "18446744073709551615"), "");
+  EXPECT_NE(applyJobOption(options, "restarts", "1000001"), "");
+  EXPECT_EQ(options.numRestarts, EngineOptions{}.numRestarts)
+      << "a rejected OPT must leave the options untouched";
+  EXPECT_EQ(applyJobOption(options, "restarts", "1000000"), "");
+  EXPECT_EQ(options.numRestarts, kMaxRestarts);
+}
+
 // ------------------------------------------------------- result text -------
 
 TEST(ResultTextTest, RoundTripsBitIdentically) {
@@ -333,6 +348,38 @@ TEST(ServeEngineTest, TemperingJobsAreDeterministicAndCacheable) {
   CompletedJob hit = runJob(engine, text, EngineBackend::SeqPair, options);
   EXPECT_TRUE(hit.cacheHit);
   expectBitIdentical(hit.result, first.result, "tempering cache hit");
+}
+
+// Serve rounds are the progress interval unless a ladder's exchange interval
+// fixes them, so a tempering job may pause where a plain TemperingRunner run
+// never does (exchangeInterval = 0) or report between exchange rounds.  A
+// paused session resumes bit-identically, so both equal the oracle.
+TEST(ServeEngineTest, TemperingJobsMatchThePortfolioOracle) {
+  ServeOptions serveOpts;
+  serveOpts.workers = 1;
+  serveOpts.progressInterval = 3;
+  ServeEngine engine(serveOpts);
+
+  const std::string_view text = corpusText(CorpusCircuit::Apte);
+  EngineOptions options;
+  options.maxSweeps = 48;
+  options.numRestarts = 3;
+  options.tempering = true;
+  options.seed = 13;
+  for (std::size_t interval : {0u, 2u}) {
+    options.exchangeInterval = interval;
+    std::size_t progressEvents = 0;
+    CompletedJob job = runJob(
+        engine, text, EngineBackend::SeqPair, options, 0.0, 0,
+        [&](std::size_t, std::size_t, double) { ++progressEvents; });
+    ASSERT_EQ(job.error, "");
+    EXPECT_FALSE(job.cacheHit);
+    EXPECT_GT(progressEvents, 0u) << "exchange interval " << interval;
+    expectBitIdentical(job.result,
+                       oracle(text, EngineBackend::SeqPair, options),
+                       "tempering job, exchange interval " +
+                           std::to_string(interval));
+  }
 }
 
 TEST(ServeEngineTest, ParseFailureCompletesWithErrorAndIsNotCached) {
@@ -945,6 +992,43 @@ TEST(ServeEngineTest, SweepDeadlineIsDeterministicAndBeatenByCacheHits) {
   // event — the best-so-far snapshot is as deterministic as a full run.
   expectBitIdentical(second.result, first.result,
                      "sweep-deadlined snapshot determinism");
+
+  // Tempering jobs run through the same round hook: their rounds stay the
+  // exchange interval (8 sweeps), the deadline fires at the first barrier
+  // past 64 total sweeps (2 replicas x 4 rounds), and PROGRESS arrives at
+  // the first barrier at or past each 32-sweep multiple per replica.
+  EngineOptions tempering = options;
+  tempering.tempering = true;
+  tempering.exchangeInterval = 8;
+  struct Event {
+    std::size_t round, sweeps;
+    bool operator==(const Event&) const = default;
+  };
+  std::vector<Event> eventsA, eventsB;
+  auto recordInto = [](std::vector<Event>& events) {
+    return [&events](std::size_t round, std::size_t sweeps, double) {
+      events.push_back({round, sweeps});  // worker thread; read after onDone
+    };
+  };
+  CompletedJob temperedA =
+      runJob(engine, text, EngineBackend::SeqPair, tempering, 0.0,
+             /*deadlineSweeps=*/64, recordInto(eventsA));
+  ASSERT_EQ(temperedA.error, "");
+  EXPECT_TRUE(temperedA.deadlineExpired);
+  EXPECT_EQ(engine.cache().size(), 0u)
+      << "a sweep-deadlined tempering snapshot must never be cached";
+  CompletedJob temperedB =
+      runJob(engine, text, EngineBackend::SeqPair, tempering, 0.0,
+             /*deadlineSweeps=*/64, recordInto(eventsB));
+  ASSERT_EQ(temperedB.error, "");
+  EXPECT_TRUE(temperedB.deadlineExpired);
+  EXPECT_FALSE(temperedB.cacheHit);
+  expectBitIdentical(temperedB.result, temperedA.result,
+                     "sweep-deadlined tempering snapshot determinism");
+  ASSERT_FALSE(eventsA.empty()) << "tempering jobs must stream PROGRESS";
+  EXPECT_EQ(eventsA, eventsB);
+  EXPECT_EQ(eventsA.front().round, 1u);
+  EXPECT_EQ(eventsA.front().sweeps, 64u);
 
   // A cache hit beats a deadline: serving a known-complete answer costs one
   // copy, so even an absurdly tight budget reports `hit`, not `deadline`.

@@ -474,9 +474,7 @@ int main(int argc, char** argv) {
       opt.maxSweeps = static_cast<std::size_t>(n);
     } else if (arg == "--restarts") {
       const char* v = value();
-      // An uncapped-budget portfolio allocates one slice per restart; keep a
-      // typo from becoming an allocation bomb.
-      if (!v || !parseNum(v, &n) || n > 1'000'000) return usage(argv[0]);
+      if (!v || !parseNum(v, &n) || n > kMaxRestarts) return usage(argv[0]);
       opt.numRestarts = static_cast<std::size_t>(n);
     } else if (arg == "--threads") {
       const char* v = value();

@@ -1010,7 +1010,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--sweeps") {
       if (!numArg(&sweeps, 1, 1u << 30)) return usage(argv[0]);
     } else if (arg == "--restarts") {
-      if (!numArg(&restarts, 1, 1u << 20)) return usage(argv[0]);
+      if (!numArg(&restarts, 1, kMaxRestarts)) return usage(argv[0]);
     } else if (arg == "--warm-sweeps") {
       if (!numArg(&warmSweeps, 1, 1u << 30)) return usage(argv[0]);
     } else if (arg == "--cancel-sweeps") {
