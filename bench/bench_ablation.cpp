@@ -6,9 +6,6 @@
 //   A2 — sequence-pair move set: with vs without the repairing
 //        "swap any + re-seat beta" move class (exploration power of the
 //        property-(1)-preserving moves).
-//   A3 — LCS packing structure inside the SA loop: moves evaluated per
-//        second with the Fenwick packer vs the vEB packer vs the naive
-//        reference (the constant factors behind the asymptotics of E4).
 //
 // Flags: --json <path>, --smoke (short budgets / reduced caps for CI).
 #include <cstdio>
@@ -16,11 +13,9 @@
 #include <vector>
 
 #include "netlist/generators.h"
-#include "seqpair/packer.h"
 #include "seqpair/sa_placer.h"
 #include "shapefn/deterministic.h"
 #include "util/bench_json.h"
-#include "util/stopwatch.h"
 #include "util/table.h"
 
 using namespace als;
@@ -78,42 +73,6 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     std::puts("");
-  }
-
-  std::puts("=== Ablation A3: packer structure throughput inside SA ===\n");
-  {
-    Table table({"packer", "n=40 packs/s", "n=110 packs/s"});
-    auto throughput = [&](PackStrategy strategy, std::size_t n) {
-      Circuit c = makeSynthetic({.name = "thr", .moduleCount = n, .seed = 9});
-      std::vector<Coord> w, h;
-      for (const Module& m : c.modules()) {
-        w.push_back(m.w);
-        h.push_back(m.h);
-      }
-      Rng rng(1);
-      SequencePair sp = SequencePair::random(n, rng);
-      Stopwatch clock;
-      std::size_t packs = 0;
-      while (clock.seconds() < 0.3) {
-        packSequencePair(sp, w, h, strategy);
-        ++packs;
-      }
-      return static_cast<double>(packs) / clock.seconds();
-    };
-    for (auto [name, strategy] :
-         std::initializer_list<std::pair<const char*, PackStrategy>>{
-             {"naive O(n^2)", PackStrategy::Naive},
-             {"Fenwick O(n log n)", PackStrategy::Fenwick},
-             {"vEB O(n log log n)", PackStrategy::Veb}}) {
-      table.addRow({name, Table::fmt(throughput(strategy, 40), 0),
-                    Table::fmt(throughput(strategy, 110), 0)});
-    }
-    table.print(std::cout);
-    std::puts(
-        "\n(the vEB structure carries the best asymptotics — the Section II\n"
-        "O(G n log log n) bound — but pays pointer-heavy constants; at\n"
-        "device-level sizes the Fenwick packer is the practical choice,\n"
-        "which is why it is the SA default.)");
   }
   return 0;
 }

@@ -21,15 +21,15 @@
 // the decode/move count, `seconds` the elapsed time, and `cost` the
 // resulting throughput in operations per second.
 //
-// A third experiment behind --scaling: the subquadratic move loop across
-// the size axis (apte .. n300).  Per circuit it runs each tree backend's SA
-// with the full re-decode path and with the partial/incremental path from
-// the same seed — the trajectories must be bit-identical (checked via the
-// final cost), so the moves/sec ratio isolates the decode asymptotics —
-// and cross-checks the three LCS structures (Naive / Fenwick / Veb) against
-// each other the same way.  JSON rows: `backend` is flat-full /
-// flat-partial / seqpair-full / seqpair-incremental / lcs-naive /
-// lcs-fenwick / lcs-veb; `sweeps` carries moves tried, `cost` moves/sec.
+// A third experiment behind --scaling: the move loop across the size axis
+// (apte .. n300).  Per circuit it runs the flat B*-tree SA (full repack
+// per move) and the sequence-pair SA twice from the same seed, with the
+// full re-decode path and with the incremental LCS path.  The two seqpair
+// trajectories must be bit-identical (checked via the final cost and move
+// count; a divergence exits nonzero), so their moves/sec ratio isolates
+// the decode asymptotics.  JSON rows: `backend` is flat-full /
+// seqpair-full / seqpair-incremental; `sweeps` carries moves tried, `cost`
+// moves/sec.
 //
 // Flags: --json <path>, --smoke (small fixed counts for CI), --scaling.
 #include <cstdio>
@@ -134,18 +134,17 @@ void addRate(BenchIo& io, const char* backend, const char* circuit,
   io.add(r);
 }
 
-/// --scaling: full vs partial/incremental decode per tree backend and LCS
-/// strategy cross-check, across the corpus size axis.  Returns the number
-/// of trajectory divergences (any nonzero is a correctness failure).
+/// --scaling: the flat B*-tree move rate, and full vs incremental seqpair
+/// decode, across the corpus size axis.  Returns the number of seqpair
+/// trajectory divergences (any nonzero is a correctness failure).
 int runScaling(BenchIo& io) {
   const std::size_t sweeps = io.smoke() ? 6 : 24;
   const CorpusCircuit circuits[] = {CorpusCircuit::Apte, CorpusCircuit::Ami33,
                                     CorpusCircuit::Ami49, CorpusCircuit::N100,
                                     CorpusCircuit::N200, CorpusCircuit::N300};
   int failures = 0;
-  Table t({"circuit", "blocks", "flat full", "flat partial", "speedup",
-           "sp full", "sp incr", "speedup"});
-  double n300Flat = 0.0, n300Sp = 0.0;
+  Table t({"circuit", "blocks", "flat", "sp full", "sp incr", "speedup"});
+  double n300Sp = 0.0;
   for (CorpusCircuit which : circuits) {
     const char* name = corpusName(which);
     Circuit c = loadCorpusCircuit(which);
@@ -153,18 +152,7 @@ int runScaling(BenchIo& io) {
     FlatBStarOptions fo;
     fo.maxSweeps = sweeps;
     fo.seed = 1;
-    fo.partialDecode = false;
-    FlatBStarResult flatFull = placeFlatBStarSA(c, fo);
-    fo.partialDecode = true;
-    FlatBStarResult flatPart = placeFlatBStarSA(c, fo);
-    if (flatFull.cost != flatPart.cost ||
-        flatFull.movesTried != flatPart.movesTried) {
-      std::fprintf(stderr,
-                   "bench_decode: %s: flat partial decode DIVERGED from the "
-                   "full re-decode trajectory\n",
-                   name);
-      ++failures;
-    }
+    FlatBStarResult flat = placeFlatBStarSA(c, fo);
 
     SeqPairPlacerOptions so;
     so.maxSweeps = sweeps;
@@ -181,57 +169,25 @@ int runScaling(BenchIo& io) {
       ++failures;
     }
 
-    // LCS structure cross-check: every strategy must ride the exact same
-    // trajectory (identical cost), whatever Auto resolved to above.
-    struct {
-      PackStrategy strategy;
-      const char* backend;
-    } const lcs[] = {{PackStrategy::Naive, "lcs-naive"},
-                     {PackStrategy::Fenwick, "lcs-fenwick"},
-                     {PackStrategy::Veb, "lcs-veb"}};
-    for (const auto& l : lcs) {
-      so.packing = l.strategy;
-      SeqPairPlacerResult r = placeSeqPairSA(c, so);
-      if (r.cost != spInc.cost) {
-        std::fprintf(stderr,
-                     "bench_decode: %s: %s DIVERGED from the Auto "
-                     "trajectory\n",
-                     name, l.backend);
-        ++failures;
-      }
-      addRate(io, l.backend, name, r.movesTried, r.seconds);
-    }
-    so.packing = PackStrategy::Auto;
-
-    double flatSpeed = flatFull.seconds > 0.0 && flatPart.seconds > 0.0
-                           ? movesPerSec(flatPart.movesTried, flatPart.seconds) /
-                                 movesPerSec(flatFull.movesTried, flatFull.seconds)
-                           : 0.0;
     double spSpeed = spFull.seconds > 0.0 && spInc.seconds > 0.0
                          ? movesPerSec(spInc.movesTried, spInc.seconds) /
                                movesPerSec(spFull.movesTried, spFull.seconds)
                          : 0.0;
-    if (which == CorpusCircuit::N300) {
-      n300Flat = flatSpeed;
-      n300Sp = spSpeed;
-    }
+    if (which == CorpusCircuit::N300) n300Sp = spSpeed;
     t.addRow({name, std::to_string(c.moduleCount()),
-              Table::fmt(movesPerSec(flatFull.movesTried, flatFull.seconds) / 1e3, 1) + "k",
-              Table::fmt(movesPerSec(flatPart.movesTried, flatPart.seconds) / 1e3, 1) + "k",
-              Table::fmt(flatSpeed, 2) + "x",
+              Table::fmt(movesPerSec(flat.movesTried, flat.seconds) / 1e3, 1) + "k",
               Table::fmt(movesPerSec(spFull.movesTried, spFull.seconds) / 1e3, 1) + "k",
               Table::fmt(movesPerSec(spInc.movesTried, spInc.seconds) / 1e3, 1) + "k",
               Table::fmt(spSpeed, 2) + "x"});
-    addRate(io, "flat-full", name, flatFull.movesTried, flatFull.seconds);
-    addRate(io, "flat-partial", name, flatPart.movesTried, flatPart.seconds);
+    addRate(io, "flat-full", name, flat.movesTried, flat.seconds);
     addRate(io, "seqpair-full", name, spFull.movesTried, spFull.seconds);
     addRate(io, "seqpair-incremental", name, spInc.movesTried, spInc.seconds);
   }
   t.print(std::cout);
-  std::printf("\nmoves/sec, %zu sweeps per run, single thread; full = whole-"
-              "placement re-decode per move, partial/incremental = suffix-"
-              "only.  n300 speedup: flat-bstar %.2fx, seqpair %.2fx\n",
-              sweeps, n300Flat, n300Sp);
+  std::printf("\nmoves/sec, %zu sweeps per run, single thread; flat = full "
+              "B*-tree repack per move; sp full = whole-placement re-decode "
+              "per move, sp incr = suffix-only.  n300 seqpair speedup %.2fx\n",
+              sweeps, n300Sp);
   return failures;
 }
 
@@ -241,8 +197,8 @@ int main(int argc, char** argv) {
   BenchIo io(argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--scaling") == 0) {
-      std::puts("=== move-loop scaling: full vs partial/incremental decode, "
-                "apte .. n300 ===\n");
+      std::puts("=== move-loop scaling: flat B*-tree, and seqpair full vs "
+                "incremental decode, apte .. n300 ===\n");
       return runScaling(io) == 0 ? 0 : 1;
     }
   }

@@ -1,10 +1,9 @@
 // Experiment E4 — kernel micro-benchmarks (google-benchmark).
 //
-// Section II cites an O(G * n log log n) per-evaluation bound obtained with
-// a van Emde Boas-style priority queue [26].  These benchmarks measure the
-// library's three sequence-pair packing structures (naive O(n^2), Fenwick
-// O(n log n), vEB O(n log log n)) across module counts, plus the B*-tree
-// contour packer, the symmetric placement builder, and raw vEB operations.
+// These benchmarks measure the library's sequence-pair packing kernel (the
+// Fenwick LCS sweep, O(n log n)) across module counts, full and incremental,
+// plus the B*-tree contour packer, the symmetric placement builder and the
+// cost model.
 #include <benchmark/benchmark.h>
 
 #include "bstar/pack.h"
@@ -13,7 +12,6 @@
 #include "seqpair/packer.h"
 #include "seqpair/sym_placer.h"
 #include "seqpair/symmetry.h"
-#include "util/veb.h"
 
 namespace als {
 namespace {
@@ -22,7 +20,7 @@ Circuit circuitOf(std::size_t n) {
   return makeSynthetic({.name = "bench", .moduleCount = n, .seed = 99});
 }
 
-void packBenchmark(benchmark::State& state, PackStrategy strategy) {
+void BM_SeqPairPackFenwick(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
   Circuit c = circuitOf(n);
   std::vector<Coord> w, h;
@@ -33,23 +31,11 @@ void packBenchmark(benchmark::State& state, PackStrategy strategy) {
   Rng rng(1);
   SequencePair sp = SequencePair::random(n, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(packSequencePair(sp, w, h, strategy));
+    benchmark::DoNotOptimize(packSequencePair(sp, w, h));
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
-
-void BM_SeqPairPackNaive(benchmark::State& state) {
-  packBenchmark(state, PackStrategy::Naive);
-}
-void BM_SeqPairPackFenwick(benchmark::State& state) {
-  packBenchmark(state, PackStrategy::Fenwick);
-}
-void BM_SeqPairPackVeb(benchmark::State& state) {
-  packBenchmark(state, PackStrategy::Veb);
-}
-BENCHMARK(BM_SeqPairPackNaive)->RangeMultiplier(2)->Range(16, 512)->Complexity();
 BENCHMARK(BM_SeqPairPackFenwick)->RangeMultiplier(2)->Range(16, 512)->Complexity();
-BENCHMARK(BM_SeqPairPackVeb)->RangeMultiplier(2)->Range(16, 512)->Complexity();
 
 void BM_SymmetricPlacementBuild(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -85,16 +71,17 @@ void BM_BStarContourPack(benchmark::State& state) {
 }
 BENCHMARK(BM_BStarContourPack)->RangeMultiplier(2)->Range(16, 512);
 
-// --- incremental decode kernels: the per-move cost under the SA move mix --
+// --- per-move decode kernels: the decode cost under the SA move mix -------
 //
 // These drive the same kernels the placers' hot loops use: each iteration
-// applies one SA-style perturbation and re-decodes through the journaled
-// partial/incremental path on a warm scratch.  Compare against the full-pack
-// benchmarks above at the same n — the gap is what suffix-only re-decode
-// buys per move (bench_decode --scaling reports the same contrast end to
-// end, with cost evaluation and accept/reject included).
+// applies one SA-style perturbation and re-decodes on a warm scratch — the
+// flat B*-tree placer with a full repack, the sequence-pair placer through
+// the journaled incremental LCS.  Compare against the full-pack benchmarks
+// above at the same n: the seqpair gap is what suffix-only re-decode buys
+// per move (bench_decode --scaling reports the same contrast end to end,
+// with cost evaluation and accept/reject included).
 
-void BM_BStarPartialRepack(benchmark::State& state) {
+void BM_BStarPackPerturbed(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
   Circuit c = circuitOf(n);
   std::vector<Coord> w, h;
@@ -106,16 +93,16 @@ void BM_BStarPartialRepack(benchmark::State& state) {
   BStarTree t = BStarTree::random(n, rng);
   BStarPackScratch scratch;
   Placement out;
-  packBStarPartialInto(t, w, h, scratch, out);  // cold pack seeds the record
   for (auto _ : state) {
     t.perturb(rng);
-    benchmark::DoNotOptimize(packBStarPartialInto(t, w, h, scratch, out));
+    packBStarInto(t, w, h, scratch, out);
+    benchmark::DoNotOptimize(out);
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_BStarPartialRepack)->RangeMultiplier(2)->Range(16, 512)->Complexity();
+BENCHMARK(BM_BStarPackPerturbed)->RangeMultiplier(2)->Range(16, 512)->Complexity();
 
-void incrementalPackBenchmark(benchmark::State& state, PackStrategy strategy) {
+void BM_SeqPairPackIncrementalFenwick(benchmark::State& state) {
   std::size_t n = static_cast<std::size_t>(state.range(0));
   Circuit c = circuitOf(n);
   std::vector<Coord> w, h;
@@ -128,7 +115,8 @@ void incrementalPackBenchmark(benchmark::State& state, PackStrategy strategy) {
   SeqPairPackScratch scratch;
   Placement out;
   std::vector<std::size_t> moved;
-  packSequencePairIncrementalInto(sp, w, h, strategy, scratch, out, moved);
+  packSequencePairIncrementalInto(sp, w, h, PackStrategy::Auto, scratch, out,
+                                  moved);
   for (auto _ : state) {
     // The placer's structural move: swap two positions in one sequence.
     std::size_t i = rng.index(n), j = rng.index(n);
@@ -138,30 +126,13 @@ void incrementalPackBenchmark(benchmark::State& state, PackStrategy strategy) {
       sp.swapBetaAt(i, j);
     }
     moved.clear();
-    packSequencePairIncrementalInto(sp, w, h, strategy, scratch, out, moved);
+    packSequencePairIncrementalInto(sp, w, h, PackStrategy::Auto, scratch, out,
+                                    moved);
     benchmark::DoNotOptimize(out);
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
-
-void BM_SeqPairPackIncrementalNaive(benchmark::State& state) {
-  incrementalPackBenchmark(state, PackStrategy::Naive);
-}
-void BM_SeqPairPackIncrementalFenwick(benchmark::State& state) {
-  incrementalPackBenchmark(state, PackStrategy::Fenwick);
-}
-void BM_SeqPairPackIncrementalVeb(benchmark::State& state) {
-  incrementalPackBenchmark(state, PackStrategy::Veb);
-}
-BENCHMARK(BM_SeqPairPackIncrementalNaive)
-    ->RangeMultiplier(2)
-    ->Range(16, 512)
-    ->Complexity();
 BENCHMARK(BM_SeqPairPackIncrementalFenwick)
-    ->RangeMultiplier(2)
-    ->Range(16, 512)
-    ->Complexity();
-BENCHMARK(BM_SeqPairPackIncrementalVeb)
     ->RangeMultiplier(2)
     ->Range(16, 512)
     ->Complexity();
@@ -232,27 +203,6 @@ void BM_CostIncremental(benchmark::State& state) {
 
 BENCHMARK(BM_CostScratch)->Arg(50)->Arg(200)->Arg(1000)->Complexity();
 BENCHMARK(BM_CostIncremental)->Arg(50)->Arg(200)->Arg(1000)->Complexity();
-
-void BM_VebInsertEraseSuccessor(benchmark::State& state) {
-  std::size_t universe = static_cast<std::size_t>(state.range(0));
-  VebTree tree(universe);
-  Rng rng(4);
-  std::vector<std::uint64_t> keys;
-  for (std::size_t i = 0; i < 1024; ++i) {
-    keys.push_back(static_cast<std::uint64_t>(rng.index(universe)));
-  }
-  for (auto _ : state) {
-    for (std::uint64_t k : keys) tree.insert(k);
-    std::uint64_t sum = 0;
-    for (std::uint64_t k : keys) {
-      auto s = tree.successor(k);
-      if (s) sum += *s;
-    }
-    benchmark::DoNotOptimize(sum);
-    for (std::uint64_t k : keys) tree.erase(k);
-  }
-}
-BENCHMARK(BM_VebInsertEraseSuccessor)->RangeMultiplier(16)->Range(1 << 10, 1 << 22);
 
 }  // namespace
 }  // namespace als

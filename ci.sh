@@ -80,12 +80,12 @@ if [ -x build/bench_kernels ]; then
     --benchmark_out_format=json > build/bench-smoke/bench_kernels.out
 fi
 
-echo "=== bench_decode --scaling: partial/incremental vs full re-decode ==="
-# The asymptotics gate: re-runs flat-bstar and seqpair on every corpus
-# circuit up to n300 with the suffix-only decode paths OFF and ON, verifies
-# the two trajectories are bit-identical (any divergence exits nonzero),
-# cross-checks all three LCS strategies against the incremental run, and
-# records moves/sec rows per (path, circuit) for bench_diff.
+echo "=== bench_decode --scaling: incremental vs full re-decode ==="
+# The asymptotics gate: re-runs seqpair on every corpus circuit up to n300
+# with the incremental LCS decode OFF and ON and verifies the two
+# trajectories are bit-identical (any divergence exits nonzero); records
+# moves/sec rows per (path, circuit) for bench_diff, plus the flat-bstar
+# move rate on the same circuits.
 for rep in "" .r2 .r3; do
   ./build/bench_decode --scaling --smoke \
     --json "build/bench-smoke/bench_decode_scaling$rep.json" \
@@ -146,9 +146,10 @@ echo "=== bench_diff: throughput + quality vs committed BENCH_baseline.json ==="
 #     build/bench-smoke/bench_decode*.json build/bench-smoke/als_place*.json \
 #     build/bench-smoke/bench_serve.json
 # (the glob picks up the bench_decode_scaling captures too, so the
-# full-vs-partial decode rows stay covered; bench_serve.json carries the
-# serve identity/quality rows and the service-level meta metrics) — then
-# regenerate the README tables: ./build/readme_tables
+# flat-bstar and seqpair full-vs-incremental decode rows stay covered;
+# bench_serve.json carries the serve identity/quality rows and the
+# service-level meta metrics) — then regenerate the README tables:
+# ./build/readme_tables
 for rep in 2 3; do
   ./build/bench_decode --smoke --json "build/bench-smoke/bench_decode.r$rep.json" \
     > /dev/null

@@ -2,10 +2,12 @@
 //
 // Both stochastic placers of the library — the Section II sequence-pair
 // placer and the Section III (H)B*-tree placer — and the Section V sizing
-// optimizer share this engine.  States are value types; a move produces a
-// mutated copy, which keeps the engine trivially exception-safe and lets
-// move implementations stay simple (analog placements are small, so copying
-// an encoding is cheap relative to packing it).
+// optimizer share this engine.  States are value types.  A move perturbs a
+// persistent candidate buffer in place: the loop copy-assigns the current
+// state into it (reusing its storage), and swaps it in on acceptance, so the
+// steady-state move loop constructs no state.  A move that returns a
+// mutated copy instead is also accepted (see `kInPlaceMove`); both styles
+// draw the same RNG stream.
 //
 // Temperature schedule: geometric cooling with an initial temperature
 // calibrated from the mean uphill delta of a random-walk sample, the classic

@@ -113,9 +113,8 @@ void FlatContour::unlinkRelease(std::uint32_t s) {
 std::uint32_t FlatContour::findSeg(Coord x) const {
   assert(x >= 0);
   // Resume from the hint in either direction: the preorder DFS mostly walks
-  // rightward, while the partial-repack undo sweeps leftward — both are
-  // local, so the cost is the distance from the previous query, never a
-  // restart from the base segment.
+  // rightward and occasionally jumps back left, so the cost is the distance
+  // from the previous query, never a restart from the base segment.
   std::uint32_t s = hint_;
   if (s == kNil) s = head_;
   while (segs_[s].x > x) s = segs_[s].prev;  // head_.x == 0 terminates
@@ -165,42 +164,6 @@ void FlatContour::raise(Coord x1, Coord x2, Coord h) {
   if (r != kNil && segs_[r].h == h) unlinkRelease(r);
   std::uint32_t p = segs_[s].prev;
   if (p != kNil && segs_[p].h == h) unlinkRelease(s);
-}
-
-void FlatContour::raiseLogged(Coord x1, Coord x2, Coord h,
-                              std::vector<ContourPiece>& journal) {
-  assert(0 <= x1 && x1 < x2);
-  std::uint32_t s = findSeg(x1);
-  if (segs_[s].x < x1) s = insertAfter(s, x1, segs_[s].h);
-  // Same mutation sequence as raise(); the journal captures the overwritten
-  // skyline of [x1, x2) piece by piece before each destructive step.
-  journal.push_back({x1, segs_[s].h});
-  Coord tailH = segs_[s].h;
-  std::uint32_t nxt = segs_[s].next;
-  while (nxt != kNil && segs_[nxt].x < x2) {
-    journal.push_back({segs_[nxt].x, segs_[nxt].h});
-    tailH = segs_[nxt].h;
-    std::uint32_t after = segs_[nxt].next;
-    unlinkRelease(nxt);
-    nxt = after;
-  }
-  segs_[s].h = h;
-  if (nxt == kNil || segs_[nxt].x != x2) insertAfter(s, x2, tailH);
-  std::uint32_t r = segs_[s].next;
-  if (r != kNil && segs_[r].h == h) unlinkRelease(r);
-  std::uint32_t p = segs_[s].prev;
-  if (p != kNil && segs_[p].h == h) unlinkRelease(s);
-}
-
-void FlatContour::undoRaise(std::span<const ContourPiece> pieces, Coord x2) {
-  // raise() keeps the skyline canonical (it absorbs interior breakpoints
-  // and merges both of its boundaries), and the canonical segment form of a
-  // skyline function is unique — so replaying the overwritten pieces yields
-  // a structure indistinguishable from the pre-raise one.
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    Coord end = i + 1 < pieces.size() ? pieces[i + 1].x : x2;
-    raise(pieces[i].x, end, pieces[i].h);
-  }
 }
 
 void FlatContour::placeMacro(Coord x, Coord yOffset,

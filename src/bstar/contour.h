@@ -68,15 +68,6 @@ class Contour {
   void splitAt(Coord x);
 };
 
-/// One restore unit of a journaled raise: the skyline held height `h` from
-/// `x` up to the next piece's x (or the raise's upper bound x2).  A raise
-/// over [x1, x2) journals the pieces it overwrites; replaying them restores
-/// the skyline exactly (see FlatContour::undoRaise).
-struct ContourPiece {
-  Coord x = 0;
-  Coord h = 0;
-};
-
 /// Flat-array skyline with the same contract as `Contour` (all coordinates
 /// must be >= 0, which every B*-tree packing guarantees).  Not thread-safe:
 /// one instance belongs to one packing loop at a time (the query hint is
@@ -94,18 +85,6 @@ class FlatContour {
   void raise(Coord x1, Coord x2, Coord h);
   void placeMacro(Coord x, Coord yOffset, std::span<const ProfileStep> top);
   Coord heightAt(Coord x) const;
-
-  /// raise() that appends the skyline it overwrites on [x1, x2) to
-  /// `journal` as left-to-right (start, height) pieces — the exact input
-  /// undoRaise() needs to restore the pre-raise skyline.
-  void raiseLogged(Coord x1, Coord x2, Coord h,
-                   std::vector<ContourPiece>& journal);
-
-  /// Inverse of a journaled raise whose range ended at `x2`: replays the
-  /// recorded pieces through raise(), which restores both the skyline
-  /// function and its canonical (maximally merged) segment structure.
-  /// Raises journaled after this one must be undone first — strict LIFO.
-  void undoRaise(std::span<const ContourPiece> pieces, Coord x2);
 
   /// Live segments (for tests; the base segment counts as one).
   std::size_t segmentCount() const;

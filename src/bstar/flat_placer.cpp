@@ -19,24 +19,14 @@ struct FlatState {
   std::vector<std::uint8_t> shapeIdx;  ///< index into Module::shapes (0 = footprint)
 };
 
-/// Decode = dims + pack, entirely into the scratch buffers; the returned
-/// pointer aliases scr.placement, which the cost model diff-copies from.
-/// With partial decode on, only the changed B*-tree suffix re-packs, and
-/// the suffix's items feed the moved-module accumulator that opts the run
-/// into the hinted CostModel::propose(p, moved) fast path (see
-/// anneal/annealer.h for the movedModules()/committed() contract).
+/// Decode = dims + full pack, entirely into the scratch buffers; the
+/// returned pointer aliases scr.placement, which the cost model diff-copies
+/// from.  The decoder reports no moved modules, so the run uses the
+/// unhinted CostModel::propose(p) (see anneal/annealer.h).
 struct FlatDecoder {
   const Circuit& circuit;
   FlatBStarScratch& scr;
   std::size_t n;
-  bool partial;
-
-  void markMoved(ModuleId m) {
-    if (scr.movedMark[m] != scr.movedEpoch) {
-      scr.movedMark[m] = scr.movedEpoch;
-      scr.movedList.push_back(m);
-    }
-  }
 
   const Placement* operator()(const FlatState& s) {
     scr.w.resize(n);
@@ -51,25 +41,8 @@ struct FlatDecoder {
       scr.w[m] = s.rotated[m] ? bh : bw;
       scr.h[m] = s.rotated[m] ? bw : bh;
     }
-    if (!partial) {
-      // Full-redecode path: every module may have moved.
-      packBStarInto(s.tree, scr.w, scr.h, scr.pack, scr.placement);
-      for (ModuleId m = 0; m < n; ++m) markMoved(m);
-      return &scr.placement;
-    }
-    std::size_t k = packBStarPartialInto(s.tree, scr.w, scr.h, scr.pack,
-                                         scr.placement);
-    for (std::size_t p = k; p < n; ++p) markMoved(scr.pack.repack.item[p]);
+    packBStarInto(s.tree, scr.w, scr.h, scr.pack, scr.placement);
     return &scr.placement;
-  }
-
-  std::span<const ModuleId> movedModules() const { return scr.movedList; }
-  void committed() {
-    scr.movedList.clear();
-    if (++scr.movedEpoch == 0) {  // epoch wrap: restamp instead of aliasing
-      scr.movedMark.assign(scr.movedMark.size(), 0);
-      scr.movedEpoch = 1;
-    }
   }
 };
 
@@ -125,7 +98,7 @@ struct FlatBStarSession::Impl {
                                    .proximity = o.proximityWeight,
                                    .thermal = o.thermalWeight})),
         scr(o.scratch ? *o.scratch : localScratch),
-        decode{c, scr, n, o.partialDecode} {
+        decode{c, scr, n} {
     // Shape moves only exist when asked for AND some module carries a
     // curve; otherwise the move draws exactly the historical RNG stream and
     // every decode reads the declared footprint — bit-identical to builds
@@ -134,10 +107,6 @@ struct FlatBStarSession::Impl {
       if (circuit.module(m).shapes.size() > 1) shapy.push_back(m);
     }
     const bool shapeMoves = options.shapeMoveProb > 0.0 && !shapy.empty();
-
-    scr.movedList.clear();
-    scr.movedMark.assign(n, 0);
-    scr.movedEpoch = 1;
 
     AnnealOptions annealOpt;
     annealOpt.maxSweeps = options.maxSweeps;

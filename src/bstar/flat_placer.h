@@ -26,12 +26,6 @@ struct FlatBStarScratch {
   BStarPackScratch pack;
   std::vector<Coord> w, h;   ///< orientation-resolved footprints
   Placement placement;       ///< decoded placement of the current candidate
-  // Moved-module accumulator for the hinted cost propose: the ids decoded
-  // differently since the cost model last committed, deduplicated by an
-  // epoch stamp per module (see FlatDecoder in flat_placer.cpp).
-  std::vector<ModuleId> movedList;
-  std::vector<std::uint32_t> movedMark;
-  std::uint32_t movedEpoch = 0;
 };
 
 struct FlatBStarOptions {
@@ -45,11 +39,6 @@ struct FlatBStarOptions {
   std::uint64_t seed = 11;
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;
-  /// Re-decode only the changed B*-tree suffix per move (bit-identical to a
-  /// full re-decode; see packBStarPartialInto).  Off = the historical
-  /// full-redecode path, kept for the bench_decode scaling A/B and as a
-  /// trajectory-equivalence oracle in tests.
-  bool partialDecode = true;
   FlatBStarScratch* scratch = nullptr;  ///< optional caller-owned buffers
   /// Cooperative cancellation, checked per sweep (anneal/annealer.h).
   const CancelToken* cancel = nullptr;

@@ -139,9 +139,6 @@ void packBStarInto(const BStarTree& tree, std::span<const Coord> widths,
                    std::span<const Coord> heights, BStarPackScratch& scratch,
                    Placement& out) {
   assert(widths.size() == tree.size() && heights.size() == tree.size());
-  // A full pack rebuilds the contour from scratch, so any partial-repack
-  // record describing the previous contour no longer matches it.
-  scratch.repack.valid = false;
   out.assign(tree.size());
   if (tree.size() == 0) return;
 
@@ -176,110 +173,8 @@ std::size_t packBStarPartialInto(const BStarTree& tree,
                                  std::span<const Coord> widths,
                                  std::span<const Coord> heights,
                                  BStarPackScratch& scratch, Placement& out) {
-  assert(widths.size() == tree.size() && heights.size() == tree.size());
-  const std::size_t n = tree.size();
-  BStarRepackState& rec = scratch.repack;
-  if (n == 0) {
-    out.assign(0);
-    scratch.contour.reset();
-    rec.item.clear();
-    rec.x.clear();
-    rec.w.clear();
-    rec.h.clear();
-    rec.pieces.clear();
-    rec.pieceOfs.assign(1, 0);
-    rec.valid = true;
-    return 0;
-  }
-
-  // Phase 1 — contour-free preorder walk: anchor x, width and height of
-  // every position follow from the tree shape alone (y never feeds back
-  // into x), so the candidate pack inputs cost O(n) pointer chasing.
-  rec.nItem.resize(n);
-  rec.nX.resize(n);
-  rec.nW.resize(n);
-  rec.nH.resize(n);
-  scratch.x.assign(n, 0);
-  scratch.stack.clear();
-  scratch.stack.push_back(tree.root());
-  std::size_t pos = 0;
-  while (!scratch.stack.empty()) {
-    std::size_t node = scratch.stack.back();
-    scratch.stack.pop_back();
-    std::size_t item = tree.item(node);
-    Coord w = widths[item];
-    Coord xNode = scratch.x[node];
-    rec.nItem[pos] = item;
-    rec.nX[pos] = xNode;
-    rec.nW[pos] = w;
-    rec.nH[pos] = heights[item];
-    ++pos;
-    if (tree.right(node) != BStarTree::npos) {
-      scratch.x[tree.right(node)] = xNode;
-      scratch.stack.push_back(tree.right(node));
-    }
-    if (tree.left(node) != BStarTree::npos) {
-      scratch.x[tree.left(node)] = xNode + w;
-      scratch.stack.push_back(tree.left(node));
-    }
-  }
-  assert(pos == n);
-
-  // Phase 2 — first preorder position whose pack inputs differ from the
-  // record.  Positions before it read and raise an identical contour
-  // prefix, so their placements are untouched by construction.
-  const bool warm = rec.valid && rec.item.size() == n && out.size() == n;
-  std::size_t k = 0;
-  if (warm) {
-    while (k < n && rec.item[k] == rec.nItem[k] && rec.x[k] == rec.nX[k] &&
-           rec.w[k] == rec.nW[k] && rec.h[k] == rec.nH[k]) {
-      ++k;
-    }
-    // Phase 3 — unwind: undo the journaled raises of positions n-1 .. k
-    // (strict LIFO), restoring the contour to the state position k saw.
-    for (std::size_t p = n; p-- > k;) {
-      scratch.contour.undoRaise(
-          std::span<const ContourPiece>(rec.pieces.data() + rec.pieceOfs[p],
-                                        rec.pieceOfs[p + 1] - rec.pieceOfs[p]),
-          rec.x[p] + rec.w[p]);
-    }
-    rec.pieces.resize(rec.pieceOfs[k]);
-    rec.pieceOfs.resize(k + 1);
-  } else {
-    out.assign(n);
-    scratch.contour.reset();
-    rec.pieces.clear();
-    rec.pieceOfs.assign(1, 0);
-  }
-
-  // Phase 4 — re-pack the suffix, journaling each raise for the next call.
-  for (std::size_t p = k; p < n; ++p) {
-    Coord x = rec.nX[p];
-    Coord w = rec.nW[p];
-    Coord h = rec.nH[p];
-    Coord y = scratch.contour.maxOver(x, x + w);
-    scratch.contour.raiseLogged(x, x + w, y + h, rec.pieces);
-    rec.pieceOfs.push_back(rec.pieces.size());
-    out[rec.nItem[p]] = {x, y, w, h};
-  }
-  rec.item.swap(rec.nItem);
-  rec.x.swap(rec.nX);
-  rec.w.swap(rec.nW);
-  rec.h.swap(rec.nH);
-  rec.valid = true;
-
-#ifndef NDEBUG
-  {
-    // Debug oracle: the partial result must be bit-identical to a fresh
-    // full pack of the same tree.
-    static thread_local BStarPackScratch oracleScratch;
-    static thread_local Placement oracle;
-    packBStarInto(tree, widths, heights, oracleScratch, oracle);
-    assert(oracle.size() == out.size());
-    for (std::size_t m = 0; m < n; ++m) assert(oracle[m] == out[m]);
-  }
-#endif
-  return k;
+  packBStarInto(tree, widths, heights, scratch, out);
+  return 0;
 }
 
 }  // namespace als

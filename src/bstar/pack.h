@@ -14,6 +14,12 @@
 // warm.  The by-value functions (`packMacros`, `packBStar`) are convenience
 // wrappers for cold callers (tests, enumeration, one-shot packing) and
 // produce bit-identical placements.
+//
+// Every flat decode re-packs the whole tree.  A journaled repack of only
+// the preorder suffix a move changed produced the same placements but
+// measured 0.70-0.93x the speed of the full pack on every corpus circuit
+// (apte .. n300), so it was removed; `packBStarPartialInto` remains as a
+// name for the full pack.
 #pragma once
 
 #include <span>
@@ -75,25 +81,6 @@ struct PackedMacros {
   Coord height = 0;
 };
 
-/// Committed record of the last packBStarPartialInto call: the pack inputs
-/// per preorder position plus the raise journal that rebuilds (or unwinds)
-/// the contour position by position.  A B*-tree perturbation only changes
-/// the placement from the first preorder position whose (item, x, w, h)
-/// inputs differ — everything before it packs onto an identical contour
-/// prefix — so the next call undoes the journaled raises back to that
-/// position and re-packs the suffix alone.
-struct BStarRepackState {
-  bool valid = false;               ///< false = no record; next call packs fully
-  std::vector<std::size_t> item;    ///< tree item at preorder position p
-  std::vector<Coord> x, w, h;       ///< committed pack inputs per position
-  std::vector<std::size_t> pieceOfs;  ///< journal offset per position (size+1)
-  std::vector<ContourPiece> pieces;   ///< concatenated per-position raise journals
-  // Candidate buffers of the contour-free preorder walk (swapped into the
-  // committed arrays once the suffix is re-packed).
-  std::vector<std::size_t> nItem;
-  std::vector<Coord> nX, nW, nH;
-};
-
 /// Reusable buffers of one B*-tree packing loop.  One scratch serves any
 /// number of sequential packs (tree sizes may vary call to call); it must
 /// not be shared by concurrent packers.
@@ -101,7 +88,6 @@ struct BStarPackScratch {
   FlatContour contour;
   std::vector<Coord> x;             ///< per-node anchor x during the DFS
   std::vector<std::size_t> stack;   ///< preorder DFS stack
-  BStarRepackState repack;          ///< partial-repack record (see above)
 };
 
 /// Packs `tree` whose item i is macros[i]; standard B*-tree semantics with
@@ -124,20 +110,12 @@ Placement packBStar(const BStarTree& tree, std::span<const Coord> widths,
 /// The flat-placer decode kernel: packs plain rectangles directly on the
 /// flat contour — no Macro objects, no profile indirection — writing the
 /// placement into `out` (fully overwritten, indexed by tree item).
-/// Invalidates any partial-repack record held by `scratch` (the two entry
-/// points share the contour, so a full pack orphans the record).
 void packBStarInto(const BStarTree& tree, std::span<const Coord> widths,
                    std::span<const Coord> heights, BStarPackScratch& scratch,
                    Placement& out);
 
-/// Partial-repack decode: bit-identical to packBStarInto, but when
-/// `scratch.repack` holds the record of a previous call it re-packs only
-/// the preorder suffix whose pack inputs changed, unwinding the contour to
-/// the first changed position via the raise journal instead of reset() +
-/// full pack.  `out` must be the same buffer across calls (prefix rects are
-/// kept, not rewritten).  Returns the first re-packed preorder position —
-/// tree.size() when the move was a no-op, 0 on a cold/full pack; every
-/// `scratch.repack.item[p]` with p >= the return value may have moved.
+/// Forwards to packBStarInto and returns 0: the first re-packed preorder
+/// position of a full pack (see the header comment).
 std::size_t packBStarPartialInto(const BStarTree& tree,
                                  std::span<const Coord> widths,
                                  std::span<const Coord> heights,

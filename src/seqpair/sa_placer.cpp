@@ -126,7 +126,6 @@ struct SeqPairSession::Impl {
     scr.movedMark.assign(n, 0);
     scr.movedEpoch = 1;
 
-    decode.buildOpts.packing = options.packing;
     decode.buildOpts.incremental = options.incrementalDecode;
     // The O(n^2) verification is a no-op on every reachable code (the move
     // set preserves S-F); the hot path drops it (debug builds still assert),

@@ -21,8 +21,10 @@ struct SeqPairScratch {
   std::vector<Coord> w, h;    ///< orientation-resolved footprints
   SymPlaceScratch sym;
   SymPlacementResult result;  ///< decoded placement of the current candidate
-  // Moved-module accumulator for the hinted cost propose (epoch-dedup, see
-  // bstar/flat_placer.h for the twin) plus the per-decode staging buffer.
+  // Moved-module accumulator for the hinted cost propose: the ids decoded
+  // differently since the cost model last committed, deduplicated by an
+  // epoch stamp per module (see SeqPairDecoder in sa_placer.cpp), plus the
+  // per-decode staging buffer.
   std::vector<ModuleId> movedList;
   std::vector<std::uint32_t> movedMark;
   std::uint32_t movedEpoch = 0;
@@ -34,10 +36,6 @@ struct SeqPairPlacerOptions {
   std::size_t maxSweeps = 256;     ///< primary budget: total SA sweeps (deterministic)
   double timeLimitSec = 0.0;       ///< secondary wall-clock cap (0 = uncapped)
   std::uint64_t seed = 7;
-  /// LCS pack strategy of the per-move decode; Auto resolves by instance
-  /// size (all strategies yield identical placements, so this only affects
-  /// speed, never the trajectory).
-  PackStrategy packing = PackStrategy::Auto;
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;  ///< 0 = auto
 

@@ -216,10 +216,10 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
       scratch.redMoved.clear();
       std::vector<std::size_t>& moved =
           options.moved ? *options.moved : scratch.redMoved;
-      packSequencePairIncrementalInto(sp, widths, heights, options.packing,
+      packSequencePairIncrementalInto(sp, widths, heights, PackStrategy::Auto,
                                       scratch.pack, out.placement, moved);
     } else {
-      packSequencePairInto(sp, widths, heights, options.packing, scratch.pack,
+      packSequencePairInto(sp, widths, heights, PackStrategy::Auto, scratch.pack,
                            out.placement);
       if (options.moved) {
         for (std::size_t m = 0; m < n; ++m) options.moved->push_back(m);
@@ -362,11 +362,11 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
   scratch.redMoved.clear();
   if (options.incremental) {
     packSequencePairIncrementalInto(scratch.reduced, scratch.rw, scratch.rh,
-                                    options.packing, scratch.pack,
+                                    PackStrategy::Auto, scratch.pack,
                                     scratch.packed, scratch.redMoved);
   } else {
     packSequencePairInto(scratch.reduced, scratch.rw, scratch.rh,
-                         options.packing, scratch.pack, scratch.packed);
+                         PackStrategy::Auto, scratch.pack, scratch.packed);
   }
   const Placement& packed = scratch.packed;
 

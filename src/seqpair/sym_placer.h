@@ -118,8 +118,6 @@ struct SymPlaceScratch {
 /// Options of the scratch-reuse construction path.
 struct SymBuildOptions {
   int maxIterations = 200;  ///< island relaxation fixpoint cap
-  /// Pack strategy of the reduced sequence-pair (Auto resolves by size).
-  PackStrategy packing = PackStrategy::Fenwick;
   /// Reuse per-scratch state across calls: island layouts are cached by
   /// signature (skipping relaxation when a group's cells, positions and
   /// footprints are unchanged) and the LCS packs run incrementally from

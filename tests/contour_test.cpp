@@ -148,75 +148,6 @@ TEST(FlatContour, FreeListRecyclesRemovedSegments) {
   EXPECT_GE(flat.segmentCount(), 50u);
 }
 
-TEST(FlatContour, JournaledRaiseUndoRestoresEveryIntermediateState) {
-  // Partial repack leans on raiseLogged/undoRaise being exact inverses:
-  // after undoing the top k raises (strict LIFO), the skyline must equal —
-  // function AND canonical segment structure — the state before them.
-  Rng rng(97);
-  for (int round = 0; round < 20; ++round) {
-    FlatContour flat;
-    Contour ref;
-    // A random warm base laid with plain raise().
-    for (int op = 0; op < 10; ++op) {
-      Coord x = rng.uniformInt(0, 30);
-      Coord w = 1 + rng.uniformInt(0, 10);
-      Coord h = 1 + rng.uniformInt(0, 9);
-      Coord y = ref.maxOver(x, x + w);
-      ref.raise(x, x + w, y + h);
-      flat.raise(x, x + w, y + h);
-    }
-    // A stack of journaled raises, snapshotting the reference before each.
-    struct Entry {
-      std::vector<ContourPiece> journal;
-      Coord x2;
-      Contour before;
-      std::size_t segments;
-    };
-    std::vector<Entry> stack;
-    for (int op = 0; op < 12; ++op) {
-      Coord x = rng.uniformInt(0, 30);
-      Coord w = 1 + rng.uniformInt(0, 10);
-      Coord h = 1 + rng.uniformInt(0, 9);
-      Coord y = ref.maxOver(x, x + w);
-      Entry e;
-      e.x2 = x + w;
-      e.before = ref;
-      e.segments = flat.segmentCount();
-      flat.raiseLogged(x, x + w, y + h, e.journal);
-      ref.raise(x, x + w, y + h);
-      stack.push_back(std::move(e));
-      expectEquivalent(ref, flat, 45);
-    }
-    // Unwind; every intermediate state must be restored bit-for-bit.
-    while (!stack.empty()) {
-      const Entry& e = stack.back();
-      flat.undoRaise(e.journal, e.x2);
-      expectEquivalent(e.before, flat, 45);
-      ASSERT_EQ(flat.segmentCount(), e.segments)
-          << "undo must restore the canonical merged structure";
-      stack.pop_back();
-    }
-  }
-}
-
-TEST(FlatContour, JournaledRaiseMatchesPlainRaise) {
-  // raiseLogged must produce the identical skyline to raise() — the journal
-  // is a side channel, never a behavioural switch.
-  Rng rng(131);
-  FlatContour plain, logged;
-  std::vector<ContourPiece> journal;
-  for (int op = 0; op < 200; ++op) {
-    Coord x = rng.uniformInt(0, 40);
-    Coord w = 1 + rng.uniformInt(0, 12);
-    Coord h = plain.maxOver(x, x + w) + 1 + rng.uniformInt(0, 7);
-    plain.raise(x, x + w, h);
-    journal.clear();
-    logged.raiseLogged(x, x + w, h, journal);
-    ASSERT_EQ(plain.segmentCount(), logged.segmentCount());
-    for (Coord q = 0; q <= 55; ++q) ASSERT_EQ(plain.heightAt(q), logged.heightAt(q));
-  }
-}
-
 TEST(FlatContour, ReuseAcrossResetsMatchesReferenceEveryRound) {
   Rng rng(41);
   FlatContour flat;  // ONE instance across all rounds — the anneal pattern

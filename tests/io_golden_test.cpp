@@ -77,11 +77,11 @@ TEST(IoGolden, Ami33AllBackends) {
   expectGolden(CorpusCircuit::Ami33, goldenOptions(), goldens);
 }
 
-// GSRC-scale pin: exercises the partial-repack (flat-bstar) and incremental
+// GSRC-scale pin: exercises the flat B*-tree repack and the incremental
 // LCS (seqpair) hot paths at the size class they were built for, on a small
-// sweep budget so the suite stays fast.  These two backends re-decode only
-// what a move disturbed; the pins prove the asymptotic machinery does not
-// drift the arithmetic by even one DBU.
+// sweep budget so the suite stays fast.  The seqpair backend re-decodes only
+// what a move disturbed; the pins prove that machinery does not drift the
+// arithmetic by even one DBU.
 TEST(IoGolden, N100HotPathBackends) {
   EngineOptions opt;
   opt.maxSweeps = 12;
@@ -91,6 +91,22 @@ TEST(IoGolden, N100HotPathBackends) {
       {EngineBackend::SeqPair, 7388909403629.7334, 56907500, 742248000000},
   };
   expectGolden(CorpusCircuit::N100, opt, goldens);
+}
+
+// n200 pin, past n = 128: these values were captured while seqpair decoded
+// through a van Emde Boas staircase at that size and flat-bstar through a
+// journaled partial repack.  Every decode path yields identical
+// coordinates, so the single Fenwick kernel and the full repack must
+// reproduce them exactly.
+TEST(IoGolden, N200DecodeStrategyPins) {
+  EngineOptions opt;
+  opt.maxSweeps = 4;
+  opt.seed = 1;
+  const Golden goldens[] = {
+      {EngineBackend::FlatBStar, 45139235960736.594, 231704500, 1139644000000},
+      {EngineBackend::SeqPair, 29275212982325.242, 177167500, 1229781000000},
+  };
+  expectGolden(CorpusCircuit::N200, opt, goldens);
 }
 
 // The golden configuration must itself be reproducible: a second run of the

@@ -399,7 +399,8 @@ TEST(Tempering, DisabledExchangeDegeneratesToIndependentRestarts) {
     }
   }
   // GSRC scale, cheap budget: the degeneration must hold where the
-  // incremental decode machinery (partial repack, journaled LCS) is active.
+  // incremental decode machinery (journaled LCS, hinted cost propose) is
+  // active.
   Circuit n100 = loadCorpusCircuit(CorpusCircuit::N100);
   opt.maxSweeps = 12;
   plain.maxSweeps = 12;

@@ -170,28 +170,36 @@ TEST(Packer, PlacementRespectsAllPairRelations) {
   }
 }
 
-class PackerStrategyTest : public ::testing::TestWithParam<PackStrategy> {};
-
-TEST_P(PackerStrategyTest, MatchesNaiveReference) {
+TEST(Packer, FenwickMatchesReference) {
+  // The Fenwick LCS kernel against the O(n^2) definition, on a Table I
+  // circuit and on random instances from 1 to 140 modules.
   Circuit c = makeTableICircuit(TableICircuit::Buffer);
-  auto [w, h] = dimsOf(c);
+  auto [cw, ch] = dimsOf(c);
   Rng rng(23);
   for (int trial = 0; trial < 25; ++trial) {
     SequencePair sp = SequencePair::random(c.moduleCount(), rng);
-    Placement ref = packSequencePair(sp, w, h, PackStrategy::Naive);
-    Placement got = packSequencePair(sp, w, h, GetParam());
+    Placement ref = test_util::referencePackSequencePair(sp, cw, ch);
+    Placement got = packSequencePair(sp, cw, ch);
     for (std::size_t m = 0; m < sp.size(); ++m) {
       ASSERT_EQ(got[m], ref[m]) << "module " << m << " trial " << trial;
     }
   }
+  for (std::size_t n : {1u, 2u, 15u, 16u, 140u}) {
+    std::vector<Coord> w(n), h(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      w[m] = 1 + rng.uniformInt(0, 40);
+      h[m] = 1 + rng.uniformInt(0, 40);
+    }
+    for (int trial = 0; trial < 5; ++trial) {
+      SequencePair sp = SequencePair::random(n, rng);
+      Placement ref = test_util::referencePackSequencePair(sp, w, h);
+      Placement got = packSequencePair(sp, w, h);
+      for (std::size_t m = 0; m < n; ++m) {
+        ASSERT_EQ(got[m], ref[m]) << "n " << n << " module " << m;
+      }
+    }
+  }
 }
-
-INSTANTIATE_TEST_SUITE_P(Strategies, PackerStrategyTest,
-                         ::testing::Values(PackStrategy::Fenwick, PackStrategy::Veb),
-                         [](const auto& info) {
-                           return info.param == PackStrategy::Fenwick ? "Fenwick"
-                                                                      : "Veb";
-                         });
 
 TEST(Packer, PackingIsLowerLeftCompacted) {
   // Every module either touches x = 0 or abuts some module on its left.
@@ -264,10 +272,9 @@ TEST(Moves, RotationsKeepPairsMatched) {
 
 /// Random SA-shaped walk: mutate the pair (sequence swap or rotation),
 /// decode incrementally on a warm scratch, and demand the result equals a
-/// cold full pack bit-for-bit; modules whose rect changed must be covered
-/// by the reported moved list.
-void runIncrementalVsFull(PackStrategy strategy, std::size_t n,
-                          std::uint64_t seed, int steps) {
+/// cold full pack and the O(n^2) reference bit-for-bit; modules whose rect
+/// changed must be covered by the reported moved list.
+void runIncrementalVsFull(std::size_t n, std::uint64_t seed, int steps) {
   Rng rng(seed);
   SequencePair sp = SequencePair::random(n, rng);
   std::vector<Coord> w(n), h(n);
@@ -276,7 +283,7 @@ void runIncrementalVsFull(PackStrategy strategy, std::size_t n,
     h[m] = 1 + rng.uniformInt(0, 40);
   }
   SeqPairPackScratch inc;
-  Placement out, prev, full;
+  Placement out, prev, full, ref;
   std::vector<std::size_t> moved;
   for (int step = 0; step < steps; ++step) {
     if (step > 0) {
@@ -293,9 +300,12 @@ void runIncrementalVsFull(PackStrategy strategy, std::size_t n,
     }
     prev = out;
     moved.clear();
-    packSequencePairIncrementalInto(sp, w, h, strategy, inc, out, moved);
-    full = packSequencePair(sp, w, h, PackStrategy::Naive);
+    packSequencePairIncrementalInto(sp, w, h, PackStrategy::Auto, inc, out,
+                                    moved);
+    full = packSequencePair(sp, w, h);
+    ref = test_util::referencePackSequencePair(sp, w, h);
     for (std::size_t m = 0; m < n; ++m) {
+      ASSERT_TRUE(full[m] == ref[m]) << "step " << step << " module " << m;
       ASSERT_TRUE(out[m] == full[m]) << "step " << step << " module " << m;
       if (step > 0 && !(out[m] == prev[m])) {
         ASSERT_TRUE(std::find(moved.begin(), moved.end(), m) != moved.end())
@@ -305,31 +315,16 @@ void runIncrementalVsFull(PackStrategy strategy, std::size_t n,
   }
 }
 
-TEST(PackerIncremental, NaiveMatchesFullPack) {
-  runIncrementalVsFull(PackStrategy::Naive, 6, 3, 120);
-  runIncrementalVsFull(PackStrategy::Naive, 29, 5, 120);
+TEST(PackerIncremental, MatchesFullPackAndReference) {
+  runIncrementalVsFull(6, 3, 120);
+  runIncrementalVsFull(29, 5, 120);
+  runIncrementalVsFull(61, 9, 120);
+  runIncrementalVsFull(140, 13, 60);
 }
 
-TEST(PackerIncremental, FenwickMatchesFullPack) {
-  runIncrementalVsFull(PackStrategy::Fenwick, 6, 7, 120);
-  runIncrementalVsFull(PackStrategy::Fenwick, 61, 9, 120);
-}
-
-TEST(PackerIncremental, VebMatchesFullPack) {
-  runIncrementalVsFull(PackStrategy::Veb, 6, 11, 120);
-  runIncrementalVsFull(PackStrategy::Veb, 140, 13, 60);
-}
-
-TEST(PackerIncremental, AutoMatchesFullPackAcrossThresholds) {
-  // Auto resolves per size class; cover one n in each band.
-  runIncrementalVsFull(PackStrategy::Auto, 9, 15, 80);
-  runIncrementalVsFull(PackStrategy::Auto, 90, 17, 80);
-  runIncrementalVsFull(PackStrategy::Auto, 150, 19, 60);
-}
-
-TEST(PackerIncremental, SurvivesStrategySwitchOnOneScratch) {
-  // Changing the strategy between calls must fall back to a cold pack, not
-  // resume another strategy's journal.
+TEST(PackerIncremental, SurvivesFullPacksOnOneScratch) {
+  // A full pack on the same scratch orphans the incremental journal, so the
+  // next incremental call must fall back to a cold pack, not resume it.
   Rng rng(23);
   const std::size_t n = 40;
   SequencePair sp = SequencePair::random(n, rng);
@@ -339,17 +334,21 @@ TEST(PackerIncremental, SurvivesStrategySwitchOnOneScratch) {
     h[m] = 1 + rng.uniformInt(0, 20);
   }
   SeqPairPackScratch scratch;
-  Placement out;
+  Placement out, viaFull;
   std::vector<std::size_t> moved;
-  for (PackStrategy s : {PackStrategy::Fenwick, PackStrategy::Veb,
-                         PackStrategy::Naive, PackStrategy::Fenwick}) {
+  for (int step = 0; step < 8; ++step) {
     std::vector<std::size_t> a = sp.alpha(), b = sp.beta();
     std::swap(a[rng.index(n)], a[rng.index(n)]);
     sp.assignSequences(a, b);
+    if (step % 3 == 2) {
+      packSequencePairInto(sp, w, h, PackStrategy::Auto, scratch, viaFull);
+      EXPECT_FALSE(scratch.incValid);
+    }
     moved.clear();
-    packSequencePairIncrementalInto(sp, w, h, s, scratch, out, moved);
-    Placement full = packSequencePair(sp, w, h, PackStrategy::Naive);
-    for (std::size_t m = 0; m < n; ++m) ASSERT_TRUE(out[m] == full[m]);
+    packSequencePairIncrementalInto(sp, w, h, PackStrategy::Auto, scratch,
+                                    out, moved);
+    Placement ref = test_util::referencePackSequencePair(sp, w, h);
+    for (std::size_t m = 0; m < n; ++m) ASSERT_TRUE(out[m] == ref[m]);
   }
 }
 
@@ -373,7 +372,6 @@ TEST(SymPlacerIncremental, MatchesLegacyPathOverSymmetricWalks) {
     SymBuildOptions opt;
     opt.incremental = true;
     opt.verify = false;
-    opt.packing = PackStrategy::Auto;
     opt.moved = &moved;
 
     Rng rng(61);
@@ -424,33 +422,6 @@ TEST(SaPlacer, IncrementalDecodeMatchesFullDecodeTrajectory) {
     ASSERT_EQ(a.hpwl, b.hpwl);
     for (std::size_t m = 0; m < a.placement.size(); ++m) {
       ASSERT_TRUE(a.placement[m] == b.placement[m]) << corpusName(which);
-    }
-  }
-}
-
-TEST(SaPlacer, PackStrategiesShareOneTrajectory) {
-  // Naive / Fenwick / Veb / Auto are interchangeable mid-anneal: identical
-  // cost values mean identical accept decisions, so the whole run matches.
-  Circuit c = loadCorpusCircuit(CorpusCircuit::Ami33);
-  SeqPairPlacerResult ref;
-  bool first = true;
-  for (PackStrategy s : {PackStrategy::Naive, PackStrategy::Fenwick,
-                         PackStrategy::Veb, PackStrategy::Auto}) {
-    SeqPairPlacerOptions opt;
-    opt.maxSweeps = 20;
-    opt.seed = 29;
-    opt.packing = s;
-    SeqPairPlacerResult r = placeSeqPairSA(c, opt);
-    if (first) {
-      ref = std::move(r);
-      first = false;
-      continue;
-    }
-    ASSERT_EQ(r.cost, ref.cost);
-    ASSERT_EQ(r.area, ref.area);
-    ASSERT_EQ(r.hpwl, ref.hpwl);
-    for (std::size_t m = 0; m < r.placement.size(); ++m) {
-      ASSERT_TRUE(r.placement[m] == ref.placement[m]);
     }
   }
 }

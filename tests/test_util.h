@@ -8,6 +8,9 @@
 // axis within a caller-chosen tolerance (0 = exact, the contract of the
 // structural placers; the penalty-based flat B*-tree baseline is checked
 // with a finite tolerance or skipped via kNoSymmetryCheck).
+//
+// It also holds the O(n^2) sequence-pair packing reference, the oracle the
+// library's Fenwick LCS packer is checked against.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,10 +18,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "geom/placement.h"
 #include "netlist/circuit.h"
+#include "seqpair/sequence_pair.h"
 
 namespace als {
 namespace test_util {
@@ -108,6 +114,35 @@ inline void expectPlacementInvariants(const Placement& p, const Circuit& c,
           << label << " group " << g.name << " breaks mirror symmetry";
     }
   }
+}
+
+/// O(n^2) sequence-pair packing, straight from the definition: a module's x
+/// is the largest right edge among modules before it in both sequences, its
+/// y the largest top edge among modules after it in alpha and before it in
+/// beta.
+inline Placement referencePackSequencePair(const SequencePair& sp,
+                                           std::span<const Coord> widths,
+                                           std::span<const Coord> heights) {
+  const std::size_t n = sp.size();
+  std::vector<Coord> x(n, 0), y(n, 0);
+  const std::vector<std::size_t>& alpha = sp.alpha();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t m = alpha[i];
+    for (std::size_t j = 0; j < i; ++j) {
+      const std::size_t k = alpha[j];
+      if (sp.betaPos(k) < sp.betaPos(m)) x[m] = std::max(x[m], x[k] + widths[k]);
+    }
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    const std::size_t m = alpha[i];
+    for (std::size_t j = n; --j > i;) {
+      const std::size_t k = alpha[j];
+      if (sp.betaPos(k) < sp.betaPos(m)) y[m] = std::max(y[m], y[k] + heights[k]);
+    }
+  }
+  Placement out(n);
+  for (std::size_t m = 0; m < n; ++m) out[m] = {x[m], y[m], widths[m], heights[m]};
+  return out;
 }
 
 }  // namespace test_util

@@ -256,10 +256,9 @@ int runSmoke(BenchIo& io) {
              &opt);
     }
   }
-  // GSRC leg: the same determinism bar at 100 blocks, where flat-bstar's
-  // partial repack and seqpair's incremental LCS (Auto resolves to Fenwick
-  // here, Veb from n128) carry the decode — on a reduced sweep budget so
-  // the smoke gate stays in seconds.
+  // GSRC leg: the same determinism bar at 100 blocks, where seqpair's
+  // incremental LCS carries the decode — on a reduced sweep budget so the
+  // smoke gate stays in seconds.
   {
     EngineOptions gopt = opt;
     gopt.maxSweeps = 24;
