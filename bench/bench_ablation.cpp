@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
                                  .symmetricFraction = 0.8});
       for (bool repair : {true, false}) {
         SeqPairPlacerOptions opt;
-        io.applyBudget(opt, 2.0);
+        CancelToken deadline;
+        io.applyBudget(opt, deadline, 2.0);
         opt.seed = 5;
         opt.enableRepairMoves = repair;
         SeqPairPlacerResult r = placeSeqPairSA(c, opt);

@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
   {
     Circuit c = makeFig2Design();
     HBPlacerOptions opt;
-    io.applyBudget(opt, 3.0);
+    CancelToken deadline;
+    io.applyBudget(opt, deadline, 3.0);
     opt.seed = 31;
     HBPlacerResult r = placeHBStarSA(c, opt);
     io.add({"hbstar", "fig2", r.sweeps, 1, 1, r.cost,
@@ -103,7 +104,8 @@ int main(int argc, char** argv) {
                   Table::fmt(hb.seconds, 2)});
 
     FlatBStarOptions fOpt;
-    io.applyBudget(fOpt, budget);
+    CancelToken deadline;
+    io.applyBudget(fOpt, deadline, budget);
     fOpt.seed = 9;
     FlatBStarResult flat = placeFlatBStarSA(c, fOpt);
     io.add({"flat-bstar", b.name, flat.sweeps, 1, 1, flat.cost,

@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
     double reduction = searchSpaceReduction(c.moduleCount(), c.symmetryGroups());
 
     SeqPairPlacerOptions spOpt;
-    io.applyBudget(spOpt, budget);
+    CancelToken deadline;
+    io.applyBudget(spOpt, deadline, budget);
     spOpt.seed = 5;
     SeqPairPlacerResult sp = placeSeqPairSA(c, spOpt);
     io.add({"seqpair", b.name, sp.sweeps, 1, 1, sp.cost,
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
                   Table::fmtPercent(reduction)});
 
     AbsolutePlacerOptions absOpt;
-    io.applyBudget(absOpt, budget);
+    io.applyBudget(absOpt, deadline, budget);
     absOpt.seed = 5;
     AbsolutePlacerResult abs = placeAbsoluteSA(c, absOpt);
     io.add({"absolute", b.name, abs.sweeps, 1, 1, abs.cost,

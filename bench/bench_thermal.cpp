@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
     };
 
     SeqPairPlacerOptions opt;
-    io.applyBudget(opt, 1.5);
+    CancelToken deadline;
+    io.applyBudget(opt, deadline, 1.5);
     opt.seed = 7;
     SeqPairPlacerResult sym = placeSeqPairSA(c, opt);
     io.add({"seqpair", name, sym.sweeps, 1, 1, sym.cost,

@@ -43,15 +43,19 @@ cmake --build build-tsan -j "$JOBS"
 # shared state mid-run, so the executor's thread-invariance suites get a
 # dedicated instrumented pass.
 ./build-tsan/runtime_test --gtest_filter='Portfolio.*:BatchPlacer.*:Tempering.*'
-# Serve layer under both sanitizers, as its own leg: the deadline monitor
-# thread, the shared result cache (quarantine/eviction under the store
-# mutex) and the worker fan-out are the serve stack's concurrency surface,
-# and its recovery paths (checksum rejection, scrub, fault-injected torn
-# writes) are exactly where memory bugs would hide.  Both binaries already
+# Serve layer under both sanitizers, as its own leg: the job tokens (client
+# cancels and deadlines, read by the workers' sweep checks), the shared
+# result cache (quarantine/eviction under the store mutex) and the worker
+# fan-out are the serve stack's concurrency surface, and its recovery paths
+# (checksum rejection, scrub, fault-injected torn writes) are exactly where
+# memory bugs would hide.  Both binaries already
 # ran in the full ctest passes above; the explicit invocations keep the
 # failure-model contract visible as its own CI signal.
 ./build-asan/serve_test
 ./build-tsan/serve_test
+# Stop tokens are read across threads (a parent's stop reaches its
+# children's sweep checks), so their unit suite gets a TSan leg too.
+./build-tsan/util_test --gtest_filter='CancelToken.*'
 
 echo "=== alloc gate: Release steady-state zero-allocations-per-move ==="
 # One warm anneal per backend under the counting operator new of

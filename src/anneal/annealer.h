@@ -16,29 +16,28 @@
 // Stopping rules: the primary budget is `maxSweeps`, a count of temperature
 // steps.  For a fixed seed the trajectory is then a pure function of the
 // options — identical on a loaded CI box, under sanitizers, or on faster
-// hardware.  `timeLimitSec` remains available as a *secondary* wall-clock
-// cap (0 disables it); results obtained under an active time cap are not
-// reproducible and should be reserved for interactive/budgeted use.
+// hardware.  The only other rule is `AnnealOptions::cancel`
+// (util/cancel_token.h), which stops on a cancellation or an armed
+// wall-clock deadline — every time cap of the library is such a deadline.
+// EVERY entry point honours it through the same seam — `anneal`,
+// `annealWithRestarts` and the backend sessions the runtime layer builds
+// on — because they all run the one sweep loop of `AnnealDriver`, where the
+// check lives.  The contract:
 //
-// Cancellation: `AnnealOptions::cancel` (util/cancel_token.h) is the third,
-// externally triggered stopping rule.  EVERY entry point honours it through
-// the same seam — `anneal`, `annealWithRestarts` and the backend sessions
-// the runtime layer builds on — because they all run the one sweep loop of
-// `AnnealDriver`, where the check lives.  The contract:
-//
-//   * Granularity: the flag is tested once per SWEEP (temperature step),
-//     never mid-move.  A run is therefore cancelled only at a point where
+//   * Granularity: the token is tested once per SWEEP (temperature step),
+//     never mid-move.  A run is therefore stopped only at a point where
 //     the evaluator's committed state, any decode scratch, and the move
 //     buffers are all consistent — the scratch-reuse contract survives, and
 //     the next run on the same buffers is bit-identical to a fresh process.
-//   * Result: a cancelled run returns normally with the best state found so
+//   * Result: a stopped run returns normally with the best state found so
 //     far; `sweeps` reports what actually executed.  No flag is added to
-//     the result — the token's owner knows it cancelled.  Because the
-//     outcome depends on when the flag was seen, cancelled results are NOT
+//     the result — the token records why it stopped.  Because the outcome
+//     depends on when the stop was seen, stopped results are NOT
 //     deterministic and must never be cached or compared against golden
 //     trajectories.
-//   * Restarts: cancellation also stops the restart schedule — the active
-//     run is merged and no further restart begins.
+//   * Restarts: a stop also ends the restart schedule — the active run is
+//     merged and no further restart begins.  An uncapped schedule
+//     (`maxSweeps == 0`) restarts until an armed deadline passes.
 #pragma once
 
 #include <algorithm>
@@ -62,10 +61,9 @@ struct AnnealOptions {
   double initialAcceptance = 0.9; ///< target uphill acceptance at t0
   double freezeRatio = 1e-4;      ///< stop when t < t0 * freezeRatio
   std::size_t maxSweeps = 256;    ///< primary budget: temperature steps (0 = uncapped)
-  double timeLimitSec = 0.0;      ///< secondary wall-clock cap (0 = uncapped)
   std::uint64_t seed = 42;
-  /// Cooperative cancellation, checked once per sweep (see the header
-  /// comment for the contract).  Not owned; may be null.
+  /// Cancellation and wall-clock deadline, checked once per sweep (see the
+  /// header comment for the contract).  Not owned; may be null.
   const CancelToken* cancel = nullptr;
 };
 
@@ -297,8 +295,8 @@ void annealPass(State& cur, double& curCost, std::size_t count, Eval& eval,
 // Every entry point runs on it: `anneal` (one run, restarts off),
 // `annealWithRestarts` and every backend session (restarts on).  A run
 // seeds its RNG, calibrates t0 with a 50-move accept-all walk, then cools
-// geometrically until it freezes, exhausts its leftover sweep budget or its
-// time cap; with restarts on, a finished run's leftover budget funds the
+// geometrically until it freezes, exhausts its leftover sweep budget or is
+// stopped; with restarts on, a finished run's leftover budget funds the
 // next run on `nextRestartSeed`.  The caller advances the schedule in
 // sweep-sized steps it can pause between.  That is the seam the plan
 // executor (runtime/plan_executor.h) needs: K replicas advance in
@@ -340,7 +338,6 @@ class AnnealDriver {
         runResult_{init, 0.0, 0, 0, 0, 0.0},
         seed_(options.seed),
         sweepCapped_(options.maxSweeps > 0),
-        timed_(options.timeLimitSec > 0.0),
         restarts_(restarts) {
     options_.movesPerTemp =
         resolveMovesPerTemp(options.movesPerTemp, options.sizeHint);
@@ -355,7 +352,7 @@ class AnnealDriver {
     std::size_t done = 0;
     while (!finished_ && done < maxSweeps) {
       if (cancelRequested(options_.cancel)) {
-        // Cancellation ends the whole schedule: merge the active run so
+        // A stop ends the whole schedule: merge the active run so
         // `finalize()` reports best-so-far, and never start another
         // restart.  The evaluator/scratch state is at a sweep boundary,
         // hence consistent and reusable.
@@ -364,8 +361,7 @@ class AnnealDriver {
         break;
       }
       if (t_ > tFreeze_ &&
-          (runBudget_ == 0 || runResult_.sweeps < runBudget_) &&
-          (!timed_ || runClock_.seconds() < runTimeCap_)) {
+          (runBudget_ == 0 || runResult_.sweeps < runBudget_)) {
         annealPass(cur_, curCost_, options_.movesPerTemp, eval_, move_, rng_,
                    moveBuf_,
                    [&](double delta) {
@@ -460,7 +456,6 @@ class AnnealDriver {
  private:
   void beginRun() {
     rng_ = Rng(seed_);
-    runClock_.reset();
     cur_ = init_;
     curCost_ = eval_.full(cur_);
     runResult_.best = cur_;
@@ -493,9 +488,6 @@ class AnnealDriver {
     tFreeze_ = t_ * options_.freezeRatio;
 
     runBudget_ = sweepCapped_ ? options_.maxSweeps - best_.sweeps : 0;
-    if (timed_) {
-      runTimeCap_ = std::max(1e-9, options_.timeLimitSec - clock_.seconds());
-    }
   }
 
   void mergeRun() {
@@ -511,14 +503,15 @@ class AnnealDriver {
   void endRun() {
     mergeRun();
     seed_ = nextRestartSeed(seed_);
-    // A restart is funded only while every *active* budget has leftover;
-    // with no budget at all a single (freeze-terminated) run is the answer.
-    // A run of zero sweeps (budget rounded to nothing) cannot make
+    // A restart is funded by leftover sweeps, or — uncapped — by an armed
+    // deadline; with neither, a single (freeze-terminated) run is the
+    // answer.  A run of zero sweeps (budget rounded to nothing) cannot make
     // progress; stop instead of spinning.
-    bool sweepsLeft = sweepCapped_ && best_.sweeps < options_.maxSweeps;
-    bool timeLeft = timed_ && clock_.seconds() < options_.timeLimitSec;
-    if (!restarts_ || (sweepCapped_ && !sweepsLeft) || (timed_ && !timeLeft) ||
-        (!sweepCapped_ && !timed_) || runResult_.sweeps == 0) {
+    const CancelToken* token = options_.cancel;
+    bool funded = sweepCapped_ ? best_.sweeps < options_.maxSweeps
+                               : token != nullptr && token->hasDeadline();
+    if (!restarts_ || !funded || runResult_.sweeps == 0 ||
+        cancelRequested(options_.cancel)) {
       finished_ = true;
       return;
     }
@@ -529,8 +522,7 @@ class AnnealDriver {
   MoveF move_;
   AnnealOptions options_;  // movesPerTemp resolved once at construction
   double tempScale_;
-  Stopwatch clock_;     // whole-schedule wall clock
-  Stopwatch runClock_;  // active run's wall clock (secondary time cap)
+  Stopwatch clock_;  // whole-schedule wall clock
 
   State init_;
   AnnealResult<State> best_;       // merged result of the finished runs
@@ -543,10 +535,8 @@ class AnnealDriver {
   double t_ = 0.0;
   double tFreeze_ = 0.0;
   std::size_t runBudget_ = 0;   // active run's sweep cap (0 = uncapped)
-  double runTimeCap_ = 0.0;     // active run's leftover wall clock
   std::uint64_t seed_;
   const bool sweepCapped_;
-  const bool timed_;
   const bool restarts_;
   bool finished_ = false;
 };
@@ -579,8 +569,8 @@ AnnealResult<State> anneal(State init, CostF&& cost, MoveF&& move,
 /// industrial recipe for the plateau-heavy landscapes of floorplan codes.
 ///
 /// Budget semantics: `options.maxSweeps` is the *total* sweep budget across
-/// all restarts (primary, deterministic); `options.timeLimitSec`, when
-/// positive, caps the total wall clock (secondary).  The caller's options
+/// all restarts (primary, deterministic); a deadline armed on
+/// `options.cancel` caps the total wall clock.  The caller's options
 /// struct is never mutated, and the leftover budget handed to each restart
 /// is clamped to zero or above.
 ///

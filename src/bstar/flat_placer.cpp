@@ -110,7 +110,6 @@ struct FlatBStarSession::Impl {
 
     AnnealOptions annealOpt;
     annealOpt.maxSweeps = options.maxSweeps;
-    annealOpt.timeLimitSec = options.timeLimitSec;
     annealOpt.seed = options.seed;
     annealOpt.coolingFactor = options.coolingFactor;
     annealOpt.movesPerTemp = options.movesPerTemp;

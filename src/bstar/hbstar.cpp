@@ -396,7 +396,6 @@ struct HBStarSession::Impl {
         decode{&scr} {
     AnnealOptions annealOpt;
     annealOpt.maxSweeps = options.maxSweeps;
-    annealOpt.timeLimitSec = options.timeLimitSec;
     annealOpt.seed = options.seed;
     annealOpt.coolingFactor = options.coolingFactor;
     annealOpt.movesPerTemp = options.movesPerTemp;

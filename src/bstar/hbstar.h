@@ -156,7 +156,6 @@ struct HBPlacerOptions {
   double thermalWeight = 0.0;    ///< pair temperature-mismatch penalty
   double shapeMoveProb = 0.0;    ///< P(move re-selects a soft realization)
   std::size_t maxSweeps = 256;   ///< primary budget: total SA sweeps (deterministic)
-  double timeLimitSec = 0.0;     ///< secondary wall-clock cap (0 = uncapped)
   std::uint64_t seed = 11;
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;  ///< 0 = auto

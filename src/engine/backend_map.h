@@ -19,7 +19,6 @@ BackendOptions mapEngineOptions(const EngineOptions& options) {
   BackendOptions opt;
   opt.wirelengthWeight = options.wirelengthWeight;
   opt.maxSweeps = options.maxSweeps;
-  opt.timeLimitSec = options.timeLimitSec;
   opt.seed = options.seed;
   opt.coolingFactor = options.coolingFactor;
   opt.movesPerTemp = options.movesPerTemp;

@@ -17,7 +17,7 @@
 // All engines honor the deterministic annealing contract of
 // anneal/annealer.h: `maxSweeps` is the primary budget — for a fixed seed
 // the result is bit-identical across machines and runs — and `timeLimitSec`
-// is only a secondary wall-clock cap.
+// is a deadline each session arms on its own token (not reproducible).
 //
 // Thread-safety contract (load-bearing for runtime/plan_executor.h): every
 // backend session is stateless across instances.  It may touch only (a) its
@@ -82,7 +82,7 @@ struct EngineOptions {
   /// circuits without curves ignore the knob and draw no RNG for it).
   double shapeMoveProb = 0.0;
   std::size_t maxSweeps = 256;     ///< primary budget: total SA sweeps
-  double timeLimitSec = 0.0;       ///< secondary wall-clock cap (0 = uncapped)
+  double timeLimitSec = 0.0;       ///< per-session deadline (0 = uncapped)
   std::uint64_t seed = 1;
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;    ///< 0 = auto (10x module count)

@@ -20,8 +20,8 @@ class TypedReplica final : public ReplicaSession {
                const EngineOptions& options, double tempScale)
       : backend_(backend),
         seed_(options.seed),
-        session_(circuit, mapEngineOptions<NativeOptions>(options),
-                 tempScale) {}
+        deadline_(options.cancel),
+        session_(circuit, nativeOptions(options), tempScale) {}
 
   EngineBackend backend() const override { return backend_; }
 
@@ -69,8 +69,20 @@ class TypedReplica final : public ReplicaSession {
   }
 
  private:
+  /// The one place `timeLimitSec` is armed: each session (a `place()` call
+  /// or an executor cell) caps itself on a token linked to the caller's.
+  NativeOptions nativeOptions(const EngineOptions& options) {
+    NativeOptions opt = mapEngineOptions<NativeOptions>(options);
+    if (options.timeLimitSec > 0.0) {
+      deadline_.setDeadlineAfter(options.timeLimitSec);
+      opt.cancel = &deadline_;
+    }
+    return opt;
+  }
+
   EngineBackend backend_;
   std::uint64_t seed_;
+  CancelToken deadline_;  ///< before session_, which points at it
   Session session_;
 };
 

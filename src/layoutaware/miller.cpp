@@ -208,10 +208,9 @@ MillerSizingResult runMillerSizing(const Technology& tech, const OtaSpecs& specs
 
   AnnealOptions annealOpt;
   annealOpt.seed = options.seed;
-  // Same sweep-budgeted contract as runSizing: `iterations` is primary and
-  // deterministic, the wall clock only a secondary cap.
+  // Same sweep-budgeted contract as runSizing: `iterations` is the
+  // deterministic budget.
   annealOpt.maxSweeps = kSizingAnnealSweeps;
-  annealOpt.timeLimitSec = options.timeLimitSec;
   annealOpt.movesPerTemp =
       std::max<std::size_t>(options.iterations / kSizingAnnealSweeps, 10);
   annealOpt.coolingFactor = 0.94;

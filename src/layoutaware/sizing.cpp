@@ -89,10 +89,8 @@ SizingResult runSizing(const Technology& tech, const OtaSpecs& specs,
 
   AnnealOptions annealOpt;
   annealOpt.seed = options.seed;
-  // `iterations` is the primary, deterministic budget (see
-  // kSizingAnnealSweeps); the wall clock only acts as a secondary cap.
+  // `iterations` is the deterministic budget (see kSizingAnnealSweeps).
   annealOpt.maxSweeps = kSizingAnnealSweeps;
-  annealOpt.timeLimitSec = options.timeLimitSec;
   annealOpt.movesPerTemp =
       std::max<std::size_t>(options.iterations / kSizingAnnealSweeps, 10);
   annealOpt.coolingFactor = 0.94;

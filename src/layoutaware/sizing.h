@@ -40,7 +40,6 @@ struct SizingOptions {
   double maxAspectRatio = 1.5;   ///< geometric restriction (aware flow only)
   double areaWeight = 0.15;      ///< area objective weight (aware flow only)
   std::size_t iterations = 6000; ///< annealing move budget (primary, deterministic)
-  double timeLimitSec = 0.0;     ///< secondary wall-clock cap (0 = uncapped)
   std::uint64_t seed = 3;
 };
 

@@ -21,9 +21,10 @@
 // value is stamped into each slice, so split-budget restarts anneal on
 // exactly the schedule the equivalent sequential run would have used.
 //
-// `timeLimitSec`, when positive, caps each slice's wall clock individually;
-// as everywhere else in the library, results under an active time cap are
-// not reproducible.
+// `timeLimitSec`, when positive, caps each slice's wall clock individually
+// (each slice's session arms its own deadline when built); as everywhere
+// else in the library, results under an active time cap are not
+// reproducible.
 #pragma once
 
 #include <span>

@@ -1,8 +1,6 @@
 #include "runtime/serve.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <thread>
 
@@ -21,14 +19,8 @@ struct ServeEngine::Slot {
   std::uint64_t id = 0;
   Job job;
   CacheKey key;
-  CancelToken cancel;
+  CancelToken cancel;  ///< cancel + deadlines; its reason is the outcome
   Stopwatch clock;  ///< reset at submit; latency = submit-to-completion
-  /// Deadline bookkeeping.  `deadlined` is atomic because the monitor
-  /// thread sets it while the executing worker reads it lock-free (the
-  /// worker also sets it itself for sweep deadlines).
-  bool hasDeadline = false;  ///< wall deadline armed (under Impl::mutex)
-  std::chrono::steady_clock::time_point deadlineAt{};
-  std::atomic<bool> deadlined{false};
 };
 
 struct ServeEngine::Worker {
@@ -52,12 +44,6 @@ struct ServeEngine::Impl {
   ServeStats stats;
   bool stopping = false;
   std::vector<std::unique_ptr<Worker>> workers;
-  /// Wall-deadline monitor: sleeps until the earliest armed deadline, fires
-  /// by cancelling the slot.  Joined AFTER the workers so deadlines stay
-  /// enforced through the shutdown drain.
-  std::condition_variable deadlineCv;
-  std::thread deadlineMonitor;
-  bool monitorStop = false;
 };
 
 // --- lifecycle --------------------------------------------------------------
@@ -82,7 +68,6 @@ ServeEngine::ServeEngine(const ServeOptions& options)
     Worker* worker = impl_->workers.back().get();
     worker->thread = std::thread([this, worker] { workerLoop(*worker); });
   }
-  impl_->deadlineMonitor = std::thread([this] { deadlineLoop(); });
 }
 
 ServeEngine::~ServeEngine() { shutdown(); }
@@ -97,12 +82,6 @@ void ServeEngine::shutdown() {
   for (auto& worker : impl_->workers) {
     if (worker->thread.joinable()) worker->thread.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->monitorStop = true;
-  }
-  impl_->deadlineCv.notify_all();
-  if (impl_->deadlineMonitor.joinable()) impl_->deadlineMonitor.join();
 }
 
 // --- submission / control ---------------------------------------------------
@@ -139,18 +118,10 @@ ServeEngine::Submission ServeEngine::submit(Job job) {
   slot->job = std::move(job);
   slot->key = out.key;
   slot->cancel.reset();
+  // Measured from submit: a queued job burns its deadline waiting, which is
+  // exactly what a client's latency budget means.
+  slot->cancel.setDeadlineAfter(slot->job.deadlineSeconds);
   slot->clock.reset();
-  slot->deadlined.store(false, std::memory_order_relaxed);
-  slot->hasDeadline = slot->job.deadlineSeconds > 0.0;
-  if (slot->hasDeadline) {
-    // Measured from submit: a queued job burns its deadline waiting, which
-    // is exactly what a client's latency budget means.
-    slot->deadlineAt = std::chrono::steady_clock::now() +
-                       std::chrono::duration_cast<
-                           std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double>(
-                               slot->job.deadlineSeconds));
-  }
   impl_->fifo[(impl_->fifoHead + impl_->fifoCount) % impl_->fifo.size()] =
       index;
   ++impl_->fifoCount;
@@ -158,7 +129,6 @@ ServeEngine::Submission ServeEngine::submit(Job job) {
   out.accepted = true;
   out.id = slot->id;
   impl_->workCv.notify_one();
-  if (slot->hasDeadline) impl_->deadlineCv.notify_all();
   return out;
 }
 
@@ -185,33 +155,6 @@ ServeStats ServeEngine::stats() const {
   out.evicted = cacheStats.evicted;
   out.memoryOnly = cacheStats.memoryOnly;
   return out;
-}
-
-// --- deadline monitor -------------------------------------------------------
-
-void ServeEngine::deadlineLoop() {
-  std::unique_lock<std::mutex> lock(impl_->mutex);
-  while (!impl_->monitorStop) {
-    auto nextAt = std::chrono::steady_clock::time_point::max();
-    const auto now = std::chrono::steady_clock::now();
-    for (const std::unique_ptr<Slot>& slot : impl_->slots) {
-      if (slot->state == Slot::State::Free || !slot->hasDeadline) continue;
-      if (slot->deadlined.load(std::memory_order_relaxed)) continue;
-      if (slot->deadlineAt <= now) {
-        // Fire: the running session observes the token within one round;
-        // a still-pending job deadlines during its first sweep check.
-        slot->deadlined.store(true, std::memory_order_relaxed);
-        slot->cancel.cancel();
-        continue;
-      }
-      nextAt = std::min(nextAt, slot->deadlineAt);
-    }
-    if (nextAt == std::chrono::steady_clock::time_point::max()) {
-      impl_->deadlineCv.wait(lock);
-    } else {
-      impl_->deadlineCv.wait_until(lock, nextAt);
-    }
-  }
 }
 
 // --- worker side ------------------------------------------------------------
@@ -260,12 +203,10 @@ EngineResult ServeEngine::computeJob(Worker& worker, Slot& slot,
   std::size_t events = 0;
   const RoundHook hook{interval, [&](const RoundStatus& status) {
     // Sweep-budget deadline, round-granular: once the job's TOTAL sweeps
-    // cross the budget, cancel — the still-active sessions wind down during
+    // cross the budget, stop — the still-active sessions wind down during
     // the next round's sweep checks (same bound as a client CANCEL).
-    if (deadlineSweeps > 0 && status.sweepsDone >= deadlineSweeps &&
-        !slot.deadlined.load(std::memory_order_relaxed)) {
-      slot.deadlined.store(true, std::memory_order_relaxed);
-      slot.cancel.cancel();
+    if (deadlineSweeps > 0 && status.sweepsDone >= deadlineSweeps) {
+      slot.cancel.stop(StopReason::Deadline);
     }
     const std::size_t reached = status.round * status.roundSweeps / interval;
     if (reached > reported) {
@@ -292,11 +233,10 @@ void ServeEngine::executeJob(Worker& worker, Slot& slot) {
   if (hit) {
     outcome.result = &worker.result;
     outcome.cacheHit = true;
-    // A hit whose cancel token was tripped BY a deadline still completes as
-    // a plain hit: the full answer is already known, serving it costs one
+    // A hit whose token was stopped BY a deadline still completes as a
+    // plain hit: the full answer is already known, serving it costs one
     // copy, and reporting DEADLINE for an instant result would be absurd.
-    outcome.cancelled = slot.cancel.cancelled() &&
-                        !slot.deadlined.load(std::memory_order_relaxed);
+    outcome.cancelled = slot.cancel.reason() == StopReason::Cancelled;
   } else {
     ParseResult parsed = parseBenchmark(slot.job.circuitText);
     if (!parsed.ok()) {
@@ -308,12 +248,11 @@ void ServeEngine::executeJob(Worker& worker, Slot& slot) {
       worker.result = computeJob(worker, slot, parsed.circuit, options);
       worker.result.seconds = computeClock.seconds();
       outcome.result = &worker.result;
-      // Deadline wins precedence: its cancellation is the engine's doing,
-      // not the client's, and the wire reports it as its own status.
-      outcome.deadlineExpired =
-          slot.deadlined.load(std::memory_order_relaxed);
-      outcome.cancelled =
-          slot.cancel.cancelled() && !outcome.deadlineExpired;
+      // Deadline wins precedence: its stop is the engine's doing, not the
+      // client's, and the wire reports it as its own status.
+      const StopReason why = slot.cancel.reason();
+      outcome.deadlineExpired = why == StopReason::Deadline;
+      outcome.cancelled = why == StopReason::Cancelled;
       // Cancelled and deadlined results are best-so-far snapshots, not pure
       // functions of the key — never cache them (the cache-correctness
       // contract).

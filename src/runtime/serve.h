@@ -42,15 +42,16 @@
 //
 // Deadlines ride the same CancelToken seam.  A job may carry a wall-clock
 // deadline (`Job::deadlineSeconds`, measured from SUBMIT — queue wait
-// counts, which is what a client's latency budget means) enforced by a
-// monitor thread, and/or a sweep budget (`Job::deadlineSweeps`, total
-// sweeps across all slices or replicas) checked at round granularity.  An
-// expired deadline cancels the run and flags the outcome `deadlineExpired` —
-// precedence over plain `cancelled` — and, like a cancellation, the
-// best-so-far result is delivered but NEVER cached.  A cache hit always
-// completes as a hit: if the answer is already known, no deadline can make
-// serving it wrong.  Both deadlines apply to every job, restart or
-// tempering.
+// counts, which is what a client's latency budget means) armed on the
+// slot's token at submit, and/or a sweep budget (`Job::deadlineSweeps`,
+// total sweeps across all slices or replicas) that the round hook enforces
+// by stopping the token.  The token's latched reason is the outcome: an
+// observed deadline flags `deadlineExpired` — precedence over plain
+// `cancelled` — and, like a cancellation, the best-so-far result is
+// delivered but NEVER cached.  A cache hit always completes as a hit: if
+// the answer is already known, no deadline can make serving it wrong.  Both
+// deadlines apply to every job; an uncapped job (`sweeps 0`) restarts until
+// its wall deadline passes (anneal/annealer.h).
 //
 // The serve layer forces `timeLimitSec = 0` and `numThreads = 1` on every
 // job (reproducibility and the parallelism-across-jobs scheduling model;
@@ -166,7 +167,6 @@ class ServeEngine {
 
   void workerLoop(Worker& worker);
   void executeJob(Worker& worker, Slot& slot);
-  void deadlineLoop();
   EngineResult computeJob(Worker& worker, Slot& slot, const Circuit& circuit,
                           const EngineOptions& options);
 

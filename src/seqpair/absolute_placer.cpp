@@ -124,11 +124,11 @@ AbsolutePlacerResult placeAbsoluteSA(const Circuit& circuit,
 
   AnnealOptions annealOpt;
   annealOpt.maxSweeps = options.maxSweeps;
-  annealOpt.timeLimitSec = options.timeLimitSec;
   annealOpt.seed = options.seed;
   annealOpt.coolingFactor = options.coolingFactor;
   annealOpt.movesPerTemp = options.movesPerTemp;
   annealOpt.sizeHint = n;
+  annealOpt.cancel = options.cancel;
   auto annealed = annealWithRestarts(init, cost, move, annealOpt);
 
   AbsolutePlacerResult result;

@@ -14,6 +14,7 @@
 
 #include "geom/placement.h"
 #include "netlist/circuit.h"
+#include "util/cancel_token.h"
 
 namespace als {
 
@@ -22,10 +23,10 @@ struct AbsolutePlacerOptions {
   double overlapWeight = 4.0;      ///< penalty per DBU^2 of pairwise overlap
   double symmetryWeight = 2.0;     ///< penalty per DBU of mirror deviation
   std::size_t maxSweeps = 256;     ///< primary budget: total SA sweeps (deterministic)
-  double timeLimitSec = 0.0;       ///< secondary wall-clock cap (0 = uncapped)
   std::uint64_t seed = 7;
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;  ///< 0 = auto
+  const CancelToken* cancel = nullptr;  ///< checked per sweep (may be null)
 };
 
 struct AbsolutePlacerResult {

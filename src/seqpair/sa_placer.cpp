@@ -138,7 +138,6 @@ struct SeqPairSession::Impl {
 
     AnnealOptions annealOpt;
     annealOpt.maxSweeps = options.maxSweeps;
-    annealOpt.timeLimitSec = options.timeLimitSec;
     annealOpt.seed = options.seed;
     annealOpt.coolingFactor = options.coolingFactor;
     annealOpt.movesPerTemp = options.movesPerTemp;

@@ -34,7 +34,6 @@ struct SeqPairScratch {
 struct SeqPairPlacerOptions {
   double wirelengthWeight = 0.25;  ///< lambda, scaled by sqrt(module area)
   std::size_t maxSweeps = 256;     ///< primary budget: total SA sweeps (deterministic)
-  double timeLimitSec = 0.0;       ///< secondary wall-clock cap (0 = uncapped)
   std::uint64_t seed = 7;
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;  ///< 0 = auto

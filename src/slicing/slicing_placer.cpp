@@ -120,7 +120,6 @@ struct SlicingSession::Impl {
 
     AnnealOptions annealOpt;
     annealOpt.maxSweeps = options.maxSweeps;
-    annealOpt.timeLimitSec = options.timeLimitSec;
     annealOpt.seed = options.seed;
     annealOpt.coolingFactor = options.coolingFactor;
     annealOpt.movesPerTemp = options.movesPerTemp;

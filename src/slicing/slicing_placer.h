@@ -28,7 +28,6 @@ struct SlicingPlacerOptions {
   double thermalWeight = 0.0;   ///< pair temperature-mismatch penalty
   double shapeMoveProb = 0.0;   ///< P(move re-selects a soft realization)
   std::size_t maxSweeps = 256;  ///< primary budget: total SA sweeps (deterministic)
-  double timeLimitSec = 0.0;    ///< secondary wall-clock cap (0 = uncapped)
   std::uint64_t seed = 13;
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "engine/placement_engine.h"
+#include "util/cancel_token.h"
 
 namespace als {
 
@@ -51,19 +52,23 @@ class BenchIo {
 
   bool smoke() const { return smoke_; }
 
-  /// Applies the bench budget to any SA options struct (they share the
-  /// field names): the paper-style wall-clock budget normally, a fixed
-  /// deterministic sweep budget in --smoke mode.
-  template <class Options>
-  void applyBudget(Options& opt, double seconds,
+  /// Applies the bench budget: the paper-style wall-clock budget normally,
+  /// a fixed deterministic sweep budget in --smoke mode.
+  void applyBudget(EngineOptions& opt, double seconds,
                    std::size_t smokeSweeps = 60) const {
-    if (smoke_) {
-      opt.timeLimitSec = 0.0;
-      opt.maxSweeps = smokeSweeps;
-    } else {
-      opt.timeLimitSec = seconds;
-      opt.maxSweeps = 0;
-    }
+    opt.timeLimitSec = smoke_ ? 0.0 : seconds;
+    opt.maxSweeps = smoke_ ? smokeSweeps : 0;
+  }
+
+  /// The same for native backend options: the wall clock is a deadline
+  /// armed on `deadline` NOW, so call it right before the run.
+  template <class Options>
+  void applyBudget(Options& opt, CancelToken& deadline, double seconds,
+                   std::size_t smokeSweeps = 60) const {
+    deadline.reset();
+    deadline.setDeadlineAfter(smoke_ ? 0.0 : seconds);
+    opt.cancel = &deadline;
+    opt.maxSweeps = smoke_ ? smokeSweeps : 0;
   }
 
   void add(BenchRecord record);

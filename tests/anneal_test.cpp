@@ -121,14 +121,39 @@ TEST(Annealer, SweepBudgetIsThePrimaryStoppingRule) {
 TEST(Annealer, RespectsSecondaryTimeLimit) {
   auto cost = [](double x) { return x; };
   auto move = [](double x, Rng& rng) { return x + rng.uniform() - 0.5; };
+  CancelToken deadline;
+  deadline.setDeadlineAfter(0.2);
   AnnealOptions opt;
   opt.seed = 5;
-  opt.maxSweeps = 0;      // no sweep cap ...
-  opt.timeLimitSec = 0.2; // ... so the wall-clock cap must stop the run
-  opt.freezeRatio = 0.0;  // would run forever without the time limit
+  opt.maxSweeps = 0;         // no sweep cap ...
+  opt.cancel = &deadline;    // ... so the deadline must stop the run
+  opt.freezeRatio = 0.0;     // would run forever without the deadline
   Stopwatch clock;
-  anneal(0.0, cost, move, opt);
+  auto result = anneal(0.0, cost, move, opt);
   EXPECT_LT(clock.seconds(), 2.0);
+  EXPECT_GT(result.sweeps, 0u);
+  EXPECT_EQ(deadline.reason(), StopReason::Deadline);
+}
+
+TEST(Annealer, UncappedRestartsRunUntilAnArmedDeadline) {
+  // One schedule freezes after ~226 sweeps.  Uncapped and without a
+  // deadline that single run is the answer; under a deadline the leftover
+  // wall clock funds restarts until the deadline stops the token.
+  auto cost = [](double x) { return std::abs(x); };
+  auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
+  AnnealOptions opt;
+  opt.seed = 6;
+  opt.maxSweeps = 0;
+  auto single = annealWithRestarts(5.0, cost, move, opt);
+
+  Stopwatch clock;
+  CancelToken deadline;
+  deadline.setDeadlineAfter(0.1);
+  opt.cancel = &deadline;
+  auto timed = annealWithRestarts(5.0, cost, move, opt);
+  EXPECT_GE(clock.seconds(), 0.1);
+  EXPECT_GT(timed.sweeps, single.sweeps);
+  EXPECT_EQ(deadline.reason(), StopReason::Deadline);
 }
 
 TEST(Annealer, RestartsConsumeTheTotalSweepBudgetExactly) {

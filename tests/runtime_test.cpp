@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "anneal/annealer.h"
@@ -20,6 +22,7 @@
 #include "runtime/tempering.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 namespace als {
 namespace {
@@ -147,6 +150,54 @@ TEST(Portfolio, OversizedRestartCountStillHonorsTheBudgetExactly) {
   EngineResult r = runner.run(c, EngineBackend::SeqPair, opt);
   EXPECT_EQ(r.sweeps, 4u);
   EXPECT_EQ(r.restartsRun, 4u);
+}
+
+// `timeLimitSec` is a per-slice cap: each slice's session arms its own
+// deadline when built, so with one thread the second slice still anneals
+// after the first used up its cap, and the plan takes about two caps.
+TEST(Portfolio, TimeLimitCapsEachSlice) {
+  Circuit c = makeTableICircuit(TableICircuit::ComparatorV2);
+  EngineOptions opt;
+  opt.maxSweeps = 0;  // uncapped: only the deadlines stop the slices
+  opt.timeLimitSec = 0.15;
+  opt.numRestarts = 2;
+  opt.numThreads = 1;
+  opt.seed = 3;
+  const EngineBackend backend = EngineBackend::SeqPair;
+  Stopwatch clock;
+  PlanOutcome out = executePlan(nullptr, {.circuits = {&c, 1},
+                                          .backends = {&backend, 1},
+                                          .options = opt});
+  const double seconds = clock.seconds();
+  ASSERT_EQ(out.cells.size(), 2u);
+  for (const TemperingReplica& cell : out.cells) {
+    EXPECT_GT(cell.sweeps, 0u) << "slice " << cell.seed;
+  }
+  EXPECT_GE(seconds, 2 * opt.timeLimitSec);
+  EXPECT_LT(seconds, 2 * opt.timeLimitSec + 2.0);
+}
+
+// The session's deadline token links to the caller's: cancelling the caller
+// stops a run whose own cap is far away.
+TEST(Portfolio, CallerCancelStopsATimedRun) {
+  Circuit c = makeTableICircuit(TableICircuit::ComparatorV2);
+  CancelToken caller;
+  EngineOptions opt;
+  opt.maxSweeps = 0;
+  opt.timeLimitSec = 30.0;
+  opt.numRestarts = 2;
+  opt.numThreads = 1;
+  opt.cancel = &caller;
+  std::thread canceller([&caller] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    caller.cancel();
+  });
+  Stopwatch clock;
+  EngineResult r = PortfolioRunner().run(c, EngineBackend::SeqPair, opt);
+  canceller.join();
+  EXPECT_LT(clock.seconds(), 10.0);
+  EXPECT_FALSE(r.placement.empty()) << "a stopped run returns best-so-far";
+  EXPECT_EQ(caller.reason(), StopReason::Cancelled);
 }
 
 TEST(Portfolio, RaceRejectsAnEmptyBackendSpan) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -964,6 +965,38 @@ TEST(ServeEngineTest, WallDeadlineDeliversBestSoFarAndNeverCaches) {
   EXPECT_FALSE(again.cacheHit);
   EXPECT_TRUE(again.deadlineExpired);
   EXPECT_EQ(engine.stats().deadlineExpired, 2u);
+}
+
+// The largest `OPT deadline-ms` the protocol accepts lands past the steady
+// clock's range: it arms no deadline, so the job runs to completion as a
+// plain miss and is cached (it once overflowed into an already-expired
+// deadline that cut the job off before its first sweep).
+TEST(ServeEngineTest, OutOfRangeWallDeadlineIsNoDeadline) {
+  ServeOptions serveOpts;
+  serveOpts.workers = 1;
+  ServeEngine engine(serveOpts);
+
+  const std::string_view text = corpusText(CorpusCircuit::Apte);
+  EngineOptions options;
+  options.maxSweeps = 64;
+  options.numRestarts = 2;
+  options.seed = 23;
+  const double hugeDeadline =
+      static_cast<double>(std::numeric_limits<std::uint64_t>::max()) / 1000.0;
+  CompletedJob out = runJob(engine, text, EngineBackend::SeqPair, options,
+                            hugeDeadline);
+  ASSERT_EQ(out.error, "");
+  EXPECT_FALSE(out.deadlineExpired);
+  EXPECT_FALSE(out.cancelled);
+  EXPECT_FALSE(out.cacheHit);
+  EXPECT_EQ(out.result.sweeps, 64u);
+  EXPECT_EQ(engine.cache().size(), 1u) << "a complete run is cached";
+  expectBitIdentical(out.result,
+                     oracle(text, EngineBackend::SeqPair, options),
+                     "huge deadline vs no deadline");
+  CompletedJob again = runJob(engine, text, EngineBackend::SeqPair, options,
+                              hugeDeadline);
+  EXPECT_TRUE(again.cacheHit);
 }
 
 TEST(ServeEngineTest, SweepDeadlineIsDeterministicAndBeatenByCacheHits) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <thread>
 
+#include "util/cancel_token.h"
 #include "util/epoch_marks.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -141,6 +146,105 @@ TEST(Stopwatch, MonotoneAndResettable) {
   sw.reset();
   EXPECT_LT(sw.seconds(), t1);
   EXPECT_NEAR(sw.millis(), sw.seconds() * 1e3, 1.0);
+}
+
+/// Polls `token` the way a sweep loop does until it stops; false if it has
+/// not stopped within 10 s.
+bool waitForStop(const CancelToken& token) {
+  const auto giveUp = CancelToken::Clock::now() + std::chrono::seconds(10);
+  while (!token.stopRequested()) {
+    if (CancelToken::Clock::now() > giveUp) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+TEST(CancelToken, DeadlineFiresAtOrAfterItsTimePoint) {
+  CancelToken token;
+  EXPECT_FALSE(token.hasDeadline());
+  const auto before = CancelToken::Clock::now();
+  token.setDeadlineAfter(0.05);
+  EXPECT_TRUE(token.hasDeadline());
+  EXPECT_EQ(token.reason(), StopReason::None);
+  ASSERT_TRUE(waitForStop(token));
+  EXPECT_GE(CancelToken::Clock::now() - before, std::chrono::milliseconds(50));
+  EXPECT_EQ(token.reason(), StopReason::Deadline);
+}
+
+TEST(CancelToken, ReasonLatchesAndDeadlineOutranksCancel) {
+  CancelToken token;
+  token.cancel();
+  EXPECT_TRUE(token.stopRequested());
+  EXPECT_EQ(token.reason(), StopReason::Cancelled);
+  token.stop(StopReason::Deadline);
+  EXPECT_EQ(token.reason(), StopReason::Deadline);
+  token.cancel();
+  EXPECT_EQ(token.reason(), StopReason::Deadline) << "deadline outranks";
+
+  // A deadline is recorded by the check that sees it expired, and stays
+  // recorded; one that passes after the stop was latched is not.
+  CancelToken expired;
+  expired.setDeadlineAfter(1e-9);
+  ASSERT_TRUE(waitForStop(expired));
+  expired.cancel();
+  EXPECT_EQ(expired.reason(), StopReason::Deadline);
+  CancelToken cancelledFirst;
+  cancelledFirst.setDeadlineAfter(1e-9);
+  cancelledFirst.cancel();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(cancelledFirst.stopRequested());
+  EXPECT_EQ(cancelledFirst.reason(), StopReason::Cancelled);
+}
+
+TEST(CancelToken, ParentStopReachesTheChild) {
+  CancelToken parent;
+  CancelToken child(&parent);
+  EXPECT_FALSE(cancelRequested(&child));
+  child.cancel();
+  EXPECT_TRUE(child.stopRequested());
+  EXPECT_FALSE(parent.stopRequested()) << "a stop never flows upward";
+
+  CancelToken other(&parent);
+  std::thread canceller([&parent] { parent.cancel(); });
+  const bool stopped = waitForStop(other);
+  canceller.join();
+  ASSERT_TRUE(stopped);
+  EXPECT_EQ(other.reason(), StopReason::None)
+      << "the parent's reason stays the parent's";
+  EXPECT_EQ(parent.reason(), StopReason::Cancelled);
+
+  CancelToken timedParent;
+  CancelToken timedChild(&timedParent);
+  EXPECT_FALSE(timedChild.hasDeadline());
+  timedParent.setDeadlineAfter(1e-9);
+  EXPECT_TRUE(timedChild.hasDeadline()) << "a parent's deadline counts";
+  ASSERT_TRUE(waitForStop(timedChild));
+  EXPECT_EQ(timedParent.reason(), StopReason::Deadline);
+}
+
+TEST(CancelToken, ResetDisarmsTheDeadline) {
+  CancelToken token;
+  token.setDeadlineAfter(1e-9);
+  ASSERT_TRUE(waitForStop(token));
+  token.reset();
+  EXPECT_FALSE(token.hasDeadline());
+  EXPECT_FALSE(token.stopRequested());
+  EXPECT_EQ(token.reason(), StopReason::None);
+}
+
+TEST(CancelToken, LimitsPastTheClockRangeArmNothing) {
+  CancelToken token;
+  for (double seconds :
+       {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity(),
+        1e300, static_cast<double>(UINT64_MAX) / 1000.0}) {
+    token.setDeadlineAfter(3600.0);
+    token.setDeadlineAfter(seconds);
+    EXPECT_FALSE(token.hasDeadline()) << seconds;
+    EXPECT_FALSE(token.stopRequested()) << seconds;
+  }
+  token.setDeadlineAfter(3600.0);
+  EXPECT_TRUE(token.hasDeadline());
+  EXPECT_FALSE(token.stopRequested());
 }
 
 }  // namespace
