@@ -23,13 +23,19 @@
 //
 // A third experiment behind --scaling: the move loop across the size axis
 // (apte .. n300).  Per circuit it runs the flat B*-tree SA (full repack
-// per move) and the sequence-pair SA twice from the same seed, with the
-// full re-decode path and with the incremental LCS path.  The two seqpair
-// trajectories must be bit-identical (checked via the final cost and move
-// count; a divergence exits nonzero), so their moves/sec ratio isolates
-// the decode asymptotics.  JSON rows: `backend` is flat-full /
-// seqpair-full / seqpair-incremental; `sweeps` carries moves tried, `cost`
-// moves/sec.
+// per move), the slicing SA (memoised Polish evaluation) and the
+// sequence-pair SA twice from the same seed, with the full re-decode path
+// and with the incremental LCS path.  The two seqpair trajectories must be
+// bit-identical (checked via the final cost and move count; a divergence
+// exits nonzero), so their moves/sec ratio isolates the decode
+// asymptotics.  A kernel identity check rides along: one Wong-Liu move
+// stream per circuit is evaluated through a warm scratch (which rebuilds
+// only the subtrees a move changed) and through a fresh one, and any
+// difference in placement or bounding box exits nonzero.  JSON rows:
+// `backend` is flat-full / slicing-memo / seqpair-full /
+// seqpair-incremental (named apart from the engine-name rows above, so
+// bench_diff and readme_tables do not pool them with other budgets);
+// `sweeps` carries moves tried, `cost` moves/sec.
 //
 // Flags: --json <path>, --smoke (small fixed counts for CI), --scaling.
 #include <cstdio>
@@ -45,6 +51,8 @@
 #include "engine/placement_engine.h"
 #include "io/corpus.h"
 #include "seqpair/sa_placer.h"
+#include "slicing/polish.h"
+#include "slicing/slicing_placer.h"
 #include "util/bench_json.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -134,16 +142,47 @@ void addRate(BenchIo& io, const char* backend, const char* circuit,
   io.add(r);
 }
 
-/// --scaling: the flat B*-tree move rate, and full vs incremental seqpair
-/// decode, across the corpus size axis.  Returns the number of seqpair
-/// trajectory divergences (any nonzero is a correctness failure).
+/// Evaluates `moves` Wong-Liu moves of one stream through a warm scratch and
+/// through a fresh scratch per move; returns the number of moves whose
+/// placement or bounding box differ (any nonzero is a memo bug).
+int polishMemoDivergences(const Circuit& c, std::size_t moves) {
+  const std::size_t n = c.moduleCount();
+  std::vector<Coord> w(n), h(n);
+  std::vector<bool> rotatable(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    w[m] = c.module(m).w;
+    h[m] = c.module(m).h;
+    rotatable[m] = c.module(m).rotatable;
+  }
+  PolishExpr expr = PolishExpr::initial(n);
+  Rng rng(1);
+  PolishEvalScratch warm;
+  SlicedResult got;
+  int divergences = 0;
+  for (std::size_t i = 0; i < moves; ++i) {
+    expr.perturb(rng);
+    evaluatePolishInto(expr, w, h, rotatable, 32, warm, got);
+    SlicedResult fresh = evaluatePolish(expr, w, h, rotatable, 32);
+    if (got.placement.rects() != fresh.placement.rects() ||
+        got.width != fresh.width || got.height != fresh.height) {
+      ++divergences;
+    }
+  }
+  return divergences;
+}
+
+/// --scaling: the flat B*-tree and slicing move rates, and full vs
+/// incremental seqpair decode, across the corpus size axis.  Returns the
+/// number of seqpair trajectory and slicing kernel divergences (any nonzero
+/// is a correctness failure).
 int runScaling(BenchIo& io) {
   const std::size_t sweeps = io.smoke() ? 6 : 24;
   const CorpusCircuit circuits[] = {CorpusCircuit::Apte, CorpusCircuit::Ami33,
                                     CorpusCircuit::Ami49, CorpusCircuit::N100,
                                     CorpusCircuit::N200, CorpusCircuit::N300};
   int failures = 0;
-  Table t({"circuit", "blocks", "flat", "sp full", "sp incr", "speedup"});
+  Table t({"circuit", "blocks", "flat", "slicing", "sp full", "sp incr",
+           "speedup"});
   double n300Sp = 0.0;
   for (CorpusCircuit which : circuits) {
     const char* name = corpusName(which);
@@ -153,6 +192,18 @@ int runScaling(BenchIo& io) {
     fo.maxSweeps = sweeps;
     fo.seed = 1;
     FlatBStarResult flat = placeFlatBStarSA(c, fo);
+
+    SlicingPlacerOptions slo;
+    slo.maxSweeps = sweeps;
+    slo.seed = 1;
+    SlicingPlacerResult slicing = placeSlicingSA(c, slo);
+    if (int bad = polishMemoDivergences(c, io.smoke() ? 200 : 1000)) {
+      std::fprintf(stderr,
+                   "bench_decode: %s: memoised Polish evaluation DIVERGED "
+                   "from a fresh evaluation on %d moves\n",
+                   name, bad);
+      ++failures;
+    }
 
     SeqPairPlacerOptions so;
     so.maxSweeps = sweeps;
@@ -176,17 +227,21 @@ int runScaling(BenchIo& io) {
     if (which == CorpusCircuit::N300) n300Sp = spSpeed;
     t.addRow({name, std::to_string(c.moduleCount()),
               Table::fmt(movesPerSec(flat.movesTried, flat.seconds) / 1e3, 1) + "k",
+              Table::fmt(movesPerSec(slicing.movesTried, slicing.seconds) / 1e3, 1) + "k",
               Table::fmt(movesPerSec(spFull.movesTried, spFull.seconds) / 1e3, 1) + "k",
               Table::fmt(movesPerSec(spInc.movesTried, spInc.seconds) / 1e3, 1) + "k",
               Table::fmt(spSpeed, 2) + "x"});
     addRate(io, "flat-full", name, flat.movesTried, flat.seconds);
+    addRate(io, "slicing-memo", name, slicing.movesTried, slicing.seconds);
     addRate(io, "seqpair-full", name, spFull.movesTried, spFull.seconds);
     addRate(io, "seqpair-incremental", name, spInc.movesTried, spInc.seconds);
   }
   t.print(std::cout);
   std::printf("\nmoves/sec, %zu sweeps per run, single thread; flat = full "
-              "B*-tree repack per move; sp full = whole-placement re-decode "
-              "per move, sp incr = suffix-only.  n300 seqpair speedup %.2fx\n",
+              "B*-tree repack per move; slicing = Polish evaluation "
+              "rebuilding only the changed subtrees; sp full = "
+              "whole-placement re-decode per move, sp incr = suffix-only.  "
+              "n300 seqpair speedup %.2fx\n",
               sweeps, n300Sp);
   return failures;
 }
@@ -197,8 +252,8 @@ int main(int argc, char** argv) {
   BenchIo io(argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--scaling") == 0) {
-      std::puts("=== move-loop scaling: flat B*-tree, and seqpair full vs "
-                "incremental decode, apte .. n300 ===\n");
+      std::puts("=== move-loop scaling: flat B*-tree, slicing, and seqpair "
+                "full vs incremental decode, apte .. n300 ===\n");
       return runScaling(io) == 0 ? 0 : 1;
     }
   }

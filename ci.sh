@@ -87,9 +87,11 @@ fi
 echo "=== bench_decode --scaling: incremental vs full re-decode ==="
 # The asymptotics gate: re-runs seqpair on every corpus circuit up to n300
 # with the incremental LCS decode OFF and ON and verifies the two
-# trajectories are bit-identical (any divergence exits nonzero); records
+# trajectories are bit-identical, and evaluates one Wong-Liu move stream
+# per circuit through a warm (memoised) and a fresh Polish scratch and
+# verifies every placement matches (any divergence exits nonzero); records
 # moves/sec rows per (path, circuit) for bench_diff, plus the flat-bstar
-# move rate on the same circuits.
+# and slicing move rates on the same circuits.
 for rep in "" .r2 .r3; do
   ./build/bench_decode --scaling --smoke \
     --json "build/bench-smoke/bench_decode_scaling$rep.json" \
@@ -150,7 +152,8 @@ echo "=== bench_diff: throughput + quality vs committed BENCH_baseline.json ==="
 #     build/bench-smoke/bench_decode*.json build/bench-smoke/als_place*.json \
 #     build/bench-smoke/bench_serve.json
 # (the glob picks up the bench_decode_scaling captures too, so the
-# flat-bstar and seqpair full-vs-incremental decode rows stay covered;
+# flat-bstar, slicing and seqpair full-vs-incremental decode rows stay
+# covered;
 # bench_serve.json carries the serve identity/quality rows and the
 # service-level meta metrics) — then regenerate the README tables:
 # ./build/readme_tables

@@ -21,10 +21,16 @@
 // value is stamped into each slice, so split-budget restarts anneal on
 // exactly the schedule the equivalent sequential run would have used.
 //
-// `timeLimitSec`, when positive, caps each slice's wall clock individually
-// (each slice's session arms its own deadline when built); as everywhere
-// else in the library, results under an active time cap are not
-// reproducible.
+// `timeLimitSec`, when positive, arms a deadline on each slice's session
+// when that session is built, so what it caps depends on the executor's
+// route.  On the barrier-free route (plain portfolios, races and batches)
+// a slice is built when a worker picks it up, so each slice gets its own
+// `timeLimitSec` of wall clock; with fewer threads than slices the run can
+// take about slices / threads times the cap.  On the rounds route
+// (`tempering`, or a round hook) every slice is built before round 1, so
+// all caps run concurrently and the whole run ends about `timeLimitSec`
+// after it starts, however few the threads.  As everywhere else in the
+// library, results under an active time cap are not reproducible.
 #pragma once
 
 #include <span>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "seqpair/packer.h"
 
@@ -285,15 +286,28 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
         return false;  // vertically related partners: not S-F
       }
     }
-    // Everything the island layout depends on, flattened.
+    // Everything the island layout depends on, flattened: the cells, their
+    // footprints, and the island's own order in each sequence (as local
+    // indices).  Relaxation and the stacked fallback read only the relative
+    // order of the island's cells, so a move that merely shifts their
+    // absolute positions keeps the cached layout.
     std::vector<std::size_t>& sig = scratch.tmpSig;
     sig.clear();
     for (std::size_t m : island.cells) {
       sig.push_back(m);
-      sig.push_back(sp.alphaPos(m));
-      sig.push_back(sp.betaPos(m));
       sig.push_back(static_cast<std::size_t>(widths[m]));
       sig.push_back(static_cast<std::size_t>(heights[m]));
+    }
+    std::vector<std::size_t>& local = scratch.order;
+    for (bool alpha : {true, false}) {
+      auto pos = [&](std::size_t i) {
+        return alpha ? sp.alphaPos(island.cells[i]) : sp.betaPos(island.cells[i]);
+      };
+      local.resize(island.cells.size());
+      std::iota(local.begin(), local.end(), std::size_t{0});
+      std::sort(local.begin(), local.end(),
+                [&](std::size_t a, std::size_t b) { return pos(a) < pos(b); });
+      sig.insert(sig.end(), local.begin(), local.end());
     }
     island.changed = !(island.sigValid && sig == island.sig);
     if (!island.changed) continue;

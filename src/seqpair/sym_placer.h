@@ -119,9 +119,10 @@ struct SymPlaceScratch {
 struct SymBuildOptions {
   int maxIterations = 200;  ///< island relaxation fixpoint cap
   /// Reuse per-scratch state across calls: island layouts are cached by
-  /// signature (skipping relaxation when a group's cells, positions and
-  /// footprints are unchanged) and the LCS packs run incrementally from
-  /// their first changed step.  Results stay bit-identical to a cold build.
+  /// signature (skipping relaxation when a group's cells, their relative
+  /// order in both sequences and their footprints are unchanged) and the
+  /// LCS packs run incrementally from their first changed step.  Results
+  /// stay bit-identical to a cold build.
   bool incremental = false;
   /// Run the O(n^2) legality + mirror verification and fail on violation.
   /// Hot decode loops turn this off; debug builds assert it regardless.

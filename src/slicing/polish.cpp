@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "util/epoch_marks.h"
 
@@ -178,6 +179,41 @@ void paretoInsert(std::vector<PolishShape>& v, PolishShape s) {
   while (next != v.end() && next->h >= it->h) next = v.erase(next);
 }
 
+/// V node: widths add, height is the taller child's.  Walks both strict
+/// staircases from the narrow end; the taller child bounds the height, so
+/// only advancing it can lower the next shape (both on a tie).  Emits
+/// exactly the pareto set of the cross product, each point with its unique
+/// minimal child pair.
+void mergeV(std::span<const PolishShape> ls, std::span<const PolishShape> rs,
+            std::vector<PolishShape>& out) {
+  std::uint32_t i = 0, j = 0;
+  for (;;) {
+    out.push_back({ls[i].w + rs[j].w, std::max(ls[i].h, rs[j].h), i, j});
+    const bool advL = ls[i].h >= rs[j].h;
+    const bool advR = rs[j].h >= ls[i].h;
+    if ((advL && i + 1 == ls.size()) || (advR && j + 1 == rs.size())) return;
+    i += advL;
+    j += advR;
+  }
+}
+
+/// H node: heights add, width is the wider child's.  The mirror walk from
+/// the wide end, reversed into w-ascending order.
+void mergeH(std::span<const PolishShape> ls, std::span<const PolishShape> rs,
+            std::vector<PolishShape>& out) {
+  auto i = static_cast<std::uint32_t>(ls.size() - 1);
+  auto j = static_cast<std::uint32_t>(rs.size() - 1);
+  for (;;) {
+    out.push_back({std::max(ls[i].w, rs[j].w), ls[i].h + rs[j].h, i, j});
+    const bool advL = ls[i].w >= rs[j].w;
+    const bool advR = rs[j].w >= ls[i].w;
+    if ((advL && i == 0) || (advR && j == 0)) break;
+    i -= advL;
+    j -= advR;
+  }
+  std::reverse(out.begin(), out.end());
+}
+
 void capShapes(std::vector<PolishShape>& v, std::size_t cap,
                std::vector<PolishShape>& kept) {
   if (cap == 0 || v.size() <= cap) return;
@@ -187,7 +223,9 @@ void capShapes(std::vector<PolishShape>& v, std::size_t cap,
     if (v[i].w * v[i].h < v[bestIdx].w * v[bestIdx].h) bestIdx = i;
   }
   for (std::size_t k = 0; k < cap; ++k) {
-    kept.push_back(v[k * (v.size() - 1) / (cap - 1)]);
+    // Evenly spaced from the narrow end to the wide end; cap 1 keeps only
+    // the min-area shape (swapped in below).
+    kept.push_back(v[cap == 1 ? 0 : k * (v.size() - 1) / (cap - 1)]);
   }
   bool hasBest = false;
   for (const PolishShape& s : kept) {
@@ -244,6 +282,21 @@ void evaluatePolishInto(const PolishExpr& expr, std::span<const Coord> widths,
   // Node slots are reused index-for-index: growing never shrinks, so each
   // slot's shapes vector keeps the capacity it reached — the steady state
   // of an anneal (constant expression length) allocates nothing.
+  //
+  // Only the slots of the previous call hold memoised curves, and only as a
+  // whole: a slot past this expression's end is forgotten, because a later,
+  // longer expression could match it while matching this call's rebuilt
+  // slots below it, which its curve was not built from.  A cap change
+  // forgets every slot.
+  std::size_t keep = std::min(scratch.memoSlots, elems.size());
+  if (scratch.shapeCap != shapeCap) {
+    keep = 0;
+    scratch.shapeCap = shapeCap;
+  }
+  for (std::size_t k = keep; k < scratch.memoSlots; ++k) {
+    scratch.nodes[k].elem = PolishEvalNode::kNoElem;
+  }
+  scratch.memoSlots = elems.size();
   if (scratch.nodes.size() < elems.size()) scratch.nodes.resize(elems.size());
   std::vector<std::size_t>& stack = scratch.stack;
   stack.clear();
@@ -251,34 +304,44 @@ void evaluatePolishInto(const PolishExpr& expr, std::span<const Coord> widths,
   for (std::size_t idx = 0; idx < elems.size(); ++idx) {
     std::int32_t e = elems[idx];
     PolishEvalNode& node = scratch.nodes[idx];
-    node.elem = e;
-    node.left = node.right = static_cast<std::size_t>(-1);
-    node.shapes.clear();
     if (e >= 0) {
       auto m = static_cast<std::size_t>(e);
-      node.shapes.push_back({widths[m], heights[m], 0, 0});
-      if (rotatable[m] && widths[m] != heights[m]) {
-        paretoInsert(node.shapes, {heights[m], widths[m], 1, 0});
-      }
-    } else {
-      node.right = stack.back();
-      stack.pop_back();
-      node.left = stack.back();
-      stack.pop_back();
-      const auto& ls = scratch.nodes[node.left].shapes;
-      const auto& rs = scratch.nodes[node.right].shapes;
-      for (std::uint32_t i = 0; i < ls.size(); ++i) {
-        for (std::uint32_t j = 0; j < rs.size(); ++j) {
-          if (e == PolishExpr::kOpV) {
-            paretoInsert(node.shapes,
-                         {ls[i].w + rs[j].w, std::max(ls[i].h, rs[j].h), i, j});
-          } else {
-            paretoInsert(node.shapes,
-                         {std::max(ls[i].w, rs[j].w), ls[i].h + rs[j].h, i, j});
-          }
+      const bool rot = rotatable[m];
+      node.rebuilt = node.elem != e || node.leafW != widths[m] ||
+                     node.leafH != heights[m] || node.leafRot != rot;
+      if (node.rebuilt) {
+        node.elem = e;
+        node.left = node.right = static_cast<std::size_t>(-1);
+        node.leafW = widths[m];
+        node.leafH = heights[m];
+        node.leafRot = rot;
+        node.shapes.clear();
+        node.shapes.push_back({widths[m], heights[m], 0, 0});
+        if (rot && widths[m] != heights[m]) {
+          paretoInsert(node.shapes, {heights[m], widths[m], 1, 0});
         }
       }
-      capShapes(node.shapes, shapeCap, scratch.capKept);
+    } else {
+      const std::size_t right = stack.back();
+      stack.pop_back();
+      const std::size_t left = stack.back();
+      stack.pop_back();
+      const PolishEvalNode& l = scratch.nodes[left];
+      const PolishEvalNode& r = scratch.nodes[right];
+      node.rebuilt = node.elem != e || node.left != left ||
+                     node.right != right || l.rebuilt || r.rebuilt;
+      if (node.rebuilt) {
+        node.elem = e;
+        node.left = left;
+        node.right = right;
+        node.shapes.clear();
+        if (e == PolishExpr::kOpV) {
+          mergeV(l.shapes, r.shapes, node.shapes);
+        } else {
+          mergeH(l.shapes, r.shapes, node.shapes);
+        }
+        capShapes(node.shapes, shapeCap, scratch.capKept);
+      }
     }
     stack.push_back(idx);
   }

@@ -17,6 +17,18 @@
 //     operand/operator pair subject to balloting and normalization;
 //   * stack evaluation with pareto shape sets per subtree (module rotation
 //     included) and placement reconstruction by backtracking.
+//
+// Evaluation cost per move.  A V (H) node's staircase is the linear merge of
+// its children's (Stockmeyer): a two-pointer walk from the narrow (wide) end
+// that advances the child bounding the height (width), or both on a tie.
+// Strict child staircases give every pareto point exactly one minimal child
+// pair, so the merge emits the same shapes, child indices included, as the
+// full cross product.  Curves are memoised per postfix slot across calls: a
+// slot is rebuilt only when its element, its child slots, a child's curve,
+// its leaf footprint (w, h, rotatable) or the shape cap changed, or when it
+// lay past the end of the previous call's expression.  A move thus rebuilds
+// only the slots on the paths from what it changed to the root; placement
+// reconstruction stays a full O(n) walk.
 #pragma once
 
 #include <cstdint>
@@ -78,29 +90,43 @@ struct PolishShape {
   std::uint32_t li = 0, ri = 0;  // child shape indices; leaf: li = rotated
 };
 
-/// One postfix element's evaluation node.  The shapes vector is reused call
-/// to call (the expression length is constant across an anneal), which is
-/// what makes the evaluator allocation-free when warm.
+/// One postfix element's evaluation node: the slot's shape curve plus the
+/// inputs it was built from, kept from one call to the next.  A curve is a
+/// pure function of those inputs, so a slot whose inputs are unchanged keeps
+/// its curve; the shapes vector is reused otherwise, which is what makes the
+/// evaluator allocation-free when warm.
 struct PolishEvalNode {
-  std::int32_t elem = 0;
+  static constexpr std::int32_t kNoElem = INT32_MIN;  ///< never built
+
+  std::int32_t elem = kNoElem;
   std::size_t left = static_cast<std::size_t>(-1);
   std::size_t right = static_cast<std::size_t>(-1);
+  Coord leafW = 0, leafH = 0;  ///< leaf: the footprint the curve was built on
+  bool leafRot = false;        ///< leaf: the rotatable flag it was built on
+  bool rebuilt = false;        ///< recomputed by the current call (transient)
   std::vector<PolishShape> shapes;
 };
 
 }  // namespace detail
 
 /// Reusable buffers of one Polish-expression evaluation loop (the slicing
-/// placer's per-move decode).  Not shareable between concurrent evaluators.
+/// placer's per-move decode), including the memoised subtree curves of the
+/// previous call.  The memo is keyed on every input of a curve, so a scratch
+/// may be reused freely across expressions, module dimensions, shape caps
+/// and circuits (results never depend on its history); it is not shareable
+/// between concurrent evaluators.
 struct PolishEvalScratch {
   std::vector<detail::PolishEvalNode> nodes;
   std::vector<std::size_t> stack;
   std::vector<detail::PolishShape> capKept;  ///< capShapes working set
+  std::size_t shapeCap = 0;   ///< the cap every memoised curve was built under
+  std::size_t memoSlots = 0;  ///< leading slots holding memoised curves
 };
 
 /// Evaluates the expression's pareto shapes and reconstructs the best-area
 /// placement.  `rotatable[m]` enables 90-degree rotation of module m.
-/// `shapeCap` bounds the per-subtree pareto size (0 = unbounded).
+/// `shapeCap` bounds the per-subtree pareto size (0 = unbounded; 1 keeps
+/// each subtree's min-area shape only).
 /// (vector<bool> by reference: the bit-packed specialization cannot bind to
 /// a std::span.)
 SlicedResult evaluatePolish(const PolishExpr& expr, std::span<const Coord> widths,
@@ -108,8 +134,9 @@ SlicedResult evaluatePolish(const PolishExpr& expr, std::span<const Coord> width
                             const std::vector<bool>& rotatable,
                             std::size_t shapeCap = 32);
 
-/// Scratch-reuse variant: identical results, zero heap allocations once the
-/// buffers are warm.  `out` is fully overwritten.
+/// Scratch-reuse variant: identical results to a fresh scratch whatever the
+/// scratch evaluated before, zero heap allocations once the buffers are
+/// warm.  `out` is fully overwritten.
 void evaluatePolishInto(const PolishExpr& expr, std::span<const Coord> widths,
                         std::span<const Coord> heights,
                         const std::vector<bool>& rotatable,

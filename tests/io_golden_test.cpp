@@ -77,11 +77,13 @@ TEST(IoGolden, Ami33AllBackends) {
   expectGolden(CorpusCircuit::Ami33, goldenOptions(), goldens);
 }
 
-// GSRC-scale pin: exercises the flat B*-tree repack and the incremental
-// LCS (seqpair) hot paths at the size class they were built for, on a small
-// sweep budget so the suite stays fast.  The seqpair backend re-decodes only
+// GSRC-scale pin: exercises the flat B*-tree repack, the incremental LCS
+// (seqpair), the memoised Polish evaluation (slicing) and the HB*-tree hot
+// paths at the size class they were built for, on a small sweep budget so
+// the suite stays fast.  The seqpair and slicing backends re-decode only
 // what a move disturbed; the pins prove that machinery does not drift the
-// arithmetic by even one DBU.
+// arithmetic by even one DBU.  (apte/ami33 trees are too shallow for the
+// slicing memo to skip much; these are the pins that exercise it.)
 TEST(IoGolden, N100HotPathBackends) {
   EngineOptions opt;
   opt.maxSweeps = 12;
@@ -89,15 +91,19 @@ TEST(IoGolden, N100HotPathBackends) {
   const Golden goldens[] = {
       {EngineBackend::FlatBStar, 10699245148267.648, 73960500, 919020000000},
       {EngineBackend::SeqPair, 7388909403629.7334, 56907500, 742248000000},
+      {EngineBackend::Slicing, 8402325757149.3379, 67243500, 548444000000},
+      {EngineBackend::HBStar, 7002488155699.8115, 55152000, 560865000000},
   };
   expectGolden(CorpusCircuit::N100, opt, goldens);
 }
 
 // n200 pin, past n = 128: these values were captured while seqpair decoded
 // through a van Emde Boas staircase at that size and flat-bstar through a
-// journaled partial repack.  Every decode path yields identical
-// coordinates, so the single Fenwick kernel and the full repack must
-// reproduce them exactly.
+// journaled partial repack, and the slicing ones while every Polish
+// evaluation built the full cross product of each node's child curves.
+// Every decode path yields identical coordinates, so the single Fenwick
+// kernel, the full repack and the memoised linear merge must reproduce
+// them exactly.
 TEST(IoGolden, N200DecodeStrategyPins) {
   EngineOptions opt;
   opt.maxSweeps = 4;
@@ -105,6 +111,8 @@ TEST(IoGolden, N200DecodeStrategyPins) {
   const Golden goldens[] = {
       {EngineBackend::FlatBStar, 45139235960736.594, 231704500, 1139644000000},
       {EngineBackend::SeqPair, 29275212982325.242, 177167500, 1229781000000},
+      {EngineBackend::Slicing, 53556019252661.961, 322155000, 2559216000000},
+      {EngineBackend::HBStar, 31676037011039.969, 192510500, 1201824000000},
   };
   expectGolden(CorpusCircuit::N200, opt, goldens);
 }

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "netlist/generators.h"
 #include "slicing/polish.h"
 #include "slicing/slicing_placer.h"
@@ -108,6 +113,222 @@ TEST(EvaluatePolish, ShapeCurveOptimalForThreeModules) {
     best = std::min(best, evaluatePolish(e, w, h, rot).area());
   }
   EXPECT_EQ(best, 48);  // 12 x 4 row
+}
+
+/// The root curve a scratch evaluation leaves behind (the root is the last
+/// postfix slot).
+std::vector<detail::PolishShape> rootCurve(const PolishExpr& e,
+                                           const std::vector<Coord>& w,
+                                           const std::vector<Coord>& h,
+                                           const std::vector<bool>& rot) {
+  PolishEvalScratch scratch;
+  SlicedResult out;
+  evaluatePolishInto(e, w, h, rot, 32, scratch, out);
+  return scratch.nodes[e.elements().size() - 1].shapes;
+}
+
+void expectCurve(const std::vector<detail::PolishShape>& got,
+                 const std::vector<detail::PolishShape>& want,
+                 const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].w, want[k].w) << label << " shape " << k;
+    EXPECT_EQ(got[k].h, want[k].h) << label << " shape " << k;
+    EXPECT_EQ(got[k].li, want[k].li) << label << " shape " << k;
+    EXPECT_EQ(got[k].ri, want[k].ri) << label << " shape " << k;
+  }
+}
+
+// The linear merge on staircases whose steps tie: equal heights under a V
+// cut (both children advance together) and equal widths under an H cut,
+// including a tie where one child is already exhausted.  The curves carry
+// the unique minimal child pair of each pareto point, as the cross product
+// does.
+TEST(EvaluatePolish, MergeHandlesEqualHeightAndWidthTies) {
+  // Leaf curves: module 0 is [(2,10), (10,2)], module 1 [(3,10), (10,3)].
+  const std::vector<Coord> w{2, 3}, h{10, 10};
+  const std::vector<bool> rot{true, true};
+  PolishExpr v = PolishExpr::initial(2);  // "0 1 V"
+  ASSERT_EQ(v.toString(), "0 1 V");
+  expectCurve(rootCurve(v, w, h, rot), {{5, 10, 0, 0}, {20, 3, 1, 1}},
+              "V, equal heights");
+  // Module 1 upright only: the height tie at (2,10)+(3,10) must advance
+  // module 1, which is exhausted, so the walk stops after one shape.
+  const std::vector<bool> rot0{true, false};
+  expectCurve(rootCurve(v, w, h, rot0), {{5, 10, 0, 0}}, "V, exhausted tie");
+  // Equal widths under H: the walk from the wide end pairs (10,2) with
+  // (10,3), then (2,10) with (3,10).
+  const std::vector<Coord> w3{2, 3, 4}, h3{10, 10, 4};
+  const std::vector<bool> rot3{true, true, false};
+  PolishExpr hx = PolishExpr::initial(3);  // "0 1 V 2 H"
+  Rng rng(3);
+  while (hx.toString() != "0 1 H 2 V") hx.perturb(rng);
+  PolishEvalScratch scratch;
+  SlicedResult out;
+  evaluatePolishInto(hx, w3, h3, rot3, 32, scratch, out);
+  expectCurve(scratch.nodes[2].shapes, {{3, 20, 0, 0}, {10, 5, 1, 1}},
+              "H, equal widths");
+  SlicedResult ref = test_util::referenceEvaluatePolish(hx, w3, h3, rot3, 32);
+  EXPECT_EQ(out.placement.rects(), ref.placement.rects());
+  EXPECT_EQ(out.width, ref.width);
+  EXPECT_EQ(out.height, ref.height);
+}
+
+// One warm scratch driven through a long Wong-Liu move stream must agree,
+// after every step, with a fresh scratch and with the cross-product
+// reference -- across leaf re-dimensioning (shape realizations), shape-cap
+// changes, and a switch to a circuit of another size and back on the same
+// scratch.  This is the contract that lets the subtree memo stay out of the
+// annealer's commit/rollback logic.
+TEST(EvaluatePolish, MemoisedMatchesFreshAndReference) {
+  struct Instance {
+    std::vector<Coord> w, h;
+    std::vector<bool> rot;
+    // Three realizations of roughly equal area per module.
+    std::vector<std::array<std::pair<Coord, Coord>, 3>> shapes;
+    PolishExpr expr;
+  };
+  Rng gen(17);
+  auto makeInstance = [&](std::size_t n) {
+    Instance in;
+    for (std::size_t m = 0; m < n; ++m) {
+      Coord a = 2 + static_cast<Coord>(gen.index(30));
+      Coord b = 2 + static_cast<Coord>(gen.index(30));
+      in.shapes.push_back({{{a, b}, {a + a / 2, b - b / 3}, {a - a / 3, b + b / 2}}});
+      in.w.push_back(a);
+      in.h.push_back(b);
+      in.rot.push_back(m % 5 != 0);  // most, not all, modules rotatable
+    }
+    in.expr = PolishExpr::initial(n);
+    return in;
+  };
+  Instance big = makeInstance(120);
+  Instance small = makeInstance(61);
+
+  PolishEvalScratch warm;
+  SlicedResult got;
+  Rng rng(29);
+  std::size_t cappedDiffs = 0;
+  auto step = [&](Instance& in, std::size_t cap, const std::string& label) {
+    if (rng.index(8) == 0) {
+      std::size_t m = rng.index(in.w.size());
+      auto [w, h] = in.shapes[m][rng.index(3)];
+      in.w[m] = w;
+      in.h[m] = h;
+    } else {
+      in.expr.perturb(rng);
+    }
+    evaluatePolishInto(in.expr, in.w, in.h, in.rot, cap, warm, got);
+    PolishEvalScratch cold;
+    SlicedResult fresh;
+    evaluatePolishInto(in.expr, in.w, in.h, in.rot, cap, cold, fresh);
+    SlicedResult ref =
+        test_util::referenceEvaluatePolish(in.expr, in.w, in.h, in.rot, cap);
+    ASSERT_EQ(got.placement.rects(), fresh.placement.rects()) << label;
+    ASSERT_EQ(got.placement.rects(), ref.placement.rects()) << label;
+    ASSERT_EQ(got.width, fresh.width) << label;
+    ASSERT_EQ(got.height, fresh.height) << label;
+    ASSERT_EQ(got.width, ref.width) << label;
+    ASSERT_EQ(got.height, ref.height) << label;
+    // The whole root curve, not only its min-area shape: a stale subtree
+    // anywhere shows up here even when the chosen shape survives it.
+    const std::size_t root = in.expr.elements().size() - 1;
+    const auto& warmCurve = warm.nodes[root].shapes;
+    const auto& coldCurve = cold.nodes[root].shapes;
+    ASSERT_EQ(warmCurve.size(), coldCurve.size()) << label;
+    for (std::size_t k = 0; k < warmCurve.size(); ++k) {
+      ASSERT_EQ(warmCurve[k].w, coldCurve[k].w) << label << " shape " << k;
+      ASSERT_EQ(warmCurve[k].h, coldCurve[k].h) << label << " shape " << k;
+    }
+    if (got.area() != evaluatePolish(in.expr, in.w, in.h, in.rot, 0).area()) {
+      ++cappedDiffs;
+    }
+  };
+  // ~7/8 of the steps are Wong-Liu moves: over 2000 of them at n120.
+  for (int i = 0; i < 2400; ++i) {
+    step(big, i < 1200 ? 32 : 2, "n120 step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  // Shorter circuit on the same scratch, under a third cap: the slots past
+  // its end held n120 curves built under cap 2.
+  for (int i = 0; i < 300; ++i) {
+    step(small, 3, "n61 step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  // Back to the n120 expression under cap 3: no curve built under cap 2
+  // may survive.
+  for (int i = 0; i < 300; ++i) {
+    step(big, 3, "n120 again, step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  // Same circuit, every module's rotatability flipped: the leaves differ
+  // from their memoised curves in that flag alone.
+  big.rot.flip();
+  for (int i = 0; i < 50; ++i) {
+    step(big, 3, "n120 flipped rotation, step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  // The caps are live inputs: on some steps a capped evaluation picks
+  // another shape than the uncapped one.
+  EXPECT_GT(cappedDiffs, 0u);
+}
+
+// A scratch that evaluated a long expression, then a shorter one, then a
+// long one again: the long expression's tail slots must not keep curves
+// built on the first call, whose children the shorter call has since
+// rebuilt.  Here the second call's five leading slots match the third's
+// while slot 5, the root, matches the first's.
+TEST(EvaluatePolish, MemoForgetsSlotsPastAShorterExpression) {
+  const std::vector<Coord> w{4, 6, 10}, h{8, 6, 2};
+  const std::vector<bool> rot{true, false, true};
+  PolishExpr first = PolishExpr::initial(3);  // "0 1 V 2 H"
+  Rng rng(5);
+  while (first.toString() != "0 1 H 2 H") first.perturb(rng);
+  PolishExpr shorter = PolishExpr::initial(2);  // "0 1 V"
+  PolishExpr last = PolishExpr::initial(3);     // "0 1 V 2 H"
+
+  PolishEvalScratch warm;
+  SlicedResult got;
+  evaluatePolishInto(first, w, h, rot, 32, warm, got);
+  evaluatePolishInto(shorter, std::span(w).first(2), std::span(h).first(2),
+                     {rot[0], rot[1]}, 32, warm, got);
+  evaluatePolishInto(last, w, h, rot, 32, warm, got);
+  SlicedResult ref = test_util::referenceEvaluatePolish(last, w, h, rot, 32);
+  EXPECT_EQ(got.placement.rects(), ref.placement.rects());
+  EXPECT_EQ(got.width, ref.width);
+  EXPECT_EQ(got.height, ref.height);
+}
+
+// A cap of one keeps each subtree's min-area shape alone (it used to divide
+// by zero while thinning the curve).
+TEST(EvaluatePolish, ShapeCapOneKeepsMinAreaShape) {
+  Circuit c = makeTableICircuit(TableICircuit::FoldedCascode);
+  std::vector<Coord> w, h;
+  std::vector<bool> rot;
+  for (const Module& m : c.modules()) {
+    w.push_back(m.w);
+    h.push_back(m.h);
+    rot.push_back(m.rotatable);
+  }
+  Rng rng(11);
+  PolishExpr e = PolishExpr::initial(c.moduleCount());
+  PolishEvalScratch scratch;
+  SlicedResult r;
+  for (int step = 0; step < 200; ++step) {
+    e.perturb(rng);
+    evaluatePolishInto(e, w, h, rot, 1, scratch, r);
+    ASSERT_EQ(scratch.nodes[e.elements().size() - 1].shapes.size(), 1u);
+    SlicedResult ref = test_util::referenceEvaluatePolish(e, w, h, rot, 1);
+    ASSERT_EQ(r.placement.rects(), ref.placement.rects()) << "step " << step;
+    ASSERT_EQ(r.area(), ref.area()) << "step " << step;
+    ASSERT_TRUE(r.placement.isLegal()) << "step " << step;
+  }
+  SlicingPlacerOptions opt;
+  opt.maxSweeps = 20;
+  opt.shapeCap = 1;
+  SlicingPlacerResult placed = placeSlicingSA(c, opt);
+  test_util::expectPlacementInvariants(
+      placed.placement, c, {.symTolerance = test_util::kNoSymmetryCheck});
 }
 
 TEST(SlicingPlacer, AnnealsLegally) {

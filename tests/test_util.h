@@ -9,14 +9,19 @@
 // structural placers; the penalty-based flat B*-tree baseline is checked
 // with a finite tolerance or skipped via kNoSymmetryCheck).
 //
-// It also holds the O(n^2) sequence-pair packing reference, the oracle the
-// library's Fenwick LCS packer is checked against.
+// It also holds two decode oracles written straight from their definitions:
+// the O(n^2) sequence-pair packing reference the library's Fenwick LCS
+// packer is checked against, and the cross-product Polish-expression
+// evaluator the slicing decode's linear merge and subtree memo are checked
+// against.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <string>
@@ -25,6 +30,7 @@
 #include "geom/placement.h"
 #include "netlist/circuit.h"
 #include "seqpair/sequence_pair.h"
+#include "slicing/polish.h"
 
 namespace als {
 namespace test_util {
@@ -142,6 +148,130 @@ inline Placement referencePackSequencePair(const SequencePair& sp,
   }
   Placement out(n);
   for (std::size_t m = 0; m < n; ++m) out[m] = {x[m], y[m], widths[m], heights[m]};
+  return out;
+}
+
+/// Polish-expression evaluation by full cross product, with no scratch and
+/// no memo: every operator node tries all |L| x |R| child shape pairs in
+/// (left, right) index order and keeps a pareto staircase, of which the
+/// first-inserted pair wins exact ties; curves longer than `shapeCap` are
+/// thinned to `shapeCap` evenly spaced shapes plus the min-area one (cap 1:
+/// the min-area one alone).
+inline SlicedResult referenceEvaluatePolish(const PolishExpr& expr,
+                                            std::span<const Coord> widths,
+                                            std::span<const Coord> heights,
+                                            const std::vector<bool>& rotatable,
+                                            std::size_t shapeCap) {
+  using Shape = detail::PolishShape;
+  auto insert = [](std::vector<Shape>& v, Shape s) {
+    auto it = std::lower_bound(v.begin(), v.end(), s.w,
+                               [](const Shape& e, Coord w) { return e.w < w; });
+    if (it != v.begin() && std::prev(it)->h <= s.h) return;
+    if (it != v.end() && it->w == s.w) {
+      if (it->h <= s.h) return;
+      *it = s;
+    } else {
+      it = v.insert(it, s);
+    }
+    auto next = std::next(it);
+    while (next != v.end() && next->h >= it->h) next = v.erase(next);
+  };
+  auto area = [](const Shape& s) { return s.w * s.h; };
+  auto cap = [&](std::vector<Shape>& v) {
+    if (shapeCap == 0 || v.size() <= shapeCap) return;
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < v.size(); ++i) {
+      if (area(v[i]) < area(v[best])) best = i;
+    }
+    std::vector<Shape> kept;
+    for (std::size_t k = 0; k < shapeCap; ++k) {
+      kept.push_back(v[shapeCap == 1 ? 0 : k * (v.size() - 1) / (shapeCap - 1)]);
+    }
+    bool hasBest = false;
+    for (const Shape& s : kept) {
+      hasBest = hasBest || (s.w == v[best].w && s.h == v[best].h);
+    }
+    if (!hasBest) kept[shapeCap / 2] = v[best];
+    std::sort(kept.begin(), kept.end(),
+              [](const Shape& a, const Shape& b) { return a.w < b.w; });
+    v.clear();
+    for (const Shape& s : kept) insert(v, s);
+  };
+
+  struct Node {
+    std::int32_t elem;
+    std::size_t left, right;
+    std::vector<Shape> shapes;
+  };
+  const std::vector<std::int32_t>& elems = expr.elements();
+  std::vector<Node> nodes;
+  std::vector<std::size_t> stack;
+  for (std::size_t idx = 0; idx < elems.size(); ++idx) {
+    Node node{elems[idx], 0, 0, {}};
+    if (node.elem >= 0) {
+      auto m = static_cast<std::size_t>(node.elem);
+      node.shapes.push_back({widths[m], heights[m], 0, 0});
+      if (rotatable[m] && widths[m] != heights[m]) {
+        insert(node.shapes, {heights[m], widths[m], 1, 0});
+      }
+    } else {
+      node.right = stack.back();
+      stack.pop_back();
+      node.left = stack.back();
+      stack.pop_back();
+      const std::vector<Shape>& ls = nodes[node.left].shapes;
+      const std::vector<Shape>& rs = nodes[node.right].shapes;
+      for (std::uint32_t i = 0; i < ls.size(); ++i) {
+        for (std::uint32_t j = 0; j < rs.size(); ++j) {
+          if (node.elem == PolishExpr::kOpV) {
+            insert(node.shapes,
+                   {ls[i].w + rs[j].w, std::max(ls[i].h, rs[j].h), i, j});
+          } else {
+            insert(node.shapes,
+                   {std::max(ls[i].w, rs[j].w), ls[i].h + rs[j].h, i, j});
+          }
+        }
+      }
+      cap(node.shapes);
+    }
+    nodes.push_back(std::move(node));
+    stack.push_back(idx);
+  }
+
+  SlicedResult out;
+  if (nodes.empty()) return out;
+  const std::vector<Shape>& rootShapes = nodes.back().shapes;
+  std::uint32_t best = 0;
+  for (std::uint32_t i = 1; i < rootShapes.size(); ++i) {
+    if (area(rootShapes[i]) < area(rootShapes[best])) best = i;
+  }
+  out.placement.assign(expr.moduleCount());
+  out.width = rootShapes[best].w;
+  out.height = rootShapes[best].h;
+  // Backtrack from the root: (node, shape, x, y) frames.
+  struct Frame {
+    std::size_t node;
+    std::uint32_t shape;
+    Coord x, y;
+  };
+  std::vector<Frame> todo{{nodes.size() - 1, best, 0, 0}};
+  while (!todo.empty()) {
+    Frame f = todo.back();
+    todo.pop_back();
+    const Node& node = nodes[f.node];
+    const Shape& s = node.shapes[f.shape];
+    if (node.elem >= 0) {
+      out.placement[static_cast<std::size_t>(node.elem)] = {f.x, f.y, s.w, s.h};
+      continue;
+    }
+    const Shape& ls = nodes[node.left].shapes[s.li];
+    todo.push_back({node.left, s.li, f.x, f.y});
+    if (node.elem == PolishExpr::kOpV) {
+      todo.push_back({node.right, s.ri, f.x + ls.w, f.y});
+    } else {
+      todo.push_back({node.right, s.ri, f.x, f.y + ls.h});
+    }
+  }
   return out;
 }
 
