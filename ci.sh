@@ -60,7 +60,7 @@ cmake --build build-tsan -j "$JOBS"
 echo "=== alloc gate: Release steady-state zero-allocations-per-move ==="
 # One warm anneal per backend under the counting operator new of
 # tests/alloc_gate_test.cpp; fails if the SA move loop (move + decode +
-# incremental cost) allocates at all in steady state.  Runs in the plain
+# cost) allocates at all in steady state.  Runs in the plain
 # ctest pass too; the explicit invocation keeps the decode-hot-path
 # contract visible as its own CI signal.
 (cd build && ctest --output-on-failure -R '^alloc_gate_test$')
@@ -84,14 +84,11 @@ if [ -x build/bench_kernels ]; then
     --benchmark_out_format=json > build/bench-smoke/bench_kernels.out
 fi
 
-echo "=== bench_decode --scaling: incremental vs full re-decode ==="
-# The asymptotics gate: re-runs seqpair on every corpus circuit up to n300
-# with the incremental LCS decode OFF and ON and verifies the two
-# trajectories are bit-identical, and evaluates one Wong-Liu move stream
-# per circuit through a warm (memoised) and a fresh Polish scratch and
-# verifies every placement matches (any divergence exits nonzero); records
-# moves/sec rows per (path, circuit) for bench_diff, plus the flat-bstar
-# and slicing move rates on the same circuits.
+echo "=== bench_decode --scaling: move rates up to n300 ==="
+# The size axis: runs the flat-bstar, slicing and seqpair SA on every corpus
+# circuit up to n300 and records one moves/sec row per (backend, circuit)
+# for bench_diff.  Rates only: the decode and trajectory identities are
+# checked by the test suites (seqpair_test, bstar_test, slicing_test).
 for rep in "" .r2 .r3; do
   ./build/bench_decode --scaling --smoke \
     --json "build/bench-smoke/bench_decode_scaling$rep.json" \
@@ -152,8 +149,7 @@ echo "=== bench_diff: throughput + quality vs committed BENCH_baseline.json ==="
 #     build/bench-smoke/bench_decode*.json build/bench-smoke/als_place*.json \
 #     build/bench-smoke/bench_serve.json
 # (the glob picks up the bench_decode_scaling captures too, so the
-# flat-bstar, slicing and seqpair full-vs-incremental decode rows stay
-# covered;
+# flat-bstar, slicing and seqpair move-rate rows stay covered;
 # bench_serve.json carries the serve identity/quality rows and the
 # service-level meta metrics) — then regenerate the README tables:
 # ./build/readme_tables

@@ -26,8 +26,8 @@
 //
 //   * Granularity: the token is tested once per SWEEP (temperature step),
 //     never mid-move.  A run is therefore stopped only at a point where
-//     the evaluator's committed state, any decode scratch, and the move
-//     buffers are all consistent — the scratch-reuse contract survives, and
+//     the current cost, any decode scratch, and the move buffers are all
+//     consistent — the scratch-reuse contract survives, and
 //     the next run on the same buffers is bit-identical to a fresh process.
 //   * Result: a stopped run returns normally with the best state found so
 //     far; `sweeps` reports what actually executed.  No flag is added to
@@ -127,37 +127,6 @@ constexpr std::size_t resolveMovesPerTemp(std::size_t movesPerTemp,
   return movesPerTemp ? movesPerTemp : 10 * sizeHint;
 }
 
-// ---------------------------------------------------------------------------
-// Evaluation seams.  The annealing loop below is written against a small
-// evaluator interface so that one implementation serves both cost styles:
-//
-//   full(s)     evaluate `s` and make it the evaluator's committed state
-//   propose(s)  cost of a candidate next to the committed state
-//   accept()    the candidate becomes the committed state
-//   reject()    the candidate is discarded
-//   rebase(s)   re-anchor the committed state to `s` (after the calibration
-//               walk wandered away from it)
-//
-// `ScratchEval` is the classic stateless style — every propose re-derives
-// the cost from the state, accept/reject/rebase are no-ops.  The costs it
-// produces and the RNG stream it induces are exactly those of the historic
-// hand-rolled loops.
-//
-// `IncrementalEval` drives the propose/commit/rollback protocol of a delta-
-// evaluating cost model (cost/cost_model.h is the library's implementation,
-// but any type with reset/propose/commit/rollback/invalidate/infeasibleCost
-// fits): states are decoded to placements, the model re-reduces only what a
-// move dirtied, and a rejected move is a rollback instead of a state copy +
-// full recompute.  `decode` returns anything optional-like (contextually
-// bool + dereferenceable): `std::optional<Placement>` by value, or — the
-// allocation-free style every backend uses — a `const Placement*` aliasing
-// a scratch buffer.  An aliased placement is only valid until the NEXT
-// decode call, so the evaluator consumes it immediately and the model must
-// copy what it keeps (CostModel diff-copies changed rects).  Decoding may
-// fail (empty optional / nullptr); such states cost
-// `model.infeasibleCost()`, and accepting one drops the model's committed
-// state so the next feasible propose re-seeds it.
-
 namespace detail {
 
 /// Move-seam detection: a move callable is either the classic copying style
@@ -171,118 +140,61 @@ template <class MoveF, class State>
 inline constexpr bool kInPlaceMove =
     std::is_void_v<std::invoke_result_t<MoveF&, State&, Rng&>>;
 
-template <class CostF>
-struct ScratchEval {
-  CostF& cost;
-  template <class State> double full(const State& s) { return cost(s); }
-  template <class State> double propose(const State& s) { return cost(s); }
-  template <class State> void rebase(const State&) {}
-  void accept() {}
-  void reject() {}
-};
-
-/// A decoder (any callable with extra members) can opt in to the hinted
-/// `model.propose(p, moved)` fast path by exposing two members:
-///
-///   movedModules()  ids of the modules whose rects may differ from the
-///                   model's COMMITTED placement — a superset is fine
-///                   (duplicates and unmoved entries are allowed, missing
-///                   moved modules are not).  Decoders accumulate this
-///                   across rejected moves: each decode appends what it
-///                   touched relative to its own previous decode, which by
-///                   the triangle property covers the committed diff.
-///   committed()     notification that the model's committed state caught
-///                   up with the decoder's LAST SUCCESSFUL decode (a full
-///                   re-seed or an accepted feasible move) — the moved
-///                   accumulator restarts from empty.
-///
-/// When the model invalidates (infeasible accept), no notification fires:
-/// the model is unseeded, hinted propose falls back to a full evaluation
-/// until the next commit re-seeds it — at which point committed() fires
-/// and the accumulator resets.
+/// Cost of a decoded state.  The annealing loop calls one cost functor,
+/// `double(const State&)`, on every state it visits and keeps the current
+/// cost itself; a rejected move costs nothing further.  The placers anneal
+/// a topological code (B*-tree, sequence pair, Polish expression) and cost
+/// its decoded placement through `DecodedCost`: decode, then let the model
+/// reduce the whole placement.  A decode repacks the whole placement and a
+/// move shifts a large share of the blocks, so there is no committed state
+/// to diff against and no moved-module hint (see the cost/cost_model.h
+/// header).  `decode` returns anything optional-like (contextually bool +
+/// dereferenceable): `std::optional<Placement>` by value, or — the
+/// allocation-free style every backend uses — a `const Placement*` aliasing
+/// a scratch buffer, valid only until the NEXT decode call, so the
+/// placement is evaluated at once.  A state that does not decode costs
+/// `model.infeasibleCost()`.
 template <class Model, class DecodeF>
-struct IncrementalEval {
-  Model& model;
+struct DecodedCost {
+  const Model& model;
   DecodeF& decode;
-  bool pendingInfeasible = false;
 
-  void notifyCommitted() {
-    if constexpr (requires { decode.committed(); }) decode.committed();
-  }
-
-  template <class State> double full(const State& s) {
+  template <class State> double operator()(const State& s) const {
     auto placed = decode(s);
-    if (!placed) {
-      model.invalidate();
-      return model.infeasibleCost();
-    }
-    double c = model.reset(*placed);
-    notifyCommitted();
-    return c;
-  }
-  template <class State> double propose(const State& s) {
-    auto placed = decode(s);
-    pendingInfeasible = !placed;
-    if (!placed) return model.infeasibleCost();
-    if constexpr (requires {
-                    model.propose(*placed, decode.movedModules());
-                    decode.committed();
-                  }) {
-      return model.propose(*placed, decode.movedModules());
-    } else {
-      return model.propose(*placed);
-    }
-  }
-  template <class State> void rebase(const State& s) { full(s); }
-  void accept() {
-    if (pendingInfeasible) {
-      model.invalidate();
-    } else {
-      model.commit();
-      notifyCommitted();
-    }
-  }
-  void reject() {
-    if (!pendingInfeasible) model.rollback();
+    return placed ? model.evaluate(*placed) : model.infeasibleCost();
   }
 };
 
 /// The one acceptance loop behind both the calibration walk and the
-/// Metropolis sweeps: propose `count` moves from `cur`, let `acceptMove`
-/// decide on each delta, and keep the evaluator's committed state in step
-/// with `cur`.  `onAccept` runs after `cur`/`curCost` advanced.  `moveBuf`
-/// is the persistent candidate buffer of the in-place move style: the loop
-/// copy-assigns `cur` into it (reusing its heap storage), perturbs in
-/// place, and swaps on acceptance — no per-move construction, no per-move
-/// copy of the decoded placement, identical values either way.
-template <class State, class Eval, class MoveF, class AcceptF, class OnAcceptF>
-void annealPass(State& cur, double& curCost, std::size_t count, Eval& eval,
+/// Metropolis sweeps: propose `count` moves from `cur`, cost each with
+/// `cost`, and let `acceptMove` decide on the delta.  `onAccept` runs after
+/// `cur`/`curCost` advanced.  `moveBuf` is the persistent candidate buffer
+/// of the in-place move style: the loop copy-assigns `cur` into it (reusing
+/// its heap storage), perturbs in place, and swaps on acceptance — no
+/// per-move construction, no per-move copy of the decoded placement,
+/// identical values either way.
+template <class State, class CostF, class MoveF, class AcceptF, class OnAcceptF>
+void annealPass(State& cur, double& curCost, std::size_t count, CostF& cost,
                 MoveF& move, Rng& rng, State& moveBuf, AcceptF&& acceptMove,
                 OnAcceptF&& onAccept) {
   for (std::size_t i = 0; i < count; ++i) {
     if constexpr (kInPlaceMove<MoveF, State>) {
       moveBuf = cur;
       move(moveBuf, rng);
-      double nextCost = eval.propose(moveBuf);
+      double nextCost = cost(moveBuf);
       if (acceptMove(nextCost - curCost)) {
-        eval.accept();
         using std::swap;
         swap(cur, moveBuf);
         curCost = nextCost;
         onAccept();
-      } else {
-        eval.reject();
       }
     } else {
       State next = move(cur, rng);
-      double nextCost = eval.propose(next);
+      double nextCost = cost(next);
       if (acceptMove(nextCost - curCost)) {
-        eval.accept();
         cur = std::move(next);
         curCost = nextCost;
         onAccept();
-      } else {
-        eval.reject();
       }
     }
   }
@@ -301,7 +213,7 @@ void annealPass(State& cur, double& curCost, std::size_t count, Eval& eval,
 // sweep-sized steps it can pause between.  That is the seam the plan
 // executor (runtime/plan_executor.h) needs: K replicas advance in
 // fixed-length rounds, exchange states at the barrier, and resume with
-// their RNG, temperature and incremental evaluator state intact.
+// their RNG, temperature and current cost intact.
 // `runSweeps` crosses restart boundaries on its own, so a paused driver run
 // to completion produces the sequential result bit for bit (pinned by the
 // degeneration suite in tests/runtime_test.cpp).
@@ -316,15 +228,15 @@ void annealPass(State& cur, double& curCost, std::size_t count, Eval& eval,
 // per-run result) lives in members that are copy-assigned, never
 // reconstructed, so resuming across rounds performs no steady-state
 // allocations once every buffer reached its high-water capacity.
-template <class State, class Eval, class MoveF>
+template <class State, class CostF, class MoveF>
 class AnnealDriver {
  public:
   /// `restarts = false` ends the schedule with its first run: the plain
   /// `anneal` loop.
-  AnnealDriver(const State& init, Eval eval, MoveF move,
+  AnnealDriver(const State& init, CostF cost, MoveF move,
                const AnnealOptions& options, double tempScale = 1.0,
                bool restarts = true)
-      : eval_(std::forward<Eval>(eval)),
+      : cost_(std::forward<CostF>(cost)),
         move_(std::forward<MoveF>(move)),
         options_(options),
         tempScale_(tempScale),
@@ -354,7 +266,7 @@ class AnnealDriver {
       if (cancelRequested(options_.cancel)) {
         // A stop ends the whole schedule: merge the active run so
         // `finalize()` reports best-so-far, and never start another
-        // restart.  The evaluator/scratch state is at a sweep boundary,
+        // restart.  The decode scratch is at a sweep boundary,
         // hence consistent and reusable.
         mergeRun();
         finished_ = true;
@@ -362,7 +274,7 @@ class AnnealDriver {
       }
       if (t_ > tFreeze_ &&
           (runBudget_ == 0 || runResult_.sweeps < runBudget_)) {
-        annealPass(cur_, curCost_, options_.movesPerTemp, eval_, move_, rng_,
+        annealPass(cur_, curCost_, options_.movesPerTemp, cost_, move_, rng_,
                    moveBuf_,
                    [&](double delta) {
                      ++runResult_.movesTried;
@@ -422,12 +334,12 @@ class AnnealDriver {
     return best_.sweeps + (finished_ ? 0 : runResult_.sweeps);
   }
 
-  /// Re-anchors the evaluator after `currentState()` was mutated externally
-  /// (a replica exchange or a cross-backend reseed): full re-evaluation,
-  /// best tracking, no RNG consumed — so exchanges at deterministic rounds
+  /// Re-costs `currentState()` after it was mutated externally (a replica
+  /// exchange or a cross-backend reseed): one evaluation, best tracking, no
+  /// RNG consumed — so exchanges at deterministic rounds
   /// keep the whole trajectory a pure function of the schedule.
   void reanchor() {
-    curCost_ = eval_.full(cur_);
+    curCost_ = cost_(cur_);
     if (!finished_ && curCost_ < runResult_.bestCost) {
       runResult_.best = cur_;
       runResult_.bestCost = curCost_;
@@ -435,7 +347,7 @@ class AnnealDriver {
   }
 
   /// Swaps the current states of two replicas of the SAME problem (their
-  /// evaluators re-anchor; RNG streams stay put).
+  /// costs are re-evaluated; RNG streams stay put).
   static void exchange(AnnealDriver& a, AnnealDriver& b) {
     using std::swap;
     swap(a.cur_, b.cur_);
@@ -457,7 +369,7 @@ class AnnealDriver {
   void beginRun() {
     rng_ = Rng(seed_);
     cur_ = init_;
-    curCost_ = eval_.full(cur_);
+    curCost_ = cost_(cur_);
     runResult_.best = cur_;
     runResult_.bestCost = curCost_;
     runResult_.movesTried = 0;
@@ -471,7 +383,7 @@ class AnnealDriver {
     std::size_t upCount = 0;
     probe_ = cur_;
     double probeCost = curCost_;
-    annealPass(probe_, probeCost, 50, eval_, move_, rng_, moveBuf_,
+    annealPass(probe_, probeCost, 50, cost_, move_, rng_, moveBuf_,
                [&](double delta) {
                  if (delta > 0.0) {
                    upSum += delta;
@@ -480,7 +392,6 @@ class AnnealDriver {
                  return true;
                },
                [] {});
-    eval_.rebase(cur_);  // the calibration walk moved the committed state
     double meanUp = upCount ? upSum / static_cast<double>(upCount) : 1.0;
     if (meanUp <= 0.0) meanUp = 1.0;
     t_ = -meanUp / std::log(options_.initialAcceptance);
@@ -518,7 +429,7 @@ class AnnealDriver {
     beginRun();
   }
 
-  Eval eval_;
+  CostF cost_;
   MoveF move_;
   AnnealOptions options_;  // movesPerTemp resolved once at construction
   double tempScale_;
@@ -557,8 +468,8 @@ class AnnealDriver {
 template <class State, class CostF, class MoveF>
 AnnealResult<State> anneal(State init, CostF&& cost, MoveF&& move,
                            const AnnealOptions& opt) {
-  detail::AnnealDriver<State, detail::ScratchEval<CostF>, MoveF&> driver(
-      init, {cost}, move, opt, 1.0, /*restarts=*/false);
+  detail::AnnealDriver<State, CostF&, MoveF&> driver(
+      init, cost, move, opt, 1.0, /*restarts=*/false);
   return driver.finalize();
 }
 
@@ -582,8 +493,8 @@ template <class State, class CostF, class MoveF>
 AnnealResult<State> annealWithRestarts(const State& init, CostF&& cost,
                                        MoveF&& move,
                                        const AnnealOptions& options) {
-  detail::AnnealDriver<State, detail::ScratchEval<CostF>, MoveF&> driver(
-      init, {cost}, move, options);
+  detail::AnnealDriver<State, CostF&, MoveF&> driver(init, cost, move,
+                                                    options);
   return driver.finalize();
 }
 

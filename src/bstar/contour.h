@@ -10,8 +10,8 @@
 // Two implementations share the contract:
 //
 //   * `Contour`     — the std::map reference.  Every splitAt/raise allocates
-//                     tree nodes, which made the decode step the per-move
-//                     hot spot once cost evaluation went incremental.  Kept
+//                     tree nodes, which made the decode step a per-move
+//                     hot spot.  Kept
 //                     as the oracle for tests and the map-kernel baseline of
 //                     bench_decode.
 //   * `FlatContour` — the production skyline: segments in one reusable

@@ -20,9 +20,8 @@ struct FlatState {
 };
 
 /// Decode = dims + full pack, entirely into the scratch buffers; the
-/// returned pointer aliases scr.placement, which the cost model diff-copies
-/// from.  The decoder reports no moved modules, so the run uses the
-/// unhinted CostModel::propose(p) (see anneal/annealer.h).
+/// returned pointer aliases scr.placement, which the cost model reduces
+/// in full on every move (see anneal/annealer.h's DecodedCost).
 struct FlatDecoder {
   const Circuit& circuit;
   FlatBStarScratch& scr;
@@ -74,8 +73,8 @@ struct FlatMove {
 }  // namespace
 
 struct FlatBStarSession::Impl {
-  using Eval = detail::IncrementalEval<CostModel, FlatDecoder>;
-  using Driver = detail::AnnealDriver<FlatState, Eval, FlatMove>;
+  using Cost = detail::DecodedCost<CostModel, FlatDecoder>;
+  using Driver = detail::AnnealDriver<FlatState, Cost, FlatMove>;
 
   const Circuit& circuit;
   FlatBStarOptions options;
@@ -117,7 +116,7 @@ struct FlatBStarSession::Impl {
     annealOpt.cancel = options.cancel;
     FlatState init{BStarTree(n), std::vector<bool>(n, false),
                    std::vector<std::uint8_t>(n, 0)};
-    driver.emplace(init, Eval{model, decode},
+    driver.emplace(init, Cost{model, decode},
                    FlatMove{&circuit, &shapy, options.shapeMoveProb,
                             shapeMoves, n},
                    annealOpt, tempScale);

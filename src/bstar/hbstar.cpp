@@ -373,8 +373,8 @@ struct HBMove {
 }  // namespace
 
 struct HBStarSession::Impl {
-  using Eval = detail::IncrementalEval<CostModel, HBDecoder>;
-  using Driver = detail::AnnealDriver<HBState, Eval, HBMove>;
+  using Cost = detail::DecodedCost<CostModel, HBDecoder>;
+  using Driver = detail::AnnealDriver<HBState, Cost, HBMove>;
 
   const Circuit& circuit;
   HBPlacerOptions options;
@@ -403,7 +403,7 @@ struct HBStarSession::Impl {
     annealOpt.cancel = options.cancel;
     HBState init(circuit);
     init.enableShapeMoves(options.shapeMoveProb);
-    driver.emplace(init, Eval{model, decode}, HBMove{}, annealOpt, tempScale);
+    driver.emplace(init, Cost{model, decode}, HBMove{}, annealOpt, tempScale);
   }
 };
 

@@ -4,69 +4,40 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 
 namespace als {
 
 CostModel::CostModel(const Circuit& circuit, Objective objective)
     : circuit_(&circuit), objective_(objective) {
   const std::size_t n = circuit.moduleCount();
-  nets_ = circuit.netPins();
-  netsOf_ = circuit.netsOfModules();
-
-  groupsOf_.resize(n);
-  const auto& groups = circuit.symmetryGroups();
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (ModuleId m : groups[g].members()) {
-      if (m < n) groupsOf_[m].push_back(g);
-    }
+  netStart_.reserve(circuit.nets().size() + 1);
+  netStart_.push_back(0);
+  for (const Net& net : circuit.nets()) {
+    netPins_.insert(netPins_.end(), net.pins.begin(), net.pins.end());
+    netStart_.push_back(netPins_.size());
   }
 
   // Proximity groups come from the hierarchy; one slot per Proximity node,
   // in node-id order (the order the flat placer's full scan used).
-  proxOf_.resize(n);
   const HierTree& h = circuit.hierarchy();
   for (HierNodeId id = 0; id < h.nodeCount(); ++id) {
     if (h.node(id).constraint != GroupConstraint::Proximity) continue;
-    std::size_t slot = proxMembers_.size();
     proxMembers_.push_back(h.leavesUnder(id));
-    for (ModuleId m : proxMembers_.back()) {
-      if (m < n) proxOf_[m].push_back(slot);
-    }
   }
 
   // Thermal topology: one mismatch slot per symmetric pair (across all
   // groups, flattened in group order), and one radiator per module with a
   // positive power annotation.  Self-symmetric modules sit on their own
   // axis and contribute no mismatch, so pairs are the whole story.
-  thermalOf_.resize(n);
-  isRadiator_.resize(n, 0);
-  for (const SymmetryGroup& g : groups) {
-    for (const SymPair& pr : g.pairs) {
-      std::size_t slot = thermalPairs_.size();
-      thermalPairs_.push_back(pr);
-      if (pr.a < n) thermalOf_[pr.a].push_back(slot);
-      if (pr.b < n) thermalOf_[pr.b].push_back(slot);
-    }
+  for (const SymmetryGroup& g : circuit.symmetryGroups()) {
+    thermalPairs_.insert(thermalPairs_.end(), g.pairs.begin(), g.pairs.end());
   }
   for (std::size_t m = 0; m < n; ++m) {
     double w = circuit.module(m).powerW;
-    if (w > 0.0) {
-      radiators_.emplace_back(m, w);
-      isRadiator_[m] = 1;
-    }
+    if (w > 0.0) radiators_.emplace_back(m, w);
   }
 
-  rects_.resize(n);
-  netBoxes_.resize(nets_.size());
-  groupDev_.resize(groups.size(), 0);
-  proxBad_.resize(proxMembers_.size(), 0);
-  thermalDev_.resize(thermalPairs_.size(), 0);
-  netStamp_.resize(nets_.size(), 0);
-  groupStamp_.resize(groups.size(), 0);
-  proxStamp_.resize(proxMembers_.size(), 0);
-  thermalStamp_.resize(thermalPairs_.size(), 0);
-  moduleStamp_.resize(n, 0);
+  centres_.resize(n);
 }
 
 Coord CostModel::groupDeviation(const Placement& p, std::size_t group) const {
@@ -89,8 +60,8 @@ Coord CostModel::groupDeviation(const Placement& p, std::size_t group) const {
 }
 
 bool CostModel::proxDisconnected(const Placement& p, std::size_t slot) const {
-  // Runs once per dirty proximity group per move: both the member-rect list
-  // and the union-find parent array are reused scratch (mutable members;
+  // Runs once per proximity group per move: both the member-rect list and
+  // the union-find parent array are reused scratch (mutable members;
   // safe because a CostModel is a per-run object — see the thread-safety
   // note in the header).
   proxRects_.clear();
@@ -101,9 +72,8 @@ bool CostModel::proxDisconnected(const Placement& p, std::size_t slot) const {
 
 // Quantized (int64 µK) temperature at module m's center, summed over the
 // radiators.  Per-(radiator, point) quantization makes the sum independent
-// of accumulation order, which is what lets the incremental path below stay
-// bit-identical to this scratch reduction.  Coordinates convert to µm the
-// same way ThermalField's sourcesFromPlacement does: center2x() / 2000.0.
+// of accumulation order.  Coordinates convert to µm the same way
+// ThermalField's sourcesFromPlacement does: center2x() / 2000.0.
 std::int64_t CostModel::quantizedTempAt(const Placement& p, ModuleId m) const {
   Point c = p[m].center2x();
   double xUm = static_cast<double>(c.x) / 2000.0;
@@ -147,269 +117,55 @@ int CostModel::proximityViolations(const Placement& p) const {
   return violations;
 }
 
-double CostModel::evaluate(const Placement& p) const {
-  Rect bb = p.boundingBox();
-  Coord hpwlSum = 0;
-  for (const auto& net : nets_) hpwlSum += netBox(p, net).hpwl();
-  Coord symDev = objective_.usesSymmetry() ? symmetryDeviation(p) : 0;
-  int proxViol = objective_.usesProximity() ? proximityViolations(p) : 0;
-  Coord thermal = objective_.usesThermal() ? thermalMismatch(p) : 0;
-  return objective_.compose(bb, hpwlSum, symDev, proxViol, thermal);
-}
-
-CostBreakdown CostModel::evaluateBreakdown(const Placement& p) const {
+CostBreakdown CostModel::reduce(const Placement& p) const {
+  assert(p.size() == centres_.size() &&
+         "placement and circuit module counts differ");
   CostBreakdown bd;
   bd.boundingBox = p.boundingBox();
   bd.area = bd.boundingBox.area();
-  for (const auto& net : nets_) bd.hpwl += netBox(p, net).hpwl();
-  bd.symDeviation = symmetryDeviation(p);
-  bd.proximityViolations = proximityViolations(p);
-  bd.thermalMismatch = thermalMismatch(p);
-  // The cost still skips zero-weight terms, matching evaluate(): reporting
-  // aggregates above are unconditional, the objective is not.
-  bd.cost = objective_.compose(bd.boundingBox, bd.hpwl,
-                               objective_.usesSymmetry() ? bd.symDeviation : 0,
-                               objective_.usesProximity() ? bd.proximityViolations : 0,
-                               objective_.usesThermal() ? bd.thermalMismatch : 0);
+  for (std::size_t m = 0; m < p.size(); ++m) centres_[m] = p[m].center2x();
+
+  // HPWL over every net, in net order: each net's pin-centre box (netBox's
+  // reduction over the precomputed centres) and its exact half perimeter.
+  const std::size_t* pins = netPins_.data();
+  for (std::size_t i = 0; i + 1 < netStart_.size(); ++i) {
+    const std::size_t* pin = pins + netStart_[i];
+    const std::size_t* end = pins + netStart_[i + 1];
+    if (pin == end) continue;
+    Point c = centres_[*pin];
+    NetBox box{c.x, c.x, c.y, c.y};
+    for (++pin; pin != end; ++pin) {
+      c = centres_[*pin];
+      box.xlo2 = std::min(box.xlo2, c.x);
+      box.xhi2 = std::max(box.xhi2, c.x);
+      box.ylo2 = std::min(box.ylo2, c.y);
+      box.yhi2 = std::max(box.yhi2, c.y);
+    }
+    bd.hpwl += box.hpwl();
+  }
+
+  if (objective_.usesSymmetry()) bd.symDeviation = symmetryDeviation(p);
+  if (objective_.usesProximity()) {
+    bd.proximityViolations = proximityViolations(p);
+  }
+  if (objective_.usesThermal()) bd.thermalMismatch = thermalMismatch(p);
+  bd.cost = objective_.compose(bd.boundingBox, bd.hpwl, bd.symDeviation,
+                               bd.proximityViolations, bd.thermalMismatch);
   return bd;
 }
 
-double CostModel::reset(const Placement& p) {
-  invalidate();
-  double cost = propose(p);
-  commit();
-  return cost;
-}
+double CostModel::evaluate(const Placement& p) const { return reduce(p).cost; }
 
-void CostModel::beginPropose(const Placement& p) {
-  assert(!pendingActive_ && "propose() before commit()/rollback()");
-  assert(p.size() == rects_.size() &&
-         "placement and circuit module counts differ");
-  (void)p;
-  pendingActive_ = true;
-  ++stampGen_;
-  changed_.clear();
-  dirtyNets_.clear();
-  dirtyGroups_.clear();
-  dirtyProx_.clear();
-  dirtyThermal_.clear();
-}
-
-/// Admits one rect into a bounding-box reduction with attain-counts: a new
-/// extreme resets its count to 1, an exact tie increments it.  The one
-/// bookkeeping rule behind every boundary scan below.
-void CostModel::admitRect(const Rect& r, Coord* xlo, Coord* ylo, Coord* xhi,
-                          Coord* yhi, BoundCounts* cnt) {
-  if (r.xlo() < *xlo) { *xlo = r.xlo(); cnt->xlo = 1; }
-  else if (r.xlo() == *xlo) ++cnt->xlo;
-  if (r.ylo() < *ylo) { *ylo = r.ylo(); cnt->ylo = 1; }
-  else if (r.ylo() == *ylo) ++cnt->ylo;
-  if (r.xhi() > *xhi) { *xhi = r.xhi(); cnt->xhi = 1; }
-  else if (r.xhi() == *xhi) ++cnt->xhi;
-  if (r.yhi() > *yhi) { *yhi = r.yhi(); cnt->yhi = 1; }
-  else if (r.yhi() == *yhi) ++cnt->yhi;
-}
-
-void CostModel::reduceBoundingBox(const Placement& p, Rect* bb,
-                                  BoundCounts* cnt) const {
-  const std::size_t n = rects_.size();
-  *bb = {};
-  *cnt = {};
-  if (n == 0) return;
-  Coord xlo = std::numeric_limits<Coord>::max(), ylo = xlo;
-  Coord xhi = std::numeric_limits<Coord>::min(), yhi = xhi;
-  for (std::size_t m = 0; m < n; ++m) {
-    admitRect(p[m], &xlo, &ylo, &xhi, &yhi, cnt);
+CostBreakdown CostModel::evaluateBreakdown(const Placement& p) const {
+  // The cost skips zero-weight terms, matching evaluate(); the reporting
+  // aggregates do not, so fill in the ones reduce() skipped.
+  CostBreakdown bd = reduce(p);
+  if (!objective_.usesSymmetry()) bd.symDeviation = symmetryDeviation(p);
+  if (!objective_.usesProximity()) {
+    bd.proximityViolations = proximityViolations(p);
   }
-  *bb = {xlo, ylo, xhi - xlo, yhi - ylo};
-}
-
-double CostModel::propose(const Placement& p) {
-  beginPropose(p);
-  const std::size_t n = rects_.size();
-
-  // One pass over the modules: re-reduce the bounding box (with boundary
-  // attain-counts, so a later hinted propose can update it incrementally)
-  // and collect the moved modules (everything, when nothing is committed).
-  Rect bb;
-  BoundCounts cnt;
-  if (n != 0) {
-    Coord xlo = std::numeric_limits<Coord>::max(), ylo = xlo;
-    Coord xhi = std::numeric_limits<Coord>::min(), yhi = xhi;
-    for (std::size_t m = 0; m < n; ++m) {
-      const Rect& r = p[m];
-      admitRect(r, &xlo, &ylo, &xhi, &yhi, &cnt);
-      if (!seeded_ || !(r == rects_[m])) changed_.emplace_back(m, r);
-    }
-    bb = {xlo, ylo, xhi - xlo, yhi - ylo};
-  }
-  pending_.boundingBox = bb;
-  pendingCnt_ = cnt;
-  return proposeTail(p);
-}
-
-double CostModel::propose(const Placement& p,
-                          std::span<const std::size_t> moved) {
-  // Without a committed state the hint carries no information: fall back to
-  // the full evaluation (which seeds everything on commit).
-  if (!seeded_) return propose(p);
-  beginPropose(p);
-  const std::size_t n = rects_.size();
-
-  for (std::size_t m : moved) {
-    assert(m < n && "moved-module index out of range");
-    if (moduleStamp_[m] == stampGen_) continue;  // duplicate hint entry
-    moduleStamp_[m] = stampGen_;
-    const Rect& r = p[m];
-    if (!(r == rects_[m])) changed_.emplace_back(m, r);
-  }
-#ifndef NDEBUG
-  for (std::size_t m = 0; m < n; ++m) {
-    assert((moduleStamp_[m] == stampGen_ || p[m] == rects_[m]) &&
-           "module moved without being listed in the hint");
-  }
-#endif
-
-  // Bounding box: retire the moved modules' old extremes against the
-  // committed attain-counts, then admit their new rects.  A count reaching
-  // zero means a boundary-defining module moved inward — only then is a
-  // full O(n) re-reduction needed.
-  Rect cb = committed_.boundingBox;
-  Coord xlo = cb.xlo(), ylo = cb.ylo(), xhi = cb.xhi(), yhi = cb.yhi();
-  BoundCounts cnt = committedCnt_;
-  for (const auto& [m, r] : changed_) {
-    const Rect& old = rects_[m];
-    if (old.xlo() == xlo) --cnt.xlo;
-    if (old.ylo() == ylo) --cnt.ylo;
-    if (old.xhi() == xhi) --cnt.xhi;
-    if (old.yhi() == yhi) --cnt.yhi;
-  }
-  for (const auto& [m, r] : changed_) {
-    admitRect(r, &xlo, &ylo, &xhi, &yhi, &cnt);
-  }
-  if (n != 0 &&
-      (cnt.xlo == 0 || cnt.ylo == 0 || cnt.xhi == 0 || cnt.yhi == 0)) {
-    reduceBoundingBox(p, &pending_.boundingBox, &pendingCnt_);
-  } else {
-    pending_.boundingBox =
-        n != 0 ? Rect{xlo, ylo, xhi - xlo, yhi - ylo} : Rect{};
-    pendingCnt_ = cnt;
-  }
-  return proposeTail(p);
-}
-
-// Re-reduce only the dirty nets/groups (those touching moved modules);
-// generation stamps keep each one from being re-reduced twice.  The updates
-// are exact int64 arithmetic, so the committed totals stay equal to a
-// from-scratch reduction bit for bit.
-double CostModel::proposeTail(const Placement& p) {
-  Coord hpwlSum = committed_.hpwl;
-  for (const auto& [m, r] : changed_) {
-    for (std::size_t ni : netsOf_[m]) {
-      if (netStamp_[ni] == stampGen_) continue;
-      netStamp_[ni] = stampGen_;
-      NetBox box = netBox(p, nets_[ni]);
-      hpwlSum += box.hpwl() - netBoxes_[ni].hpwl();
-      dirtyNets_.emplace_back(ni, box);
-    }
-  }
-
-  Coord symDev = committed_.symDeviation;
-  if (objective_.usesSymmetry()) {
-    for (const auto& [m, r] : changed_) {
-      for (std::size_t g : groupsOf_[m]) {
-        if (groupStamp_[g] == stampGen_) continue;
-        groupStamp_[g] = stampGen_;
-        Coord dev = groupDeviation(p, g);
-        symDev += dev - groupDev_[g];
-        dirtyGroups_.emplace_back(g, dev);
-      }
-    }
-  }
-
-  int proxViol = committed_.proximityViolations;
-  if (objective_.usesProximity()) {
-    for (const auto& [m, r] : changed_) {
-      for (std::size_t slot : proxOf_[m]) {
-        if (proxStamp_[slot] == stampGen_) continue;
-        proxStamp_[slot] = stampGen_;
-        char bad = proxDisconnected(p, slot) ? 1 : 0;
-        proxViol += static_cast<int>(bad) - static_cast<int>(proxBad_[slot]);
-        dirtyProx_.emplace_back(slot, bad);
-      }
-    }
-  }
-
-  Coord thermal = committed_.thermalMismatch;
-  if (objective_.usesThermal()) {
-    // Every pair's mismatch depends on the positions of BOTH its members and
-    // of EVERY radiator: a moved radiator dirties all slots, a moved
-    // non-radiator only the slots of the pairs it belongs to.
-    bool radiatorMoved = false;
-    for (const auto& [m, r] : changed_) {
-      if (isRadiator_[m]) {
-        radiatorMoved = true;
-        break;
-      }
-    }
-    if (radiatorMoved) {
-      for (std::size_t slot = 0; slot < thermalPairs_.size(); ++slot) {
-        if (thermalStamp_[slot] == stampGen_) continue;
-        thermalStamp_[slot] = stampGen_;
-        Coord mis = pairMismatch(p, slot);
-        thermal += mis - thermalDev_[slot];
-        dirtyThermal_.emplace_back(slot, mis);
-      }
-    } else {
-      for (const auto& [m, r] : changed_) {
-        for (std::size_t slot : thermalOf_[m]) {
-          if (thermalStamp_[slot] == stampGen_) continue;
-          thermalStamp_[slot] = stampGen_;
-          Coord mis = pairMismatch(p, slot);
-          thermal += mis - thermalDev_[slot];
-          dirtyThermal_.emplace_back(slot, mis);
-        }
-      }
-    }
-  }
-
-  pending_.area = pending_.boundingBox.area();
-  pending_.hpwl = hpwlSum;
-  pending_.symDeviation = symDev;
-  pending_.proximityViolations = proxViol;
-  pending_.thermalMismatch = thermal;
-  pending_.cost = objective_.compose(pending_.boundingBox, hpwlSum, symDev,
-                                     proxViol, thermal);
-  return pending_.cost;
-}
-
-void CostModel::commit() {
-  assert(pendingActive_ && "commit() without a propose()");
-  for (const auto& [m, r] : changed_) rects_[m] = r;
-  for (const auto& [ni, box] : dirtyNets_) netBoxes_[ni] = box;
-  for (const auto& [g, dev] : dirtyGroups_) groupDev_[g] = dev;
-  for (const auto& [slot, bad] : dirtyProx_) proxBad_[slot] = bad;
-  for (const auto& [slot, mis] : dirtyThermal_) thermalDev_[slot] = mis;
-  committed_ = pending_;
-  committedCnt_ = pendingCnt_;
-  seeded_ = true;
-  pendingActive_ = false;
-}
-
-void CostModel::rollback() {
-  assert(pendingActive_ && "rollback() without a propose()");
-  pendingActive_ = false;
-}
-
-void CostModel::invalidate() {
-  pendingActive_ = false;
-  seeded_ = false;
-  std::fill(netBoxes_.begin(), netBoxes_.end(), NetBox{});
-  std::fill(groupDev_.begin(), groupDev_.end(), Coord{0});
-  std::fill(proxBad_.begin(), proxBad_.end(), char{0});
-  std::fill(thermalDev_.begin(), thermalDev_.end(), Coord{0});
-  committed_ = {};
-  committedCnt_ = {};
+  if (!objective_.usesThermal()) bd.thermalMismatch = thermalMismatch(p);
+  return bd;
 }
 
 }  // namespace als

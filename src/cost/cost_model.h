@@ -1,33 +1,34 @@
-// Delta-evaluated placement cost: the one evaluator behind all four SA
-// backends.
+// Placement cost: the one evaluator behind all four SA backends.
 //
-// A `CostModel` binds a circuit to an `Objective` and evaluates placements
-// either from scratch (`evaluate`) or incrementally through the
-// propose/commit/rollback protocol the annealer drives
-// (anneal/annealer.h's incremental overloads):
+// A `CostModel` binds a circuit to an `Objective` and costs a placement
+// with `evaluate`; the annealer calls it on every decoded candidate
+// (anneal/annealer.h's DecodedCost) and keeps the current cost itself.
 //
-//   model.reset(p0);                  // seed the committed state
-//   double c = model.propose(p1);     // delta-eval against committed
-//   model.commit();                   // p1 becomes the committed state
-//   double d = model.propose(p2);
-//   model.rollback();                 // discard; committed stays p1
-//
-// Incremental evaluation caches, per net, the bounding box of the net's pin
-// centers (geom/placement.h's NetBox) and, per symmetry group / proximity
-// group, its deviation / connectivity.  A propose diffs the new placement
-// against the committed rects in one pass (which also re-reduces the
-// placement bounding box), marks the nets and groups touching moved modules
-// dirty through the circuit's module→net index, and re-reduces only those.
+// Every evaluation is one flat reduction over the whole placement: the
+// bounding box, the doubled pin centres, HPWL over every net of a flat pin
+// array, then the symmetry, proximity and thermal terms whose weights are
+// nonzero.  There is no committed state, no per-net or per-group cache and
+// no moved-module diff.  The topological representations decode a
+// perturbed code into a whole packed placement, so one move shifts a large
+// share of the blocks: annealing the n300 GSRC-like circuit, a move
+// changes on average 45 (HB*-tree) to 89 (slicing) of 300 rects and
+// dirties 67 to 143 of 298 nets.  The bookkeeping that re-reduced only
+// those (dirty lists, generation stamps, bounding-box attain-counts,
+// moved-module hints from the decoders, a committed/pending breakdown
+// behind propose/commit/rollback) cost more than the reduction it
+// skipped; the README's decode-contract section has the end-to-end
+// numbers.
 //
 // == Cost evaluation contract ==
 //
-// All geometry aggregates are exact int64 (`Coord`) quantities, so
-// incremental updates (total' = total - old + new) are exact and a
-// committed incremental total ALWAYS equals the from-scratch total — not
-// approximately, bit for bit.  The float composition of the final cost is a
-// fixed operation sequence owned by `Objective::compose`.  tests/
-// cost_test.cpp enforces exact equality over random propose/commit/rollback
-// sequences on every backend's move set.
+// All geometry aggregates are exact int64 (`Coord`) quantities and the
+// float composition of the final cost is a fixed operation sequence owned
+// by `Objective::compose`, so `evaluate(p)` is a pure function of `p`,
+// bit for bit, whatever the model evaluated before.  tests/cost_test.cpp
+// checks it against independent geometry and thermal oracles over every
+// backend's move stream.  The parser's numeric
+// envelope (io/benchmark_format.cpp) keeps every aggregate of a parsed
+// circuit inside int64.
 //
 // Thread safety: a CostModel is a per-run object (one SA run constructs and
 // owns one); it reads the circuit only during construction and scratch
@@ -65,7 +66,7 @@ class CostModel {
   const Objective& objective() const { return objective_; }
   double infeasibleCost() const { return objective_.infeasibleCost; }
 
-  // ---- scratch evaluation (stateless; ignores the committed state) ----
+  // ---- evaluation (stateless) ----
 
   /// Cost of `p` from scratch, skipping zero-weight terms.
   double evaluate(const Placement& p) const;
@@ -74,40 +75,20 @@ class CostModel {
   /// reporting; `cost` still skips them, matching `evaluate`).
   CostBreakdown evaluateBreakdown(const Placement& p) const;
 
-  // ---- incremental protocol ----
+  // ---- retired propose/commit protocol ----
+  //
+  // Kept for callers written against it; no state is kept between calls.
 
-  /// Seeds the committed state from a full placement; returns its cost.
-  double reset(const Placement& p);
+  /// Same as evaluate(p).
+  double reset(const Placement& p) { return evaluate(p); }
 
-  /// Cost of `p`, delta-evaluated against the committed state (or from
-  /// scratch when nothing is committed).  Exactly one commit() or
-  /// rollback() must follow before the next propose().
-  double propose(const Placement& p);
+  /// Same as evaluate(p): the moved-module hint is ignored.
+  double propose(const Placement& p, std::span<const std::size_t>) {
+    return evaluate(p);
+  }
 
-  /// Hinted propose: `moved` lists every module whose rect may differ from
-  /// the committed state (duplicates and unmoved entries are fine; a module
-  /// NOT listed must be unchanged — debug-asserted).  Skips the O(n)
-  /// placement diff, and the bounding box is maintained through boundary
-  /// attain-counts, so the whole re-evaluation is O(moved modules' nets and
-  /// groups) — an O(n) rescan happens only when a bounding-box-defining
-  /// module moved inward.  This is the kernel a coordinate-based placer
-  /// (one whose moves displace individual modules) drives.
-  double propose(const Placement& p, std::span<const std::size_t> moved);
-
-  /// Makes the proposed placement the committed state (O(moved modules)).
-  void commit();
-
-  /// Discards the proposed placement (O(1)).
-  void rollback();
-
-  /// Drops the committed state (used when an annealer accepts an
-  /// *infeasible* state that has no placement: the next propose() falls
-  /// back to a full evaluation and re-seeds on commit).
-  void invalidate();
-
-  bool seeded() const { return seeded_; }
-  double committedCost() const { return committed_.cost; }
-  const CostBreakdown& committed() const { return committed_; }
+  /// Does nothing.
+  void commit() {}
 
   /// Scratch mirror-deviation / proximity / thermal queries (shared with
   /// backends' result reporting).
@@ -116,77 +97,38 @@ class CostModel {
 
   /// Total quantized (µK) temperature mismatch over every symmetric pair of
   /// every group: sum of |T_q(a) - T_q(b)| with T_q the int64 µK temperature
-  /// of ThermalField::quantizedAt.  Exactly the scratch oracle the thermal
-  /// term's incremental updates are pinned against.
+  /// of ThermalField::quantizedAt.
   Coord thermalMismatch(const Placement& p) const;
 
  private:
-  /// How many modules attain each bounding-box boundary; lets a hinted
-  /// propose update the box in O(moved) and detect exactly when a shrink
-  /// forces a rescan.
-  struct BoundCounts {
-    std::size_t xlo = 0, xhi = 0, ylo = 0, yhi = 0;
-  };
+  /// The one reduction behind evaluate(): every aggregate the objective
+  /// weighs (zero-weight terms skipped and left 0) and the cost.
+  CostBreakdown reduce(const Placement& p) const;
 
   Coord groupDeviation(const Placement& p, std::size_t group) const;
   bool proxDisconnected(const Placement& p, std::size_t slot) const;
   std::int64_t quantizedTempAt(const Placement& p, ModuleId m) const;
   Coord pairMismatch(const Placement& p, std::size_t slot) const;
-  void beginPropose(const Placement& p);
-  static void admitRect(const Rect& r, Coord* xlo, Coord* ylo, Coord* xhi,
-                        Coord* yhi, BoundCounts* cnt);
-  void reduceBoundingBox(const Placement& p, Rect* bb, BoundCounts* cnt) const;
-  double proposeTail(const Placement& p);
 
   const Circuit* circuit_;
   Objective objective_;
 
-  // Static topology, captured at construction.
-  std::vector<std::vector<std::size_t>> nets_;     ///< pin lists per net
-  std::vector<std::vector<std::size_t>> netsOf_;   ///< module -> net indices
-  std::vector<std::vector<std::size_t>> groupsOf_; ///< module -> sym groups
+  // Static topology, captured at construction.  The nets are one CSR pin
+  // array: net i's pins are netPins_[netStart_[i] .. netStart_[i + 1]).
+  std::vector<std::size_t> netStart_;
+  std::vector<std::size_t> netPins_;
   std::vector<std::vector<ModuleId>> proxMembers_; ///< proximity group leaves
-  std::vector<std::vector<std::size_t>> proxOf_;   ///< module -> prox slots
 
   // Thermal topology (thermal/thermal.h): every symmetric pair of every
   // group is one mismatch slot; every module with powerW > 0 radiates.
   ThermalModel thermalModel_;
   std::vector<SymPair> thermalPairs_;                    ///< flattened pairs
-  std::vector<std::vector<std::size_t>> thermalOf_;      ///< module -> slots
   std::vector<std::pair<ModuleId, double>> radiators_;   ///< (module, watts)
-  std::vector<char> isRadiator_;                         ///< per module
 
-  // Committed state.
-  bool seeded_ = false;
-  std::vector<Rect> rects_;
-  std::vector<NetBox> netBoxes_;
-  std::vector<Coord> groupDev_;
-  std::vector<char> proxBad_;
-  std::vector<Coord> thermalDev_;  ///< committed per-slot mismatch [µK]
-  CostBreakdown committed_;
-  BoundCounts committedCnt_;
-
-  // Pending (proposed) state: values to splice into the committed state on
-  // commit().  Dirty marking uses generation stamps so one propose never
-  // re-reduces a net/group twice.
-  bool pendingActive_ = false;
-  std::vector<std::pair<std::size_t, Rect>> changed_;
-  std::vector<std::pair<std::size_t, NetBox>> dirtyNets_;
-  std::vector<std::pair<std::size_t, Coord>> dirtyGroups_;
-  std::vector<std::pair<std::size_t, char>> dirtyProx_;
-  std::vector<std::pair<std::size_t, Coord>> dirtyThermal_;
-  CostBreakdown pending_;
-  BoundCounts pendingCnt_;
-  std::vector<std::uint64_t> netStamp_;
-  std::vector<std::uint64_t> groupStamp_;
-  std::vector<std::uint64_t> proxStamp_;
-  std::vector<std::uint64_t> thermalStamp_;
-  std::vector<std::uint64_t> moduleStamp_;
-  std::uint64_t stampGen_ = 0;
-
-  // Proximity-connectivity scratch (mutable: proxDisconnected is logically
-  // const and runs per dirty group per move; reusing these keeps the whole
-  // propose path free of heap allocations).
+  // Per-reduction scratch (mutable: reduce() is logically const and runs
+  // once per move; reusing these keeps every evaluation free of heap
+  // allocations).  centres_ holds every module's doubled pin centre.
+  mutable std::vector<Point> centres_;
   mutable std::vector<Rect> proxRects_;
   mutable std::vector<std::size_t> proxUf_;
 };

@@ -13,9 +13,9 @@
 //     recipe, plus the exact composition order of the cost terms.
 //
 // The composition order is load-bearing: cost values are doubles composed
-// from int64 geometry aggregates, and the incremental evaluator
-// (cost/cost_model.h) promises *bit-identical* costs to a from-scratch
-// evaluation.  That only holds because every aggregate (area, HPWL,
+// from int64 geometry aggregates, and the evaluator (cost/cost_model.h)
+// promises costs that are a *bit-identical* function of the placement.
+// That only holds because every aggregate (area, HPWL,
 // symmetry deviation, violation count) is an exact integer and the floating
 // point composition below is a fixed sequence of operations.  Terms with a
 // zero weight are skipped entirely, never evaluated — backends whose

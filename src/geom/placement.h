@@ -64,10 +64,11 @@ class Placement {
 };
 
 /// Bounding box of one net's pin centers in *doubled* coordinates (the
-/// center2x convention keeps half-DBU centers integral).  This is the
-/// quantity the incremental cost layer (cost/cost_model.h) caches per net:
-/// re-reducing a dirty net is one `netBox` call, and the net's HPWL follows
-/// exactly from the box, so incremental and scratch totals agree bit for bit.
+/// center2x convention keeps half-DBU centers integral).  The net's HPWL
+/// follows exactly from the box.  The cost layer (cost/cost_model.h)
+/// reduces every net's box on every evaluation, from doubled centres it
+/// computes once per placement; it keeps no per-net cache, because a
+/// topological decode moves a large share of the blocks on every move.
 struct NetBox {
   Coord xlo2 = 0;
   Coord xhi2 = 0;

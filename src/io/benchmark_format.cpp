@@ -5,8 +5,10 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "shapefn/shape_function.h"
@@ -25,6 +27,34 @@ constexpr double kMinAspect = 1e-3, kMaxAspect = 1e3;
 constexpr double kMaxPowerW = 1e6;              // per-block dissipation cap
 constexpr std::size_t kMaxShapeAlts = 64;       // alternatives per Shape line
 constexpr std::size_t kSoftShapeCap = 8;        // auto-derived soft curves
+
+// Numeric envelope of the exact int64 cost aggregates (cost/cost_model.h).
+// Every block is placed once, in some orientation and shape alternative, so
+// any packing fits in a square of side E = sum over blocks of the largest
+// side any realization has.  The symmetric-island constructions add gaps
+// (an island is at most about twice its cells' widths), and the headroom
+// factor 16 = 4^2 allows extents up to 4E: the bounding-box area stays
+// inside int64 when E^2 fits in kEnvelope, and so does the total block
+// area (sum of w*h <= E^2).  Each net's doubled-centre
+// box spans at most 2 * 4E per axis, so its HPWL is at most 8E, and the
+// symmetry deviation is at most 8E per block; the count cap bounds both
+// sums (static_assert below).  A circuit past the envelope is rejected at
+// parse time instead of overflowing silently.
+constexpr Coord kEnvelope = std::numeric_limits<Coord>::max() / 16;
+
+constexpr Coord isqrt(Coord v) {
+  Coord lo = 0, hi = 3'037'000'499;  // floor(sqrt(INT64_MAX))
+  while (lo < hi) {
+    Coord mid = lo + (hi - lo + 1) / 2;
+    if (mid * mid <= v) lo = mid;
+    else hi = mid - 1;
+  }
+  return lo;
+}
+
+constexpr Coord kMaxExtent = isqrt(kEnvelope);
+static_assert(static_cast<Coord>(kMaxCount) * 8 * kMaxExtent <= kEnvelope,
+              "the count cap must keep HPWL and deviation sums in int64");
 
 struct Line {
   std::size_t number = 0;                // 1-based line in the source text
@@ -94,6 +124,10 @@ class Parser {
       return out;
     }
     deriveSoftCurves();
+    if (!checkEnvelope()) {
+      out.error = error_;
+      return out;
+    }
     if (circuit_.hierarchy().empty()) buildCanonicalHierarchy(circuit_);
     std::string why;
     if (!circuit_.validate(&why)) {
@@ -256,6 +290,7 @@ class Parser {
       if (!blockByName_.emplace(name, circuit_.moduleCount()).second) {
         return error(line, "duplicate block name '" + name + "'");
       }
+      blockLines_.push_back(next_ - 1);
       circuit_.addModule(std::move(name), w, h, !norotate);
     }
     return true;
@@ -441,6 +476,28 @@ class Parser {
     }
   }
 
+  /// Rejects, at the line of the block that crosses it, a circuit whose
+  /// packing extent E (see kEnvelope) exceeds kMaxExtent.  Runs after the
+  /// shape curves are final, so every realization of a block counts.
+  bool checkEnvelope() {
+    Coord extent = 0;
+    for (ModuleId m = 0; m < circuit_.moduleCount(); ++m) {
+      const Module& mod = circuit_.module(m);
+      Coord side = std::max(mod.w, mod.h);
+      for (const ModuleShape& s : mod.shapes) side = std::max({side, s.w, s.h});
+      extent += side;  // <= kMaxExtent + kMaxCoord: no overflow
+      if (extent > kMaxExtent) {
+        return error(lines_[blockLines_[m]],
+                     "block '" + mod.name + "' takes the packing extent "
+                     "(sum of each block's largest side) to " +
+                     std::to_string(extent) + " DBU, past the " +
+                     std::to_string(kMaxExtent) +
+                     " DBU that keeps area and wirelength exact in int64");
+      }
+    }
+    return true;
+  }
+
   bool parseHierarchy() {
     const Line* count = peek("NumHierNodes") ? expect("NumHierNodes") : nullptr;
     if (!count) return true;  // optional section -> canonical hierarchy
@@ -618,6 +675,7 @@ class Parser {
   std::map<std::string, ModuleId> blockByName_;
   std::map<std::string, std::size_t> symByName_;
   std::vector<SoftSpec> softSpecs_;
+  std::vector<std::size_t> blockLines_;  ///< index into lines_ per block
 };
 
 /// Serializable token: non-empty, no whitespace, no comment introducer.

@@ -38,6 +38,13 @@
 // every other (unknown blocks, duplicates, caps and non-positive values are
 // rejected) and both round-trip exactly.
 //
+// Beyond the per-field caps, a whole circuit must fit the numeric envelope
+// of the exact int64 cost aggregates: the sum over blocks of each block's
+// largest side (any orientation or shape alternative) bounds every packing
+// extent, and must stay at or below about 7.6e8 DBU so that area, HPWL and
+// symmetry sums keep 16x headroom in int64.  A circuit past it is rejected
+// with the line of the block that crosses it.
+//
 // The hierarchy section serializes `HierTree` nodes in node-id order
 // (children reference earlier ids), which makes a write -> parse round trip
 // reconstruct the tree with *identical node ids* — load-bearing for the

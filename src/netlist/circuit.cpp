@@ -3,8 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "util/epoch_marks.h"
-
 namespace als {
 
 const char* toString(GroupConstraint c) {
@@ -48,23 +46,6 @@ std::vector<std::vector<std::size_t>> Circuit::netPins() const {
   out.reserve(nets_.size());
   for (const Net& n : nets_) out.push_back(n.pins);
   return out;
-}
-
-std::vector<std::vector<std::size_t>> Circuit::netsOfModules() const {
-  std::vector<std::vector<std::size_t>> index(modules_.size());
-  // Per-net duplicate-pin marking via epoch stamps: one O(1) round per net
-  // instead of clearing (or re-allocating) a seen-vector per net.  The
-  // marks are thread_local, keeping concurrent read-only circuit use
-  // race-free (this class must stay free of mutable caches).
-  static thread_local EpochMarks seen;
-  for (std::size_t ni = 0; ni < nets_.size(); ++ni) {
-    seen.beginRound(modules_.size());
-    for (ModuleId pin : nets_[ni].pins) {
-      if (pin >= modules_.size()) continue;  // validate() reports these
-      if (seen.mark(pin)) index[pin].push_back(ni);
-    }
-  }
-  return index;
 }
 
 std::vector<std::string> Circuit::moduleNames() const {

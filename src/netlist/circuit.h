@@ -44,16 +44,6 @@ class Circuit {
   /// Pin lists of all nets, in the shape the geometry HPWL helpers expect.
   std::vector<std::vector<std::size_t>> netPins() const;
 
-  /// Module→net index: entry m lists the indices (into `nets()`) of every
-  /// net with a pin on module m, in net order and without duplicates even
-  /// when a net lists a module more than once.  This is the backbone of the
-  /// incremental cost layer's dirty-net marking (cost/cost_model.h).
-  /// Computed fresh on every call — the class stays free of mutable caches,
-  /// which keeps concurrent read-only use race-free (the engine layer's
-  /// thread-safety contract); callers that evaluate repeatedly hold on to
-  /// the result.
-  std::vector<std::vector<std::size_t>> netsOfModules() const;
-
   /// Module names indexed by id (for reporting / ASCII art).
   std::vector<std::string> moduleNames() const;
 

@@ -15,24 +15,15 @@ namespace als {
 namespace {
 
 /// Decode = dims + symmetric construction into the scratch buffers; the
-/// returned pointer aliases scr.result.placement.  With incremental decode
-/// on, island layouts and LCS sweeps reuse the previous move's state and
-/// the construction reports which modules may differ — feeding the
-/// movedModules()/committed() contract of anneal/annealer.h that opts the
-/// run into the hinted CostModel::propose(p, moved) fast path.
+/// returned pointer aliases scr.result.placement.  Island layouts are
+/// cached on the scratch across moves (seqpair/sym_placer.h); the LCS packs
+/// and the cost reduction run over the whole placement.
 struct SeqPairDecoder {
   const Circuit& circuit;
   std::span<const SymmetryGroup> groups;
   SeqPairScratch& scr;
   std::size_t n;
   SymBuildOptions buildOpts;
-
-  void markMoved(ModuleId m) {
-    if (scr.movedMark[m] != scr.movedEpoch) {
-      scr.movedMark[m] = scr.movedEpoch;
-      scr.movedList.push_back(m);
-    }
-  }
 
   const Placement* operator()(const SeqPairState& s) {
     scr.w.resize(n);
@@ -45,22 +36,11 @@ struct SeqPairDecoder {
     // Decode failure (a non-S-F code) maps to the objective's infeasible
     // cost — cannot happen for the move set here, but keeps the annealer
     // total if it ever does.
-    scr.tmpMoved.clear();
     if (!buildSymmetricPlacementInto(s.sp, scr.w, scr.h, groups, buildOpts,
                                      scr.sym, scr.result)) {
       return nullptr;
     }
-    for (ModuleId m : scr.tmpMoved) markMoved(m);
     return &scr.result.placement;
-  }
-
-  std::span<const ModuleId> movedModules() const { return scr.movedList; }
-  void committed() {
-    scr.movedList.clear();
-    if (++scr.movedEpoch == 0) {  // epoch wrap: restamp instead of aliasing
-      scr.movedMark.assign(scr.movedMark.size(), 0);
-      scr.movedEpoch = 1;
-    }
   }
 };
 
@@ -82,8 +62,8 @@ std::vector<bool> rotatableMask(const Circuit& circuit) {
 }  // namespace
 
 struct SeqPairSession::Impl {
-  using Eval = detail::IncrementalEval<CostModel, SeqPairDecoder>;
-  using Driver = detail::AnnealDriver<SeqPairState, Eval, SeqPairMove>;
+  using Cost = detail::DecodedCost<CostModel, SeqPairDecoder>;
+  using Driver = detail::AnnealDriver<SeqPairState, Cost, SeqPairMove>;
 
   const Circuit& circuit;
   SeqPairPlacerOptions options;
@@ -120,19 +100,11 @@ struct SeqPairSession::Impl {
                                    .maxHeight = o.maxHeight,
                                    .targetAspect = o.targetAspect})),
         scr(o.scratch ? *o.scratch : localScratch),
-        decode{c, groups, scr, n, SymBuildOptions{}},
+        // The O(n^2) verification is a no-op on every reachable code (the
+        // move set preserves S-F); the hot path drops it (debug builds
+        // still assert).
+        decode{c, groups, scr, n, SymBuildOptions{.verify = false}},
         merged(mergedGroup(groups)) {
-    scr.movedList.clear();
-    scr.movedMark.assign(n, 0);
-    scr.movedEpoch = 1;
-
-    decode.buildOpts.incremental = options.incrementalDecode;
-    // The O(n^2) verification is a no-op on every reachable code (the move
-    // set preserves S-F); the hot path drops it (debug builds still assert),
-    // the historical full-decode path keeps it.
-    decode.buildOpts.verify = !options.incrementalDecode;
-    decode.buildOpts.moved = &scr.tmpMoved;
-
     SeqPairState init{SequencePair(n), std::vector<bool>(n, false)};
     makeSymmetricFeasible(init.sp, groups);
 
@@ -143,7 +115,7 @@ struct SeqPairSession::Impl {
     annealOpt.movesPerTemp = options.movesPerTemp;
     annealOpt.sizeHint = n;
     annealOpt.cancel = options.cancel;
-    driver.emplace(init, Eval{model, decode}, SeqPairMove{&moves}, annealOpt,
+    driver.emplace(init, Cost{model, decode}, SeqPairMove{&moves}, annealOpt,
                    tempScale);
   }
 };

@@ -21,14 +21,6 @@ struct SeqPairScratch {
   std::vector<Coord> w, h;    ///< orientation-resolved footprints
   SymPlaceScratch sym;
   SymPlacementResult result;  ///< decoded placement of the current candidate
-  // Moved-module accumulator for the hinted cost propose: the ids decoded
-  // differently since the cost model last committed, deduplicated by an
-  // epoch stamp per module (see SeqPairDecoder in sa_placer.cpp), plus the
-  // per-decode staging buffer.
-  std::vector<ModuleId> movedList;
-  std::vector<std::uint32_t> movedMark;
-  std::uint32_t movedEpoch = 0;
-  std::vector<ModuleId> tmpMoved;
 };
 
 struct SeqPairPlacerOptions {
@@ -49,12 +41,6 @@ struct SeqPairPlacerOptions {
   /// Ablation toggle: disable the repairing swap-any move class (see
   /// seqpair/moves.h); the default move mix keeps it on.
   bool enableRepairMoves = true;
-
-  /// Decode each move incrementally: cached symmetry islands, journal-
-  /// rewound LCS sweeps and the hinted cost propose (bit-identical to the
-  /// historical full decode, which stays available for bench A/B and as a
-  /// trajectory-equivalence oracle in tests).
-  bool incrementalDecode = true;
 
   SeqPairScratch* scratch = nullptr;  ///< optional caller-owned buffers
 

@@ -213,19 +213,8 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
   }
 
   if (groups.empty()) {
-    if (options.incremental) {
-      scratch.redMoved.clear();
-      std::vector<std::size_t>& moved =
-          options.moved ? *options.moved : scratch.redMoved;
-      packSequencePairIncrementalInto(sp, widths, heights, PackStrategy::Auto,
-                                      scratch.pack, out.placement, moved);
-    } else {
-      packSequencePairInto(sp, widths, heights, PackStrategy::Auto, scratch.pack,
-                           out.placement);
-      if (options.moved) {
-        for (std::size_t m = 0; m < n; ++m) options.moved->push_back(m);
-      }
-    }
+    packSequencePairInto(sp, widths, heights, PackStrategy::Auto, scratch.pack,
+                         out.placement);
     out.axis2x.clear();
     out.fallbacks = 0;
     return true;
@@ -252,14 +241,12 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
     }
   }
 
-  // Warm-reuse gate: island caches and the incremental pack carry reduced
-  // indices whose meaning depends on the instance shape.
-  const bool warm = options.incremental && scratch.prevN == n &&
-                    scratch.prevGroups == groups.size() &&
+  // Warm-reuse gate: the island caches are trusted only while the instance
+  // shape matches the previous call on this scratch.
+  const bool warm = scratch.prevN == n && scratch.prevGroups == groups.size() &&
                     freeCells == scratch.prevFreeCells;
   if (!warm) {
     for (SymIslandBuf& isl : scratch.islands) isl.sigValid = false;
-    scratch.pack.incValid = false;
     scratch.prevN = n;
     scratch.prevGroups = groups.size();
     scratch.prevFreeCells = freeCells;
@@ -286,13 +273,16 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
         return false;  // vertically related partners: not S-F
       }
     }
-    // Everything the island layout depends on, flattened: the cells, their
-    // footprints, and the island's own order in each sequence (as local
-    // indices).  Relaxation and the stacked fallback read only the relative
-    // order of the island's cells, so a move that merely shifts their
-    // absolute positions keeps the cached layout.
+    // Everything the island layout depends on, flattened: the iteration
+    // cap, the pair/self split, the cells, their footprints, and the
+    // island's own order in each sequence (as local indices).  Relaxation
+    // and the stacked fallback read only the relative order of the island's
+    // cells, so a move that merely shifts their absolute positions keeps
+    // the cached layout.
     std::vector<std::size_t>& sig = scratch.tmpSig;
     sig.clear();
+    sig.push_back(static_cast<std::size_t>(options.maxIterations));
+    sig.push_back(groups[g].pairs.size());
     for (std::size_t m : island.cells) {
       sig.push_back(m);
       sig.push_back(static_cast<std::size_t>(widths[m]));
@@ -309,8 +299,7 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
                 [&](std::size_t a, std::size_t b) { return pos(a) < pos(b); });
       sig.insert(sig.end(), local.begin(), local.end());
     }
-    island.changed = !(island.sigValid && sig == island.sig);
-    if (!island.changed) continue;
+    if (island.sigValid && sig == island.sig) continue;
     island.sig.swap(sig);
     island.sigValid = true;
     island.usedFallback = false;
@@ -373,15 +362,8 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
   buildOrder(sp.alpha(), scratch.alphaOrder);
   buildOrder(sp.beta(), scratch.betaOrder);
   scratch.reduced.assignSequences(scratch.alphaOrder, scratch.betaOrder);
-  scratch.redMoved.clear();
-  if (options.incremental) {
-    packSequencePairIncrementalInto(scratch.reduced, scratch.rw, scratch.rh,
-                                    PackStrategy::Auto, scratch.pack,
-                                    scratch.packed, scratch.redMoved);
-  } else {
-    packSequencePairInto(scratch.reduced, scratch.rw, scratch.rh,
-                         PackStrategy::Auto, scratch.pack, scratch.packed);
-  }
+  packSequencePairInto(scratch.reduced, scratch.rw, scratch.rh,
+                       PackStrategy::Auto, scratch.pack, scratch.packed);
   const Placement& packed = scratch.packed;
 
   // --- 3. compose the global placement. ---
@@ -399,31 +381,6 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
     }
     out.axis2x[g] = isl.axis2x + 2 * slot.x;
     if (isl.usedFallback) ++out.fallbacks;
-  }
-
-  // Report possibly-changed modules: re-swept reduced nodes map to their
-  // cells; an island whose internal layout changed moves all its cells even
-  // when its slot did not.
-  if (options.moved) {
-    if (!options.incremental) {
-      for (std::size_t m = 0; m < n; ++m) options.moved->push_back(m);
-    } else {
-      for (std::size_t idx : scratch.redMoved) {
-        if (idx < F) {
-          options.moved->push_back(freeCells[idx]);
-        } else {
-          for (std::size_t m : scratch.islands[idx - F].cells) {
-            options.moved->push_back(m);
-          }
-        }
-      }
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (!scratch.islands[g].changed) continue;
-        for (std::size_t m : scratch.islands[g].cells) {
-          options.moved->push_back(m);
-        }
-      }
-    }
   }
 
   if (options.verify) {

@@ -71,11 +71,10 @@ struct SymIslandBuf {
   Coord w = 0, h = 0;              // bounding box
   bool usedFallback = false;
   std::vector<SymOrientedPair> pairs;
-  // Island layout cache (incremental builds): the signature captures every
-  // input the layout depends on; an unchanged signature skips relaxation.
+  // Island layout cache: the signature captures every input the layout
+  // depends on; an unchanged signature skips relaxation.
   std::vector<std::size_t> sig;
   bool sigValid = false;
-  bool changed = true;  ///< this call recomputed the island (transient)
 };
 
 /// One row of the stacked fallback island.
@@ -107,7 +106,6 @@ struct SymPlaceScratch {
   std::vector<std::size_t> freeIndexOf;   ///< reduced index per free module
   std::vector<std::uint8_t> groupSeen;    ///< per-group flag (order builds)
   std::vector<std::size_t> tmpSig;        ///< candidate island signature
-  std::vector<std::size_t> redMoved;      ///< moved reduced-pair indices
   // Warm-reuse gate: caches are trusted only while the instance shape (n,
   // group count, free-cell list) matches the previous call on this scratch.
   std::vector<std::size_t> prevFreeCells;
@@ -115,23 +113,15 @@ struct SymPlaceScratch {
   std::size_t prevGroups = 0;
 };
 
-/// Options of the scratch-reuse construction path.
+/// Options of the scratch-reuse construction path.  Island layouts are
+/// always cached on the scratch by signature (a group whose cells, their
+/// relative order in both sequences and their footprints are unchanged
+/// skips relaxation); results are bit-identical to a cold build.
 struct SymBuildOptions {
   int maxIterations = 200;  ///< island relaxation fixpoint cap
-  /// Reuse per-scratch state across calls: island layouts are cached by
-  /// signature (skipping relaxation when a group's cells, their relative
-  /// order in both sequences and their footprints are unchanged) and the
-  /// LCS packs run incrementally from their first changed step.  Results
-  /// stay bit-identical to a cold build.
-  bool incremental = false;
   /// Run the O(n^2) legality + mirror verification and fail on violation.
   /// Hot decode loops turn this off; debug builds assert it regardless.
   bool verify = true;
-  /// When non-null, every module whose rect may differ from the previous
-  /// successful call on this scratch is appended (superset and duplicates
-  /// OK; a cold or non-incremental call appends all).  Feeds the SA cost
-  /// model's hinted propose (see anneal/annealer.h).
-  std::vector<std::size_t>* moved = nullptr;
 };
 
 /// Builds a placement in which every group is exactly mirrored about its own
@@ -145,8 +135,7 @@ std::optional<SymPlacementResult> buildSymmetricPlacement(
 
 /// Scratch-reuse variant: identical results; returns false exactly when the
 /// by-value overload returns nullopt.  `out` is fully overwritten on
-/// success (unspecified on failure; with options.incremental, unchanged
-/// rects are carried over rather than rewritten — same values either way).
+/// success (unspecified on failure).
 bool buildSymmetricPlacementInto(const SequencePair& sp,
                                  std::span<const Coord> widths,
                                  std::span<const Coord> heights,

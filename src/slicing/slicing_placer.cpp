@@ -74,8 +74,8 @@ struct SlicingMove {
 }  // namespace
 
 struct SlicingSession::Impl {
-  using Eval = detail::IncrementalEval<CostModel, SlicingDecoder>;
-  using Driver = detail::AnnealDriver<SlicingState, Eval, SlicingMove>;
+  using Cost = detail::DecodedCost<CostModel, SlicingDecoder>;
+  using Driver = detail::AnnealDriver<SlicingState, Cost, SlicingMove>;
 
   const Circuit& circuit;
   SlicingPlacerOptions options;
@@ -127,7 +127,7 @@ struct SlicingSession::Impl {
     annealOpt.cancel = options.cancel;
     SlicingState init{PolishExpr::initial(n),
                       std::vector<std::uint8_t>(n, 0)};
-    driver.emplace(init, Eval{model, decode},
+    driver.emplace(init, Cost{model, decode},
                    SlicingMove{&circuit, &shapy, options.shapeMoveProb,
                                shapeMoves},
                    annealOpt, tempScale);

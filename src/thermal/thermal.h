@@ -40,9 +40,9 @@ struct ThermalModel {
 };
 
 /// Fixed-point temperature quantum of the thermal objective: temperatures
-/// are quantized to int64 micro-kelvin so the incremental cost layer can sum
-/// them exactly (int64 addition is order-independent; the incremental total
-/// equals a from-scratch total bit for bit — the cost/cost_model.h exactness
+/// are quantized to int64 micro-kelvin so the cost layer can sum them
+/// exactly (int64 addition is order-independent, so any reduction order
+/// gives the same total bit for bit — the cost/cost_model.h exactness
 /// contract).
 inline constexpr double kThermalQuantumPerK = 1e6;
 
@@ -61,9 +61,9 @@ class ThermalField {
   double temperatureAt(double xUm, double yUm) const;
 
   /// Fixed-point temperature at a point [µK]: the sum of every source's
-  /// quantizedContribution.  This is the scratch oracle of the incremental
-  /// thermal objective — cost/cost_model.h computes the same per-source
-  /// int64 terms, so its committed aggregates EXPECT_EQ this value.
+  /// quantizedContribution.  This is the scratch oracle of the thermal
+  /// objective — cost/cost_model.h computes the same per-source int64
+  /// terms, so its aggregates EXPECT_EQ this value.
   std::int64_t quantizedAt(double xUm, double yUm) const;
 
   const std::vector<HeatSource>& sources() const { return sources_; }

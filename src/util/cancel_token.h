@@ -10,11 +10,11 @@
 // the caller's token.
 //
 // The annealing layer checks the token at SWEEP boundaries only
-// (anneal/annealer.h): a stop never interrupts a move mid-protocol, so every
-// invariant the hot loop maintains — committed cost-model state, scratch
-// contents, journals — is intact when the run returns, and the next run on
-// the same buffers is bit-identical to one in a fresh process.  The check
-// reads the clock only while a deadline is armed.
+// (anneal/annealer.h): a stop never interrupts a move, so every invariant
+// the hot loop maintains — the current cost, scratch contents — is intact
+// when the run returns, and the next run on the same buffers is
+// bit-identical to one in a fresh process.  The check reads the clock only
+// while a deadline is armed.
 //
 // A stopped run returns its best-so-far result.  It depends on WHEN the stop
 // was seen and is therefore not deterministic — callers that cache results

@@ -6,7 +6,7 @@
 // which it was last marked and a slot counts as marked exactly when its
 // stamp equals the current epoch.  The backing vector only grows, so warm
 // instances never touch the heap — which is what lets per-move hot paths
-// (dirty-net marking, Polish-expression validation, index deduplication)
+// (Polish-expression validation, index deduplication)
 // run allocation-free.
 #pragma once
 

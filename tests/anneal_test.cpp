@@ -8,45 +8,31 @@
 namespace als {
 namespace {
 
-/// Minimal incremental-protocol model (the shape cost/cost_model.h
-/// implements for placements): tracks a committed cost and counts protocol
-/// calls so the test can audit the annealer's driving pattern.
+/// Minimal cost model over states that "decode" to themselves (the shape
+/// cost/cost_model.h implements for placements): a quadratic bowl, with
+/// states past x = 12 undecodable.
 struct ToyModel {
-  double committed = 0.0;
-  double pending = 0.0;
-  int commits = 0;
-  int rollbacks = 0;
-  int resets = 0;
-
   static double costOf(double x) { return (x - 3.0) * (x - 3.0); }
-  double infeasibleCost() const { return 1e30; }
-  double reset(double x) {
-    ++resets;
-    committed = costOf(x);
-    return committed;
+  double evaluate(double x) const { return costOf(x); }
+  double infeasibleCost() const { return 1e3; }
+  static std::optional<double> decode(double x) {
+    if (x > 12.0) return std::nullopt;
+    return x;
   }
-  double propose(double x) {
-    pending = costOf(x);
-    return pending;
-  }
-  void commit() {
-    ++commits;
-    committed = pending;
-  }
-  void rollback() { ++rollbacks; }
-  void invalidate() {}
+  /// The same cost written directly on the state.
+  static double direct(double x) { return x > 12.0 ? 1e3 : costOf(x); }
 };
 
-/// Drives the annealing loop with the incremental-protocol evaluator over
-/// `model`: states decode to themselves, `restarts` as in the driver.
+/// Drives the annealing loop through `DecodedCost` over `ToyModel`,
+/// `restarts` as in the driver.
 template <class MoveF>
-AnnealResult<double> annealIncremental(ToyModel& model, double init,
-                                       MoveF& move, const AnnealOptions& opt,
-                                       bool restarts) {
-  auto decode = [](double x) { return std::optional<double>(x); };
-  using Eval = detail::IncrementalEval<ToyModel, decltype(decode)>;
-  detail::AnnealDriver<double, Eval, MoveF&> driver(
-      init, Eval{model, decode}, move, opt, 1.0, restarts);
+AnnealResult<double> annealDecoded(double init, MoveF& move,
+                                   const AnnealOptions& opt, bool restarts) {
+  ToyModel model;
+  auto decode = &ToyModel::decode;
+  using Cost = detail::DecodedCost<ToyModel, decltype(decode)>;
+  detail::AnnealDriver<double, Cost, MoveF&> driver(
+      init, Cost{model, decode}, move, opt, 1.0, restarts);
   return driver.finalize();
 }
 
@@ -180,51 +166,37 @@ TEST(Annealer, RestartsAreDeterministicAndDoNotMutateOptions) {
   EXPECT_EQ(opt.seed, 7u);
 }
 
-TEST(Annealer, IncrementalOverloadRetracesTheScratchTrajectory) {
-  // The incremental-protocol evaluator must be a pure evaluation-strategy
-  // swap: same RNG stream, same costs, same acceptances — bit-identical
-  // results to the scratch-cost `anneal`.
+TEST(Annealer, DecodedCostRetracesTheDirectCostTrajectory) {
+  // Costing through a decoder is a pure evaluation-strategy swap: same RNG
+  // stream, same costs (undecodable states included), same acceptances —
+  // bit-identical results to the direct cost functor.
   auto move = [](double x, Rng& rng) { return x + rng.normal(0.0, 0.5); };
   AnnealOptions opt;
   opt.seed = 21;
   opt.maxSweeps = 120;
   opt.sizeHint = 4;
 
-  auto scratch = anneal(10.0, &ToyModel::costOf, move, opt);
-  ToyModel model;
-  auto incremental =
-      annealIncremental(model, 10.0, move, opt, /*restarts=*/false);
+  auto direct = anneal(11.0, &ToyModel::direct, move, opt);
+  auto decoded = annealDecoded(11.0, move, opt, /*restarts=*/false);
 
-  EXPECT_EQ(scratch.best, incremental.best);
-  EXPECT_EQ(scratch.bestCost, incremental.bestCost);
-  EXPECT_EQ(scratch.movesTried, incremental.movesTried);
-  EXPECT_EQ(scratch.movesAccepted, incremental.movesAccepted);
-  EXPECT_EQ(scratch.sweeps, incremental.sweeps);
-
-  // Protocol audit: the 50-move calibration walk commits every probe, the
-  // Metropolis loop commits exactly the accepted moves and rolls back the
-  // rest; the model is seeded once at the start and re-based once after
-  // calibration.
-  EXPECT_EQ(model.commits,
-            50 + static_cast<int>(incremental.movesAccepted));
-  EXPECT_EQ(model.rollbacks, static_cast<int>(incremental.movesTried -
-                                              incremental.movesAccepted));
-  EXPECT_EQ(model.resets, 2);
+  EXPECT_EQ(direct.best, decoded.best);
+  EXPECT_EQ(direct.bestCost, decoded.bestCost);
+  EXPECT_EQ(direct.movesTried, decoded.movesTried);
+  EXPECT_EQ(direct.movesAccepted, decoded.movesAccepted);
+  EXPECT_EQ(direct.sweeps, decoded.sweeps);
 }
 
-TEST(Annealer, IncrementalRestartsMatchScratchRestarts) {
+TEST(Annealer, DecodedCostRestartsMatchDirectRestarts) {
   auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
   AnnealOptions opt;
   opt.seed = 23;
   opt.maxSweeps = 400;  // enough for several freeze-terminated restarts
-  auto scratch = annealWithRestarts(5.0, &ToyModel::costOf, move, opt);
-  ToyModel model;
-  auto incremental =
-      annealIncremental(model, 5.0, move, opt, /*restarts=*/true);
-  EXPECT_EQ(scratch.best, incremental.best);
-  EXPECT_EQ(scratch.bestCost, incremental.bestCost);
-  EXPECT_EQ(scratch.movesTried, incremental.movesTried);
-  EXPECT_EQ(scratch.sweeps, incremental.sweeps);
+  auto direct = annealWithRestarts(11.0, &ToyModel::direct, move, opt);
+  auto decoded = annealDecoded(11.0, move, opt, /*restarts=*/true);
+  EXPECT_EQ(direct.best, decoded.best);
+  EXPECT_EQ(direct.bestCost, decoded.bestCost);
+  EXPECT_EQ(direct.movesTried, decoded.movesTried);
+  EXPECT_EQ(direct.sweeps, decoded.sweeps);
 }
 
 TEST(Annealer, RestartBeatsOrMatchesSingleRunWithSameTotalBudget) {

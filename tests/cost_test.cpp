@@ -1,15 +1,14 @@
 // Property suite of the unified cost layer (cost/objective.h,
-// cost/cost_model.h): the incremental propose/commit/rollback protocol must
-// produce costs EXACTLY equal — bit for bit, not approximately — to a
-// from-scratch evaluation, across every backend's move set, and the
-// annealer driving it must retrace the scratch trajectory move for move.
+// cost/cost_model.h): along every backend's move stream, one warm model's
+// evaluation must equal — bit for bit, not approximately — the cost
+// composed from independent geometry and thermal oracles, whatever the
+// model evaluated before.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "anneal/annealer.h"
 #include "bstar/bstar_tree.h"
 #include "bstar/hbstar.h"
 #include "bstar/pack.h"
@@ -47,140 +46,7 @@ void moduleDims(const Circuit& c, const std::vector<bool>& rotated,
   }
 }
 
-/// Runs `steps` random propose/commit/rollback rounds of `move` on `state`,
-/// asserting after every propose that the incremental cost equals the
-/// scratch cost of the decoded placement exactly, and after every commit
-/// that the committed aggregates equal a fresh scratch evaluation.
-template <class State, class DecodeF, class MoveF>
-void exerciseProtocol(CostModel& model, State state, DecodeF&& decode,
-                      MoveF&& move, std::size_t steps, std::uint64_t seed) {
-  Rng rng(seed);
-  std::optional<Placement> placed = decode(state);
-  ASSERT_TRUE(placed.has_value());
-  model.reset(*placed);
-  EXPECT_EQ(model.committedCost(), model.evaluate(*placed));
-
-  for (std::size_t i = 0; i < steps; ++i) {
-    State next = move(state, rng);
-    std::optional<Placement> p = decode(next);
-    ASSERT_TRUE(p.has_value());
-    double incremental = model.propose(*p);
-    EXPECT_EQ(incremental, model.evaluate(*p)) << "step " << i;
-    if (rng.uniform() < 0.5) {
-      model.commit();
-      state = std::move(next);
-      EXPECT_EQ(model.committedCost(), model.evaluate(*p)) << "step " << i;
-    } else {
-      model.rollback();
-    }
-    if (i % 97 == 0) {
-      // The committed aggregates must still match scratch exactly.
-      std::optional<Placement> cur = decode(state);
-      ASSERT_TRUE(cur.has_value());
-      CostBreakdown fresh = model.evaluateBreakdown(*cur);
-      EXPECT_EQ(model.committed().hpwl, fresh.hpwl);
-      EXPECT_EQ(model.committed().area, fresh.area);
-      EXPECT_EQ(model.committed().thermalMismatch, fresh.thermalMismatch);
-      EXPECT_EQ(model.committedCost(), fresh.cost);
-    }
-  }
-}
-
-TEST(CostModel, FlatBStarMovesIncrementalEqualsScratch) {
-  for (const Circuit& c : testCircuits()) {
-    const std::size_t n = c.moduleCount();
-    CostModel model(c, makeObjective(c, {.wirelength = 0.25,
-                                         .symmetry = 2.0,
-                                         .proximity = 2.0}));
-    struct FlatState {
-      BStarTree tree;
-      std::vector<bool> rotated;
-    };
-    auto decode = [&](const FlatState& s) -> std::optional<Placement> {
-      std::vector<Coord> w, h;
-      moduleDims(c, s.rotated, &w, &h);
-      return packBStar(s.tree, w, h);
-    };
-    auto move = [&](const FlatState& s, Rng& rng) {
-      FlatState next = s;
-      if (rng.uniform() < 0.15) {
-        std::size_t m = rng.index(n);
-        if (c.module(m).rotatable) next.rotated[m] = !next.rotated[m];
-      } else {
-        next.tree.perturb(rng);
-      }
-      return next;
-    };
-    exerciseProtocol(model, FlatState{BStarTree(n), std::vector<bool>(n, false)},
-                     decode, move, 1500, 3);
-  }
-}
-
-TEST(CostModel, SeqPairMovesIncrementalEqualsScratch) {
-  for (const Circuit& c : testCircuits()) {
-    const std::size_t n = c.moduleCount();
-    const auto groups = std::span<const SymmetryGroup>(c.symmetryGroups());
-    CostModel model(c, makeObjective(c, {.wirelength = 0.25,
-                                         .outline = 4.0,
-                                         .maxWidth = 120 * kUm,
-                                         .targetAspect = 1.0}));
-    std::vector<bool> rotatable(n);
-    for (std::size_t m = 0; m < n; ++m) rotatable[m] = c.module(m).rotatable;
-    SymmetricMoveSet moves(groups, rotatable, true);
-    SeqPairState init{SequencePair(n), std::vector<bool>(n, false)};
-    makeSymmetricFeasible(init.sp, groups);
-    auto decode = [&](const SeqPairState& s) -> std::optional<Placement> {
-      std::vector<Coord> w, h;
-      moduleDims(c, s.rotated, &w, &h);
-      auto built = buildSymmetricPlacement(s.sp, w, h, groups);
-      if (!built) return std::nullopt;
-      return std::move(built->placement);
-    };
-    auto move = [&](const SeqPairState& s, Rng& rng) {
-      SeqPairState next = s;
-      moves.apply(next, rng);
-      return next;
-    };
-    exerciseProtocol(model, init, decode, move, 1000, 5);
-  }
-}
-
-TEST(CostModel, SlicingMovesIncrementalEqualsScratch) {
-  for (const Circuit& c : testCircuits()) {
-    const std::size_t n = c.moduleCount();
-    CostModel model(c, makeObjective(c, {.wirelength = 0.25}));
-    std::vector<Coord> w, h;
-    moduleDims(c, std::vector<bool>(n, false), &w, &h);
-    std::vector<bool> rotatable(n);
-    for (std::size_t m = 0; m < n; ++m) rotatable[m] = c.module(m).rotatable;
-    auto decode = [&](const PolishExpr& e) -> std::optional<Placement> {
-      return std::move(evaluatePolish(e, w, h, rotatable, 32).placement);
-    };
-    auto move = [](const PolishExpr& e, Rng& rng) {
-      PolishExpr next = e;
-      next.perturb(rng);
-      return next;
-    };
-    exerciseProtocol(model, PolishExpr::initial(n), decode, move, 1500, 7);
-  }
-}
-
-TEST(CostModel, HBStarMovesIncrementalEqualsScratch) {
-  for (const Circuit& c : testCircuits()) {
-    CostModel model(c, makeObjective(c, {.wirelength = 0.25}));
-    auto decode = [](const HBState& s) -> std::optional<Placement> {
-      return std::move(s.pack().placement);
-    };
-    auto move = [](const HBState& s, Rng& rng) {
-      HBState next = s;
-      next.perturb(rng);
-      return next;
-    };
-    exerciseProtocol(model, HBState(c), decode, move, 800, 9);
-  }
-}
-
-// ------------------------------------------------------------ thermal ----
+// ------------------------------------------------------------ oracles ----
 
 /// Test circuits with radiators: every third module dissipates, so the
 /// thermal term is live on all of them.
@@ -197,7 +63,7 @@ std::vector<Circuit> thermalCircuits() {
 /// The scratch thermal oracle straight from thermal/thermal.h — an
 /// independent reimplementation of the objective term: build a ThermalField
 /// from the circuit's Power annotations and sum the quantized pair
-/// mismatches.  The CostModel's committed aggregate must EXPECT_EQ this.
+/// mismatches.  The CostModel's aggregate must EXPECT_EQ this.
 Coord fieldThermalMismatch(const Circuit& c, const Placement& p) {
   std::vector<double> power;
   for (const Module& m : c.modules()) power.push_back(m.powerW);
@@ -217,27 +83,53 @@ Coord fieldThermalMismatch(const Circuit& c, const Placement& p) {
   return total;
 }
 
-TEST(CostModelThermal, MismatchMatchesThermalFieldOracle) {
-  for (const Circuit& c : thermalCircuits()) {
-    const std::size_t n = c.moduleCount();
-    CostModel model(c, makeObjective(c, {.wirelength = 0.25, .thermal = 2.0}));
-    std::vector<Coord> w, h;
-    moduleDims(c, std::vector<bool>(n, false), &w, &h);
-    Rng rng(61);
-    for (int t = 0; t < 20; ++t) {
-      Placement p = packBStar(BStarTree::random(n, rng), w, h);
-      EXPECT_EQ(model.thermalMismatch(p), fieldThermalMismatch(c, p));
+/// Walks `steps` random moves of `move` from `state`, accepting about half
+/// of them, and checks every decoded candidate on one warm `model`: the
+/// breakdown's bounding box, area, HPWL and (when weighted) thermal
+/// mismatch against the oracles (Placement::boundingBox, geometry HPWL,
+/// ThermalField), and `evaluate` against the cost composed from those
+/// oracle aggregates.
+template <class State, class DecodeF, class MoveF>
+void exerciseMoves(const Circuit& c, const CostModel& model, State state,
+                   DecodeF&& decode, MoveF&& move, std::size_t steps,
+                   std::uint64_t seed) {
+  const auto nets = c.netPins();
+  const Objective& obj = model.objective();
+  Rng rng(seed);
+  for (std::size_t i = 0; i < steps; ++i) {
+    State next = move(state, rng);
+    std::optional<Placement> p = decode(next);
+    ASSERT_TRUE(p.has_value());
+    const Rect bb = p->boundingBox();
+    const Coord hpwl = totalHpwl(*p, nets);
+    const Coord thermal = obj.usesThermal() ? fieldThermalMismatch(c, *p) : 0;
+    const CostBreakdown bd = model.evaluateBreakdown(*p);
+    ASSERT_EQ(bd.boundingBox, bb) << "step " << i;
+    ASSERT_EQ(bd.area, bb.area()) << "step " << i;
+    ASSERT_EQ(bd.hpwl, hpwl) << "step " << i;
+    if (obj.usesThermal()) {
+      ASSERT_EQ(bd.thermalMismatch, thermal) << "step " << i;
     }
+    const double oracle =
+        obj.compose(bb, hpwl, model.symmetryDeviation(*p),
+                    model.proximityViolations(*p), thermal);
+    ASSERT_EQ(model.evaluate(*p), oracle) << "step " << i;
+    ASSERT_EQ(bd.cost, oracle) << "step " << i;
+    if (rng.uniform() < 0.5) state = std::move(next);
   }
 }
 
-TEST(CostModelThermal, IncrementalEqualsScratchUnderFlatMoves) {
+/// Objective weights per backend, as the placers configure them, with the
+/// thermal term on.
+ObjectiveWeights flatWeights() {
+  return {.wirelength = 0.25, .symmetry = 2.0, .proximity = 2.0,
+          .thermal = 2.0};
+}
+
+TEST(CostModelOracle, FlatBStarMoves) {
   for (const Circuit& c : thermalCircuits()) {
     const std::size_t n = c.moduleCount();
-    CostModel model(c, makeObjective(c, {.wirelength = 0.25,
-                                         .symmetry = 2.0,
-                                         .proximity = 2.0,
-                                         .thermal = 2.0}));
+    CostModel model(c, makeObjective(c, flatWeights()));
     struct FlatState {
       BStarTree tree;
       std::vector<bool> rotated;
@@ -257,19 +149,21 @@ TEST(CostModelThermal, IncrementalEqualsScratchUnderFlatMoves) {
       }
       return next;
     };
-    exerciseProtocol(model, FlatState{BStarTree(n), std::vector<bool>(n, false)},
-                     decode, move, 1200, 13);
+    exerciseMoves(c, model,
+                  FlatState{BStarTree(n), std::vector<bool>(n, false)},
+                  decode, move, 1500, 3);
   }
 }
 
-TEST(CostModelThermal, IncrementalEqualsScratchUnderSeqPairMoves) {
+TEST(CostModelOracle, SeqPairMoves) {
   for (const Circuit& c : thermalCircuits()) {
     const std::size_t n = c.moduleCount();
     const auto groups = std::span<const SymmetryGroup>(c.symmetryGroups());
     CostModel model(c, makeObjective(c, {.wirelength = 0.25,
                                          .outline = 4.0,
                                          .thermal = 1.5,
-                                         .maxWidth = 120 * kUm}));
+                                         .maxWidth = 120 * kUm,
+                                         .targetAspect = 1.0}));
     std::vector<bool> rotatable(n);
     for (std::size_t m = 0; m < n; ++m) rotatable[m] = c.module(m).rotatable;
     SymmetricMoveSet moves(groups, rotatable, true);
@@ -287,15 +181,49 @@ TEST(CostModelThermal, IncrementalEqualsScratchUnderSeqPairMoves) {
       moves.apply(next, rng);
       return next;
     };
-    exerciseProtocol(model, init, decode, move, 800, 15);
+    exerciseMoves(c, model, init, decode, move, 1000, 5);
+  }
+}
+
+TEST(CostModelOracle, SlicingMoves) {
+  for (const Circuit& c : thermalCircuits()) {
+    const std::size_t n = c.moduleCount();
+    CostModel model(c, makeObjective(c, {.wirelength = 0.25, .thermal = 2.0}));
+    std::vector<Coord> w, h;
+    moduleDims(c, std::vector<bool>(n, false), &w, &h);
+    std::vector<bool> rotatable(n);
+    for (std::size_t m = 0; m < n; ++m) rotatable[m] = c.module(m).rotatable;
+    auto decode = [&](const PolishExpr& e) -> std::optional<Placement> {
+      return std::move(evaluatePolish(e, w, h, rotatable, 32).placement);
+    };
+    auto move = [](const PolishExpr& e, Rng& rng) {
+      PolishExpr next = e;
+      next.perturb(rng);
+      return next;
+    };
+    exerciseMoves(c, model, PolishExpr::initial(n), decode, move, 1500, 7);
+  }
+}
+
+TEST(CostModelOracle, HBStarMoves) {
+  for (const Circuit& c : thermalCircuits()) {
+    CostModel model(c, makeObjective(c, {.wirelength = 0.25, .thermal = 2.0}));
+    auto decode = [](const HBState& s) -> std::optional<Placement> {
+      return std::move(s.pack().placement);
+    };
+    auto move = [](const HBState& s, Rng& rng) {
+      HBState next = s;
+      next.perturb(rng);
+      return next;
+    };
+    exerciseMoves(c, model, HBState(c), decode, move, 800, 9);
   }
 }
 
 // Shape-selection moves change a module's realized footprint between
 // proposes — the cost model only ever sees the decoded placement, so the
-// incremental thermal/hpwl/area aggregates must stay exact through
-// footprint swaps too (this is the alloc-free move seam the backends use).
-TEST(CostModelThermal, IncrementalEqualsScratchUnderShapeMoves) {
+// aggregates must stay exact through footprint swaps too.
+TEST(CostModelOracle, ShapeMoves) {
   for (Circuit& c : thermalCircuits()) {
     const std::size_t n = c.moduleCount();
     for (std::size_t m = 0; m < n; m += 4) {
@@ -304,9 +232,7 @@ TEST(CostModelThermal, IncrementalEqualsScratchUnderShapeMoves) {
                     {mod.w + (mod.w + 1) / 2, (2 * mod.h + 2) / 3},
                     {(2 * mod.w + 2) / 3, mod.h + (mod.h + 1) / 2}};
     }
-    CostModel model(c, makeObjective(c, {.wirelength = 0.25,
-                                         .symmetry = 2.0,
-                                         .thermal = 2.0}));
+    CostModel model(c, makeObjective(c, flatWeights()));
     struct ShapeState {
       BStarTree tree;
       std::vector<std::uint8_t> shapeIdx;
@@ -336,9 +262,23 @@ TEST(CostModelThermal, IncrementalEqualsScratchUnderShapeMoves) {
       }
       return next;
     };
-    exerciseProtocol(model,
-                     ShapeState{BStarTree(n), std::vector<std::uint8_t>(n, 0)},
-                     decode, move, 1200, 17);
+    exerciseMoves(c, model,
+                  ShapeState{BStarTree(n), std::vector<std::uint8_t>(n, 0)},
+                  decode, move, 1200, 17);
+  }
+}
+
+TEST(CostModelThermal, MismatchMatchesThermalFieldOracle) {
+  for (const Circuit& c : thermalCircuits()) {
+    const std::size_t n = c.moduleCount();
+    CostModel model(c, makeObjective(c, {.wirelength = 0.25, .thermal = 2.0}));
+    std::vector<Coord> w, h;
+    moduleDims(c, std::vector<bool>(n, false), &w, &h);
+    Rng rng(61);
+    for (int t = 0; t < 20; ++t) {
+      Placement p = packBStar(BStarTree::random(n, rng), w, h);
+      EXPECT_EQ(model.thermalMismatch(p), fieldThermalMismatch(c, p));
+    }
   }
 }
 
@@ -379,11 +319,11 @@ TEST(CostModelThermal, MirroredGeometryHasExactlyZeroMismatch) {
   EXPECT_EQ(model.thermalMismatch(p), fieldThermalMismatch(c, p));
 }
 
-// The hinted propose (moved-module list + attain-count bounding box) must
-// agree with scratch over long random single/multi-module displacement
-// sequences — including the shrink case where a boundary module moves
-// inward and forces a rescan.
-TEST(CostModel, HintedProposeEqualsScratchUnderDisplacements) {
+// The retired protocol's entry points are evaluate(p): the moved-module
+// hint of propose(p, moved) is ignored — an empty, a partial, a duplicated
+// and the true hint all give the cost of the whole placement, including
+// moves that shrink the bounding box — and reset(p) is evaluate(p) too.
+TEST(CostModel, MovedHintIsIgnored) {
   Circuit c = makeSynthetic(
       {.name = "hint", .moduleCount = 60, .seed = 31, .symmetricFraction = 0.5});
   CostModel model(c, makeObjective(c, {.wirelength = 0.25,
@@ -394,7 +334,7 @@ TEST(CostModel, HintedProposeEqualsScratchUnderDisplacements) {
   moduleDims(c, std::vector<bool>(n, false), &w, &h);
   Rng rng(37);
   Placement p = packBStar(BStarTree::random(n, rng), w, h);
-  model.reset(p);
+  ASSERT_EQ(model.reset(p), model.evaluate(p));
 
   for (std::size_t i = 0; i < 4000; ++i) {
     std::vector<std::size_t> moved;
@@ -402,108 +342,20 @@ TEST(CostModel, HintedProposeEqualsScratchUnderDisplacements) {
     for (std::size_t j = 0; j < k; ++j) {
       std::size_t m = rng.index(n);
       moved.push_back(m);
-      // Large displacements guarantee boundary modules regularly move
-      // inward/outward, exercising both bbox update paths.
       Coord dx = (static_cast<Coord>(rng.index(21)) - 10) * kUm;
       Coord dy = (static_cast<Coord>(rng.index(21)) - 10) * kUm;
       p[m] = p[m].translated(dx, dy);
     }
-    if (rng.uniform() < 0.3) moved.push_back(moved.front());  // duplicate hint
-    double incremental = model.propose(p, moved);
-    EXPECT_EQ(incremental, model.evaluate(p)) << "step " << i;
-    model.commit();
-    CostBreakdown fresh = model.evaluateBreakdown(p);
-    ASSERT_EQ(model.committed().boundingBox, fresh.boundingBox) << "step " << i;
-    ASSERT_EQ(model.committed().hpwl, fresh.hpwl) << "step " << i;
+    const double expected = model.evaluate(p);
+    std::vector<std::size_t> empty;
+    std::vector<std::size_t> partial(moved.begin() + 1, moved.end());
+    std::vector<std::size_t> duplicated = moved;
+    duplicated.insert(duplicated.end(), moved.begin(), moved.end());
+    for (const auto* hint : {&empty, &partial, &duplicated, &moved}) {
+      ASSERT_EQ(model.propose(p, *hint), expected) << "step " << i;
+      model.commit();
+    }
   }
-}
-
-TEST(CostModel, RollbackRestoresTheCommittedState) {
-  Circuit c = makeMillerOpAmp();
-  CostModel model(c, makeObjective(c, {.wirelength = 0.25, .symmetry = 2.0}));
-  const std::size_t n = c.moduleCount();
-  std::vector<Coord> w, h;
-  moduleDims(c, std::vector<bool>(n, false), &w, &h);
-  Rng rng(41);
-  Placement p = packBStar(BStarTree::random(n, rng), w, h);
-  double committed = model.reset(p);
-
-  Placement q = p;
-  q[0] = q[0].translated(5 * kUm, 3 * kUm);
-  double proposed = model.propose(q);
-  EXPECT_NE(proposed, committed);
-  model.rollback();
-  EXPECT_EQ(model.committedCost(), committed);
-  // A re-propose of the identical placement must see zero moved modules and
-  // reproduce the committed cost exactly.
-  EXPECT_EQ(model.propose(p), committed);
-  model.rollback();
-}
-
-TEST(CostModel, InvalidateFallsBackToScratchAndReseeds) {
-  Circuit c = makeMillerOpAmp();
-  CostModel model(c, makeObjective(c, {.wirelength = 0.25, .symmetry = 2.0}));
-  const std::size_t n = c.moduleCount();
-  std::vector<Coord> w, h;
-  moduleDims(c, std::vector<bool>(n, false), &w, &h);
-  Rng rng(43);
-  Placement p = packBStar(BStarTree::random(n, rng), w, h);
-  model.reset(p);
-
-  // Simulate the annealer accepting an infeasible (undecodable) state.
-  model.invalidate();
-  EXPECT_FALSE(model.seeded());
-  Placement q = packBStar(BStarTree::random(n, rng), w, h);
-  EXPECT_EQ(model.propose(q), model.evaluate(q));
-  model.commit();
-  EXPECT_TRUE(model.seeded());
-  EXPECT_EQ(model.committedCost(), model.evaluate(q));
-}
-
-// The incremental evaluator must retrace the scratch-cost trajectory of the
-// annealing loop bit for bit: same costs, same RNG draws, same acceptances,
-// same best state.  This is the refactor's engine-level identity argument
-// in miniature (tests/io_golden_test.cpp pins the full-engine numbers).
-TEST(CostModel, AnnealTrajectoryMatchesScratchBitForBit) {
-  Circuit c = makeSynthetic(
-      {.name = "traj", .moduleCount = 24, .seed = 47, .symmetricFraction = 0.5});
-  const std::size_t n = c.moduleCount();
-  Objective obj =
-      makeObjective(c, {.wirelength = 0.25, .symmetry = 2.0, .proximity = 2.0});
-
-  auto decode = [&](const BStarTree& t) -> std::optional<Placement> {
-    std::vector<Coord> w, h;
-    moduleDims(c, std::vector<bool>(n, false), &w, &h);
-    return packBStar(t, w, h);
-  };
-  auto move = [](const BStarTree& t, Rng& rng) {
-    BStarTree next = t;
-    next.perturb(rng);
-    return next;
-  };
-  AnnealOptions opt;
-  opt.maxSweeps = 60;
-  opt.seed = 11;
-  opt.sizeHint = n;
-
-  CostModel scratchModel(c, obj);
-  auto cost = [&](const BStarTree& t) { return scratchModel.evaluate(*decode(t)); };
-  auto scratch = annealWithRestarts(BStarTree(n), cost, move, opt);
-
-  CostModel model(c, obj);
-  using Eval = detail::IncrementalEval<CostModel, decltype(decode)>;
-  detail::AnnealDriver<BStarTree, Eval, decltype(move)&> driver(
-      BStarTree(n), Eval{model, decode}, move, opt);
-  auto incremental = driver.finalize();
-
-  EXPECT_EQ(scratch.bestCost, incremental.bestCost);
-  EXPECT_EQ(scratch.movesTried, incremental.movesTried);
-  EXPECT_EQ(scratch.movesAccepted, incremental.movesAccepted);
-  EXPECT_EQ(scratch.sweeps, incremental.sweeps);
-  Placement a = *decode(scratch.best);
-  Placement b = *decode(incremental.best);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t m = 0; m < a.size(); ++m) EXPECT_EQ(a[m], b[m]);
 }
 
 // Engine-level determinism of the newly plumbed objective weights: a
@@ -545,16 +397,14 @@ TEST(CostModel, ConcurrentModelsOverSharedCircuitAreIndependent) {
     moduleDims(c, std::vector<bool>(n, false), &w, &h);
     Rng rng(seed);
     Placement p = packBStar(BStarTree::random(n, rng), w, h);
-    model.reset(p);
+    double cost = model.evaluate(p);
     for (std::size_t i = 0; i < 300; ++i) {
       std::size_t m = rng.index(n);
       p[m] = p[m].translated((static_cast<Coord>(rng.index(5)) - 2) * kUm,
                              (static_cast<Coord>(rng.index(5)) - 2) * kUm);
-      std::size_t moved[1] = {m};
-      model.propose(p, moved);
-      model.commit();
+      cost = model.evaluate(p);
     }
-    return model.committedCost();
+    return cost;
   };
 
   double sequential[4];

@@ -163,6 +163,65 @@ TEST(BenchmarkParse, ErrorsCarryLineNumbers) {
   }
 }
 
+// The numeric envelope: the packing extent (sum over blocks of each
+// block's largest side, any orientation or shape alternative) may not pass
+// 759250124 DBU, the largest E with 16 * E^2 <= INT64_MAX.  Ten 1e9 x 1e9
+// blocks used to parse and then place with a negative int64 area.
+TEST(BenchmarkParse, NumericEnvelopeRejectsOverflowingCircuits) {
+  constexpr Coord kMaxExtent = 759'250'124;
+  auto blocks = [](const std::vector<std::pair<Coord, Coord>>& dims,
+                   const std::string& tail = "") {
+    std::string text = "ALSBENCH 1\nCircuit env\nNumBlocks " +
+                       std::to_string(dims.size()) + "\n";
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      text += "Block b" + std::to_string(i) + " " +
+              std::to_string(dims[i].first) + " " +
+              std::to_string(dims[i].second) + "\n";
+    }
+    return text + tail;
+  };
+
+  std::vector<std::pair<Coord, Coord>> ten(10, {1'000'000'000, 1'000'000'000});
+  ParseResult repro = parseBenchmark(blocks(ten));
+  ASSERT_FALSE(repro.ok());
+  EXPECT_NE(repro.error.find("line 4: block 'b0'"), std::string::npos)
+      << repro.error;
+  EXPECT_NE(repro.error.find("packing extent"), std::string::npos);
+
+  // At the envelope, and one DBU past it on the block that crosses it.  The
+  // larger side counts whatever the orientation.
+  ParseResult at = parseBenchmark(blocks({{kMaxExtent - 1000, 2}, {2, 1000}}));
+  ASSERT_TRUE(at.ok()) << at.error;
+  ParseResult past =
+      parseBenchmark(blocks({{kMaxExtent - 1000, 2}, {2, 1001}}));
+  ASSERT_FALSE(past.ok());
+  EXPECT_NE(past.error.find("line 5: block 'b1'"), std::string::npos)
+      << past.error;
+
+  // A shape alternative counts too; the error names the block's own line.
+  EXPECT_TRUE(parseBenchmark(blocks({{1000, 1000}},
+                                    "NumShapes 1\nShape b0 1 " +
+                                        std::to_string(kMaxExtent) + " 2\n"))
+                  .ok());
+  ParseResult shaped = parseBenchmark(
+      blocks({{1000, 1000}}, "NumShapes 1\nShape b0 1 2 " +
+                                 std::to_string(kMaxExtent + 1) + "\n"));
+  ASSERT_FALSE(shaped.ok());
+  EXPECT_NE(shaped.error.find("line 4: block 'b0'"), std::string::npos)
+      << shaped.error;
+
+  // A circuit at the envelope places with exact aggregates on every
+  // backend: the area is a real bounding box of the blocks.
+  EngineOptions opt;
+  opt.maxSweeps = 2;
+  for (EngineBackend backend : allBackends()) {
+    EngineResult r = makeEngine(backend)->place(at.circuit, opt);
+    EXPECT_GE(r.area, at.circuit.totalModuleArea()) << backendName(backend);
+    EXPECT_EQ(r.area, r.placement.boundingBox().area()) << backendName(backend);
+    EXPECT_GE(r.hpwl, 0) << backendName(backend);
+  }
+}
+
 TEST(BenchmarkParse, HierarchyInvariantsAreValidated) {
   // A symmetry node whose leaf children are not the group members must be
   // rejected at parse time (the HB*-tree placer asserts on it otherwise).

@@ -268,13 +268,14 @@ TEST(Moves, RotationsKeepPairsMatched) {
   }
 }
 
-// --- Incremental packing ---
+// --- Scratch reuse ---
 
-/// Random SA-shaped walk: mutate the pair (sequence swap or rotation),
-/// decode incrementally on a warm scratch, and demand the result equals a
-/// cold full pack and the O(n^2) reference bit-for-bit; modules whose rect
-/// changed must be covered by the reported moved list.
-void runIncrementalVsFull(std::size_t n, std::uint64_t seed, int steps) {
+/// Random SA-shaped walk: mutate the pair (sequence swap or rotation) and
+/// pack on one warm scratch, alternating the full pack with its
+/// `packSequencePairIncrementalInto` name.  Every step must equal the
+/// O(n^2) reference, and the incremental name must append every module id
+/// after whatever `moved` already held.
+void runWarmScratchWalk(std::size_t n, std::uint64_t seed, int steps) {
   Rng rng(seed);
   SequencePair sp = SequencePair::random(n, rng);
   std::vector<Coord> w(n), h(n);
@@ -282,8 +283,8 @@ void runIncrementalVsFull(std::size_t n, std::uint64_t seed, int steps) {
     w[m] = 1 + rng.uniformInt(0, 40);
     h[m] = 1 + rng.uniformInt(0, 40);
   }
-  SeqPairPackScratch inc;
-  Placement out, prev, full, ref;
+  SeqPairPackScratch scratch;
+  Placement out, ref;
   std::vector<std::size_t> moved;
   for (int step = 0; step < steps; ++step) {
     if (step > 0) {
@@ -298,65 +299,39 @@ void runIncrementalVsFull(std::size_t n, std::uint64_t seed, int steps) {
         sp.assignSequences(a, b);
       }
     }
-    prev = out;
-    moved.clear();
-    packSequencePairIncrementalInto(sp, w, h, PackStrategy::Auto, inc, out,
-                                    moved);
-    full = packSequencePair(sp, w, h);
     ref = test_util::referencePackSequencePair(sp, w, h);
+    if (step % 2 == 0) {
+      packSequencePairInto(sp, w, h, PackStrategy::Auto, scratch, out);
+    } else {
+      moved.assign(static_cast<std::size_t>(step % 3), n);  // prior content
+      const std::size_t before = moved.size();
+      packSequencePairIncrementalInto(sp, w, h, PackStrategy::Auto, scratch,
+                                      out, moved);
+      ASSERT_EQ(moved.size(), before + n) << "step " << step;
+      for (std::size_t i = 0; i < before; ++i) ASSERT_EQ(moved[i], n);
+      for (std::size_t m = 0; m < n; ++m) ASSERT_EQ(moved[before + m], m);
+    }
+    ASSERT_EQ(out.size(), n);
     for (std::size_t m = 0; m < n; ++m) {
-      ASSERT_TRUE(full[m] == ref[m]) << "step " << step << " module " << m;
-      ASSERT_TRUE(out[m] == full[m]) << "step " << step << " module " << m;
-      if (step > 0 && !(out[m] == prev[m])) {
-        ASSERT_TRUE(std::find(moved.begin(), moved.end(), m) != moved.end())
-            << "module " << m << " moved but was not reported, step " << step;
-      }
+      ASSERT_TRUE(out[m] == ref[m]) << "step " << step << " module " << m;
     }
   }
 }
 
-TEST(PackerIncremental, MatchesFullPackAndReference) {
-  runIncrementalVsFull(6, 3, 120);
-  runIncrementalVsFull(29, 5, 120);
-  runIncrementalVsFull(61, 9, 120);
-  runIncrementalVsFull(140, 13, 60);
+TEST(PackerIncremental, IsTheFullPackAndListsEveryModule) {
+  runWarmScratchWalk(6, 3, 120);
+  runWarmScratchWalk(29, 5, 120);
+  runWarmScratchWalk(61, 9, 120);
+  runWarmScratchWalk(140, 13, 60);
 }
 
-TEST(PackerIncremental, SurvivesFullPacksOnOneScratch) {
-  // A full pack on the same scratch orphans the incremental journal, so the
-  // next incremental call must fall back to a cold pack, not resume it.
-  Rng rng(23);
-  const std::size_t n = 40;
-  SequencePair sp = SequencePair::random(n, rng);
-  std::vector<Coord> w(n), h(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    w[m] = 1 + rng.uniformInt(0, 20);
-    h[m] = 1 + rng.uniformInt(0, 20);
-  }
-  SeqPairPackScratch scratch;
-  Placement out, viaFull;
-  std::vector<std::size_t> moved;
-  for (int step = 0; step < 8; ++step) {
-    std::vector<std::size_t> a = sp.alpha(), b = sp.beta();
-    std::swap(a[rng.index(n)], a[rng.index(n)]);
-    sp.assignSequences(a, b);
-    if (step % 3 == 2) {
-      packSequencePairInto(sp, w, h, PackStrategy::Auto, scratch, viaFull);
-      EXPECT_FALSE(scratch.incValid);
-    }
-    moved.clear();
-    packSequencePairIncrementalInto(sp, w, h, PackStrategy::Auto, scratch,
-                                    out, moved);
-    Placement ref = test_util::referencePackSequencePair(sp, w, h);
-    for (std::size_t m = 0; m < n; ++m) ASSERT_TRUE(out[m] == ref[m]);
-  }
-}
-
-TEST(SymPlacerIncremental, MatchesLegacyPathOverSymmetricWalks) {
-  // The hot construction path (island signature cache + incremental LCS)
-  // must reproduce the legacy full-build placement and axes bit-for-bit at
-  // every step of a feasibility-preserving walk.
-  for (CorpusCircuit which : {CorpusCircuit::Ami33, CorpusCircuit::N100}) {
+TEST(SymPlacerIslandCache, WarmScratchMatchesFreshOverSymmetricWalks) {
+  // The island signature cache must reproduce a cold build bit for bit at
+  // every step of a feasibility-preserving walk.  One warm scratch serves
+  // both circuits in turn, so the instance-shape gate is crossed too.
+  SymPlaceScratch warmScratch;
+  for (CorpusCircuit which : {CorpusCircuit::Ami33, CorpusCircuit::N100,
+                              CorpusCircuit::Ami33}) {
     Circuit c = loadCorpusCircuit(which);
     auto groups = std::span<const SymmetryGroup>(c.symmetryGroups());
     std::vector<bool> rotatable;
@@ -366,63 +341,83 @@ TEST(SymPlacerIncremental, MatchesLegacyPathOverSymmetricWalks) {
                    std::vector<bool>(c.moduleCount(), false)};
     makeSymmetricFeasible(s.sp, groups);
 
-    SymPlaceScratch hotScratch, coldScratch;
-    SymPlacementResult hot, cold;
-    std::vector<std::size_t> moved;
+    SymPlacementResult warm;
     SymBuildOptions opt;
-    opt.incremental = true;
     opt.verify = false;
-    opt.moved = &moved;
 
     Rng rng(61);
     std::vector<Coord> w(c.moduleCount()), h(c.moduleCount());
-    Placement prev;
     for (int step = 0; step < 60; ++step) {
       if (step > 0) moves.apply(s, rng);
       for (std::size_t m = 0; m < c.moduleCount(); ++m) {
         w[m] = s.rotated[m] ? c.module(m).h : c.module(m).w;
         h[m] = s.rotated[m] ? c.module(m).w : c.module(m).h;
       }
-      moved.clear();
       ASSERT_TRUE(buildSymmetricPlacementInto(s.sp, w, h, groups, opt,
-                                              hotScratch, hot));
-      ASSERT_TRUE(buildSymmetricPlacementInto(s.sp, w, h, groups, 200,
-                                              coldScratch, cold));
-      ASSERT_EQ(hot.axis2x, cold.axis2x) << corpusName(which);
+                                              warmScratch, warm));
+      auto fresh = buildSymmetricPlacement(s.sp, w, h, groups);
+      ASSERT_TRUE(fresh.has_value());
+      ASSERT_EQ(warm.axis2x, fresh->axis2x) << corpusName(which);
       for (std::size_t m = 0; m < c.moduleCount(); ++m) {
-        ASSERT_TRUE(hot.placement[m] == cold.placement[m])
+        ASSERT_TRUE(warm.placement[m] == fresh->placement[m])
             << corpusName(which) << " step " << step << " module " << m;
-        if (step > 0 && !(hot.placement[m] == prev[m])) {
-          ASSERT_TRUE(std::find(moved.begin(), moved.end(), m) != moved.end())
-              << "module " << m << " moved but unreported, step " << step;
-        }
       }
-      prev = hot.placement;
     }
   }
 }
 
-TEST(SaPlacer, IncrementalDecodeMatchesFullDecodeTrajectory) {
-  // Same seed, incremental decode on vs off: bit-identical SA trajectories
-  // (the hinted propose and the journaled LCS change cost *computation*,
-  // never cost *values*).
+TEST(SymPlacerIslandCache, KeysOnThePairSelfSplit) {
+  // Two groups over the same cells, footprints and order — one mirror pair
+  // vs two self-symmetric cells — lay out differently, so a scratch warmed
+  // on one must not serve the other's cached island.
+  SymmetryGroup pair;
+  pair.pairs = {{0, 1}};
+  SymmetryGroup selfs;
+  selfs.selfs = {0, 1};
+  const std::vector<Coord> w = {4, 4, 6, 2}, h = {2, 2, 4, 8};
+  // Identity code: 0 left of 1 — a legal pair; the two selfs cannot both
+  // sit on one axis side by side, so their island takes the stacked
+  // fallback.
+  const SequencePair code(4);
+  for (bool pairFirst : {true, false}) {
+    SymPlaceScratch scratch;
+    SymPlacementResult warm;
+    const SymmetryGroup& first = pairFirst ? pair : selfs;
+    const SymmetryGroup& second = pairFirst ? selfs : pair;
+    ASSERT_TRUE(buildSymmetricPlacementInto(
+        code, w, h, std::span<const SymmetryGroup>(&first, 1),
+        SymBuildOptions{}, scratch, warm));
+    const bool built = buildSymmetricPlacementInto(
+        code, w, h, std::span<const SymmetryGroup>(&second, 1),
+        SymBuildOptions{}, scratch, warm);
+    auto fresh = buildSymmetricPlacement(
+        code, w, h, std::span<const SymmetryGroup>(&second, 1));
+    ASSERT_TRUE(fresh.has_value());
+    ASSERT_TRUE(built);
+    EXPECT_EQ(warm.axis2x, fresh->axis2x);
+    EXPECT_EQ(warm.placement.rects(), fresh->placement.rects());
+  }
+}
+
+TEST(SaPlacer, WarmScratchMatchesFreshScratchTrajectory) {
+  // Same seed, one caller-owned scratch warmed by runs on other circuits
+  // vs the run's own fresh buffers: bit-identical SA trajectories (a
+  // scratch never influences results, only allocations).
+  SeqPairScratch shared;
   for (CorpusCircuit which : {CorpusCircuit::Apte, CorpusCircuit::Ami33,
-                              CorpusCircuit::N100}) {
+                              CorpusCircuit::N100, CorpusCircuit::Ami33}) {
     Circuit c = loadCorpusCircuit(which);
-    SeqPairPlacerOptions on, off;
-    on.maxSweeps = off.maxSweeps = which == CorpusCircuit::N100 ? 6 : 24;
-    on.seed = off.seed = 83;
-    on.incrementalDecode = true;
-    off.incrementalDecode = false;
-    SeqPairPlacerResult a = placeSeqPairSA(c, on);
-    SeqPairPlacerResult b = placeSeqPairSA(c, off);
+    SeqPairPlacerOptions warm, fresh;
+    warm.maxSweeps = fresh.maxSweeps = which == CorpusCircuit::N100 ? 6 : 24;
+    warm.seed = fresh.seed = 83;
+    warm.scratch = &shared;
+    SeqPairPlacerResult a = placeSeqPairSA(c, warm);
+    SeqPairPlacerResult b = placeSeqPairSA(c, fresh);
     ASSERT_EQ(a.movesTried, b.movesTried) << corpusName(which);
     ASSERT_EQ(a.cost, b.cost) << corpusName(which);
     ASSERT_EQ(a.area, b.area);
     ASSERT_EQ(a.hpwl, b.hpwl);
-    for (std::size_t m = 0; m < a.placement.size(); ++m) {
-      ASSERT_TRUE(a.placement[m] == b.placement[m]) << corpusName(which);
-    }
+    ASSERT_EQ(a.placement.rects(), b.placement.rects()) << corpusName(which);
   }
 }
 

@@ -15,10 +15,9 @@
 //
 //   decode    map-contour vs flat-contour packing rate per MCNC circuit
 //             (the `decode-map` / `decode-flat` rows)
-//   scaling   end-to-end move rate of the flat B*-tree and slicing
-//             backends, and full vs incremental decode of the sequence-pair
-//             backend, up to n300 (the `flat-full`/`slicing-memo`/
-//             `seqpair-full`/`seqpair-incremental` rows)
+//   scaling   end-to-end move rate of the flat B*-tree, slicing and
+//             sequence-pair backends up to n300 (the `flat-full`/
+//             `slicing-memo`/`seqpair-full` rows)
 //
 // Default mode rewrites README.md in place; --check (the CI leg) exits
 // nonzero if the committed tables differ from what the baseline says,
@@ -106,11 +105,11 @@ std::string decodeTable(const std::map<std::string, Rate>& pairs) {
   return out;
 }
 
-/// | circuit | blocks | flat | slicing | sp full | sp incr | speedup |
+/// | circuit | blocks | flat | slicing | seqpair |
 std::string scalingTable(const std::map<std::string, Rate>& pairs) {
   std::string out =
-      "| circuit | blocks | flat | slicing | sp full | sp incr | speedup |\n"
-      "|---|---|---|---|---|---|---|\n";
+      "| circuit | blocks | flat | slicing | seqpair |\n"
+      "|---|---|---|---|---|\n";
   for (const char* circuit :
        {"apte", "ami33", "ami49", "n100", "n200", "n300"}) {
     auto cell = [&](const char* backend) {
@@ -118,13 +117,11 @@ std::string scalingTable(const std::map<std::string, Rate>& pairs) {
       return it == pairs.end() ? 0.0 : it->second.perSec();
     };
     double flat = cell("flat-full"), slicing = cell("slicing-memo");
-    double spFull = cell("seqpair-full"), spIncr = cell("seqpair-incremental");
-    if (flat == 0.0 && spFull == 0.0) continue;
+    double seqpair = cell("seqpair-full");
+    if (flat == 0.0 && seqpair == 0.0) continue;
     out += "| " + std::string(circuit) + " | " +
            std::to_string(blockCount(circuit)) + " | " + fmtK(flat, 1) +
-           " | " + fmtK(slicing, 1) + " | " + fmtK(spFull, 1) + " | " +
-           fmtK(spIncr, 1) + " | " +
-           fmtX(spFull > 0.0 ? spIncr / spFull : 0.0, 2) + " |\n";
+           " | " + fmtK(slicing, 1) + " | " + fmtK(seqpair, 1) + " |\n";
   }
   return out;
 }
