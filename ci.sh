@@ -22,6 +22,17 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
+echo "=== examples: run every Release example binary ==="
+# The walkthroughs in examples/ are the only non-test callers of several
+# one-shot placer and sizing entry points; each must run to completion
+# (a nonzero exit fails CI).  Each takes well under a second in Release.
+mkdir -p build/example-runs
+for src in examples/*.cpp; do
+  example="$(basename "$src" .cpp)"
+  echo "--- $example ---"
+  ./build/"$example" > "build/example-runs/$example.out"
+done
+
 echo "=== sanitizers: ASan + UBSan build, suite run twice ==="
 cmake -B build-asan -S . -DALS_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$JOBS"

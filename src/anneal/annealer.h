@@ -1,13 +1,14 @@
 // Generic simulated-annealing engine (Kirkpatrick et al. [12]).
 //
-// Both stochastic placers of the library — the Section II sequence-pair
-// placer and the Section III (H)B*-tree placer — and the Section V sizing
-// optimizer share this engine.  States are value types.  A move perturbs a
-// persistent candidate buffer in place: the loop copy-assigns the current
-// state into it (reusing its storage), and swaps it in on acceptance, so the
-// steady-state move loop constructs no state.  A move that returns a
-// mutated copy instead is also accepted (see `kInPlaceMove`); both styles
-// draw the same RNG stream.
+// Every stochastic placer of the library — the Section II sequence-pair
+// placer, the Section III (H)B*-tree placers, the slicing baseline and the
+// absolute-coordinate baseline — and the Section V sizing optimizers share
+// this engine.  States are value types.  A move, `void(State&, Rng&)`,
+// perturbs a persistent candidate buffer in place: the loop copy-assigns
+// the current state into it (reusing its storage), and swaps it in on
+// acceptance, so the steady-state move loop constructs no state.  The
+// placers run it through one session template over a backend policy
+// (anneal/session.h).
 //
 // Temperature schedule: geometric cooling with an initial temperature
 // calibrated from the mean uphill delta of a random-walk sample, the classic
@@ -20,7 +21,7 @@
 // (util/cancel_token.h), which stops on a cancellation or an armed
 // wall-clock deadline — every time cap of the library is such a deadline.
 // EVERY entry point honours it through the same seam — `anneal`,
-// `annealWithRestarts` and the backend sessions the runtime layer builds
+// `annealWithRestarts` and the placer sessions the runtime layer builds
 // on — because they all run the one sweep loop of `AnnealDriver`, where the
 // check lives.  The contract:
 //
@@ -45,7 +46,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <type_traits>
 #include <utility>
 
 #include "util/cancel_token.h"
@@ -127,18 +127,22 @@ constexpr std::size_t resolveMovesPerTemp(std::size_t movesPerTemp,
   return movesPerTemp ? movesPerTemp : 10 * sizeHint;
 }
 
-namespace detail {
+/// The driver options of a placer's native options struct.  Every native
+/// struct carries the same SA knobs (`maxSweeps`, `seed`, `coolingFactor`,
+/// `movesPerTemp`, `cancel`); they are mapped here once.  `sizeHint` is the
+/// problem size the auto `movesPerTemp` scales with (the module count).
+template <class NativeOptions>
+AnnealOptions annealOptionsOf(const NativeOptions& native,
+                              std::size_t sizeHint) {
+  return {.coolingFactor = native.coolingFactor,
+          .movesPerTemp = native.movesPerTemp,
+          .sizeHint = sizeHint,
+          .maxSweeps = native.maxSweeps,
+          .seed = native.seed,
+          .cancel = native.cancel};
+}
 
-/// Move-seam detection: a move callable is either the classic copying style
-/// `State(const State&, Rng&)` or the allocation-free in-place style
-/// `void(State&, Rng&)`.  The in-place style receives a buffer that already
-/// holds a copy of the current state, perturbs it, and the loop swaps the
-/// buffer in on acceptance — the steady-state move loop then performs no
-/// state construction at all.  Both styles draw the same RNG stream for the
-/// same perturbation logic, so trajectories are identical.
-template <class MoveF, class State>
-inline constexpr bool kInPlaceMove =
-    std::is_void_v<std::invoke_result_t<MoveF&, State&, Rng&>>;
+namespace detail {
 
 /// Cost of a decoded state.  The annealing loop calls one cost functor,
 /// `double(const State&)`, on every state it visits and keeps the current
@@ -148,16 +152,17 @@ inline constexpr bool kInPlaceMove =
 /// reduce the whole placement.  A decode repacks the whole placement and a
 /// move shifts a large share of the blocks, so there is no committed state
 /// to diff against and no moved-module hint (see the cost/cost_model.h
-/// header).  `decode` returns anything optional-like (contextually bool +
-/// dereferenceable): `std::optional<Placement>` by value, or — the
-/// allocation-free style every backend uses — a `const Placement*` aliasing
-/// a scratch buffer, valid only until the NEXT decode call, so the
-/// placement is evaluated at once.  A state that does not decode costs
-/// `model.infeasibleCost()`.
+/// header).  `decode` is a small callable held by value (a function pointer,
+/// or a handle to the owner of the decode scratch) returning anything
+/// optional-like (contextually bool + dereferenceable):
+/// `std::optional<Placement>` by value, or — the allocation-free style every
+/// backend uses — a `const Placement*` aliasing a scratch buffer, valid only
+/// until the NEXT decode call, so the placement is evaluated at once.  A
+/// state that does not decode costs `model.infeasibleCost()`.
 template <class Model, class DecodeF>
 struct DecodedCost {
   const Model& model;
-  DecodeF& decode;
+  DecodeF decode;
 
   template <class State> double operator()(const State& s) const {
     auto placed = decode(s);
@@ -168,34 +173,23 @@ struct DecodedCost {
 /// The one acceptance loop behind both the calibration walk and the
 /// Metropolis sweeps: propose `count` moves from `cur`, cost each with
 /// `cost`, and let `acceptMove` decide on the delta.  `onAccept` runs after
-/// `cur`/`curCost` advanced.  `moveBuf` is the persistent candidate buffer
-/// of the in-place move style: the loop copy-assigns `cur` into it (reusing
-/// its heap storage), perturbs in place, and swaps on acceptance — no
-/// per-move construction, no per-move copy of the decoded placement,
-/// identical values either way.
+/// `cur`/`curCost` advanced.  `moveBuf` is the persistent candidate buffer:
+/// the loop copy-assigns `cur` into it (reusing its heap storage), perturbs
+/// it in place, and swaps on acceptance — no per-move construction, no
+/// per-move copy of the decoded placement.
 template <class State, class CostF, class MoveF, class AcceptF, class OnAcceptF>
 void annealPass(State& cur, double& curCost, std::size_t count, CostF& cost,
                 MoveF& move, Rng& rng, State& moveBuf, AcceptF&& acceptMove,
                 OnAcceptF&& onAccept) {
   for (std::size_t i = 0; i < count; ++i) {
-    if constexpr (kInPlaceMove<MoveF, State>) {
-      moveBuf = cur;
-      move(moveBuf, rng);
-      double nextCost = cost(moveBuf);
-      if (acceptMove(nextCost - curCost)) {
-        using std::swap;
-        swap(cur, moveBuf);
-        curCost = nextCost;
-        onAccept();
-      }
-    } else {
-      State next = move(cur, rng);
-      double nextCost = cost(next);
-      if (acceptMove(nextCost - curCost)) {
-        cur = std::move(next);
-        curCost = nextCost;
-        onAccept();
-      }
+    moveBuf = cur;
+    move(moveBuf, rng);
+    double nextCost = cost(moveBuf);
+    if (acceptMove(nextCost - curCost)) {
+      using std::swap;
+      swap(cur, moveBuf);
+      curCost = nextCost;
+      onAccept();
     }
   }
 }
@@ -205,7 +199,7 @@ void annealPass(State& cur, double& curCost, std::size_t count, CostF& cost,
 // machine.
 //
 // Every entry point runs on it: `anneal` (one run, restarts off),
-// `annealWithRestarts` and every backend session (restarts on).  A run
+// `annealWithRestarts` and every placer session (restarts on).  A run
 // seeds its RNG, calibrates t0 with a 50-move accept-all walk, then cools
 // geometrically until it freezes, exhausts its leftover sweep budget or is
 // stopped; with restarts on, a finished run's leftover budget funds the
@@ -457,14 +451,10 @@ class AnnealDriver {
 /// Runs simulated annealing from `init`.
 ///
 /// `cost`:  double(const State&) — smaller is better.
-/// `move`:  either State(const State&, Rng&) — proposes a neighbouring
-///          state by value (the classic copying style) — or
-///          void(State&, Rng&) — perturbs IN PLACE a buffer already holding
-///          a copy of the current state.  The in-place style keeps the
-///          steady-state move loop free of heap allocations (the engine
-///          swaps the persistent buffer in on acceptance); both styles
-///          produce bit-identical trajectories for the same perturbation
-///          logic.
+/// `move`:  void(State&, Rng&) — perturbs IN PLACE a buffer already holding
+///          a copy of the current state (the engine swaps the persistent
+///          buffer in on acceptance, so the steady-state move loop
+///          constructs no state).
 template <class State, class CostF, class MoveF>
 AnnealResult<State> anneal(State init, CostF&& cost, MoveF&& move,
                            const AnnealOptions& opt) {

@@ -9,12 +9,17 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
+#include "anneal/annealer.h"
+#include "bstar/bstar_tree.h"
+#include "bstar/from_placement.h"
 #include "bstar/pack.h"
+#include "cost/cost_model.h"
 #include "geom/placement.h"
 #include "netlist/circuit.h"
 #include "util/cancel_token.h"
+#include "util/rng.h"
 
 namespace als {
 
@@ -60,59 +65,39 @@ struct FlatBStarResult {
 FlatBStarResult placeFlatBStarSA(const Circuit& circuit,
                                  const FlatBStarOptions& options = {});
 
-/// Resumable flat B*-tree SA run — `placeFlatBStarSA` cut at sweep
-/// granularity (anneal/annealer.h's AnnealDriver): construct, advance in
-/// rounds with `runSweeps`, optionally exchange states or reseed between
-/// rounds, and `finish()`.  A session run to completion in one go IS
-/// `placeFlatBStarSA`, bit for bit (the function is implemented on top of
-/// it).  `tempScale` multiplies the calibrated t0 of every internal restart
-/// (1.0 = the sequential schedule, exactly).
-///
-/// Not movable or shareable across threads concurrently; the plan
-/// executor advances each session from one thread at a time with fork-join
-/// barriers in between, which is all the contract requires.
-class FlatBStarSession {
- public:
-  FlatBStarSession(const Circuit& circuit, const FlatBStarOptions& options,
-                   double tempScale = 1.0);
-  ~FlatBStarSession();
+/// The flat B*-tree policy of the annealing session (anneal/session.h):
+/// `placeFlatBStarSA` is `AnnealSession<FlatBStarBackend>` run to
+/// completion.
+struct FlatBStarBackend {
+  using Options = FlatBStarOptions;
+  using Result = FlatBStarResult;
+  struct State {
+    BStarTree tree;
+    std::vector<bool> rotated;
+    std::vector<std::uint8_t> shapeIdx;  ///< index into Module::shapes (0 = footprint)
+  };
 
-  FlatBStarSession(const FlatBStarSession&) = delete;
-  FlatBStarSession& operator=(const FlatBStarSession&) = delete;
+  FlatBStarBackend(const Circuit& circuit, const Options& options);
 
-  /// Advances up to `maxSweeps` temperature steps; returns the number
-  /// executed (fewer only when the whole budget finished).
-  std::size_t runSweeps(std::size_t maxSweeps);
-  /// Runs the remaining budget to completion.
-  void run();
-  bool finished() const;
+  State initialState() const;
+  /// Dims + full pack into the scratch; the pointer aliases scr.placement.
+  const Placement* decode(const State& s);
+  void move(State& s, Rng& rng) const;
+  /// The B*-tree reconstruction of `placement` (bstar/from_placement.h),
+  /// with orientations and shape choices recovered from the rect
+  /// dimensions.  Every state is feasible for this penalty-based backend,
+  /// so any right-sized placement is adopted.
+  void reseed(State& s, const Placement& placement);
+  Result finish(AnnealResult<State> annealed);
 
-  double currentCost() const;
-  double bestCost() const;
-  double temperature() const;  ///< current SA temperature (ladder-scaled)
-
-  /// Swaps the two sessions' current states (replica exchange) and
-  /// re-anchors both evaluators; no RNG is consumed.  Both sessions must
-  /// place the same circuit.
-  void exchangeWith(FlatBStarSession& other);
-
-  /// Decodes the best state so far into the session scratch.  The reference
-  /// stays valid until the session advances or decodes again.
-  const Placement& bestPlacement();
-
-  /// Replaces the current state with the B*-tree reconstruction of
-  /// `placement` (bstar/from_placement.h), recovering orientations and
-  /// shape choices from the rect dimensions, and re-anchors.  Always
-  /// succeeds for this backend (penalty-based: every state is feasible).
-  bool reseedFromPlacement(const Placement& placement);
-
-  /// Finalizes (running any leftover budget first) and assembles the
-  /// result exactly as `placeFlatBStarSA` does.
-  FlatBStarResult finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  const Circuit& circuit;
+  Options options;
+  CostModel model;
+  std::vector<ModuleId> shapy;  ///< modules with a shape curve
+  bool shapeMoves = false;
+  FlatBStarScratch localScratch;
+  FlatBStarScratch& scr;
+  BStarFromPlacementScratch reseedScratch;  ///< warm after the first reseed
 };
 
 }  // namespace als

@@ -5,9 +5,8 @@
 #include <cassert>
 #include <utility>
 
-#include "anneal/annealer.h"
+#include "anneal/session.h"
 #include "bstar/common_centroid.h"
-#include "cost/cost_model.h"
 
 namespace als {
 
@@ -354,104 +353,34 @@ void HBState::packInto(HBPackScratch& scratch, Packed& out) const {
 #endif
 }
 
-namespace {
+HBStarBackend::HBStarBackend(const Circuit& c, const Options& o)
+    : circuit(c),
+      options(o),
+      // Hierarchy constraints hold by construction in every packed state,
+      // so the objective is the geometric core: area + normalized
+      // wirelength plus, when weighted, thermal pair mismatch.
+      model(c, makeObjective(c, {.wirelength = o.wirelengthWeight,
+                                 .thermal = o.thermalWeight})),
+      scr(o.scratch ? *o.scratch : localScratch) {}
 
-/// Decode into the session scratch; the returned pointer aliases
-/// scr.packed.placement (same body as the historical lambda).
-struct HBDecoder {
-  HBStarScratch* scr;
-  const Placement* operator()(const HBState& s) const {
-    s.packInto(scr->pack, scr->packed);
-    return &scr->packed.placement;
-  }
-};
-
-struct HBMove {
-  void operator()(HBState& s, Rng& rng) const { s.perturb(rng); }
-};
-
-}  // namespace
-
-struct HBStarSession::Impl {
-  using Cost = detail::DecodedCost<CostModel, HBDecoder>;
-  using Driver = detail::AnnealDriver<HBState, Cost, HBMove>;
-
-  const Circuit& circuit;
-  HBPlacerOptions options;
-  CostModel model;
-  HBStarScratch localScratch;
-  HBStarScratch& scr;
-  HBDecoder decode;
-  std::optional<Driver> driver;
-
-  Impl(const Circuit& c, const HBPlacerOptions& o, double tempScale)
-      : circuit(c),
-        options(o),
-        // Hierarchy constraints hold by construction in every packed state,
-        // so the objective is the geometric core: area + normalized
-        // wirelength plus, when weighted, thermal pair mismatch.
-        model(c, makeObjective(c, {.wirelength = o.wirelengthWeight,
-                                   .thermal = o.thermalWeight})),
-        scr(o.scratch ? *o.scratch : localScratch),
-        decode{&scr} {
-    AnnealOptions annealOpt;
-    annealOpt.maxSweeps = options.maxSweeps;
-    annealOpt.seed = options.seed;
-    annealOpt.coolingFactor = options.coolingFactor;
-    annealOpt.movesPerTemp = options.movesPerTemp;
-    annealOpt.sizeHint = circuit.moduleCount();
-    annealOpt.cancel = options.cancel;
-    HBState init(circuit);
-    init.enableShapeMoves(options.shapeMoveProb);
-    driver.emplace(init, Cost{model, decode}, HBMove{}, annealOpt, tempScale);
-  }
-};
-
-HBStarSession::HBStarSession(const Circuit& circuit,
-                             const HBPlacerOptions& options, double tempScale)
-    : impl_(std::make_unique<Impl>(circuit, options, tempScale)) {}
-
-HBStarSession::~HBStarSession() = default;
-
-std::size_t HBStarSession::runSweeps(std::size_t maxSweeps) {
-  return impl_->driver->runSweeps(maxSweeps);
+HBState HBStarBackend::initialState() const {
+  HBState init(circuit);
+  init.enableShapeMoves(options.shapeMoveProb);
+  return init;
 }
 
-void HBStarSession::run() { impl_->driver->run(); }
-
-bool HBStarSession::finished() const { return impl_->driver->finished(); }
-
-double HBStarSession::currentCost() const {
-  return impl_->driver->currentCost();
+const Placement* HBStarBackend::decode(const State& s) {
+  s.packInto(scr.pack, scr.packed);
+  return &scr.packed.placement;
 }
 
-double HBStarSession::bestCost() const { return impl_->driver->bestCost(); }
-
-double HBStarSession::temperature() const {
-  return impl_->driver->temperature();
-}
-
-void HBStarSession::exchangeWith(HBStarSession& other) {
-  Impl::Driver::exchange(*impl_->driver, *other.impl_->driver);
-}
-
-const Placement& HBStarSession::bestPlacement() {
-  const Placement* p = impl_->decode(impl_->driver->bestState());
-  return *p;
-}
-
-bool HBStarSession::reseedFromPlacement(const Placement&) { return false; }
-
-HBPlacerResult HBStarSession::finish() {
-  AnnealResult<HBState> annealed = impl_->driver->finalize();
-  HBStarScratch& scr = impl_->scr;
-
+HBPlacerResult HBStarBackend::finish(AnnealResult<State> annealed) {
   HBPlacerResult result;
   annealed.best.packInto(scr.pack, scr.packed);
   result.placement = scr.packed.placement;
   result.axis2x = scr.packed.axis2x;
   result.area = result.placement.boundingBox().area();
-  result.hpwl = totalHpwl(result.placement, impl_->circuit.netPins());
+  result.hpwl = totalHpwl(result.placement, circuit.netPins());
   result.cost = annealed.bestCost;
   result.movesTried = annealed.movesTried;
   result.sweeps = annealed.sweeps;
@@ -461,8 +390,7 @@ HBPlacerResult HBStarSession::finish() {
 
 HBPlacerResult placeHBStarSA(const Circuit& circuit,
                              const HBPlacerOptions& options) {
-  HBStarSession session(circuit, options);
-  return session.finish();
+  return AnnealSession<HBStarBackend>(circuit, options).finish();
 }
 
 }  // namespace als

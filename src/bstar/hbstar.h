@@ -21,16 +21,18 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
+#include "anneal/annealer.h"
 #include "bstar/asf.h"
 #include "bstar/bstar_tree.h"
 #include "bstar/pack.h"
+#include "cost/cost_model.h"
 #include "geom/placement.h"
 #include "netlist/circuit.h"
 #include "util/cancel_token.h"
+#include "util/rng.h"
 
 namespace als {
 
@@ -182,46 +184,35 @@ struct HBPlacerResult {
 HBPlacerResult placeHBStarSA(const Circuit& circuit,
                              const HBPlacerOptions& options = {});
 
-/// Resumable HB*-tree SA run — `placeHBStarSA` cut at sweep granularity;
-/// see bstar/flat_placer.h's FlatBStarSession for the shared contract
-/// (run-to-completion bit-identity, `tempScale`, threading).  Replica
-/// exchange between two HBStarSessions is safe without cache invalidation:
-/// encoding stamps are globally unique, so a swapped-in state never aliases
-/// the other session's scratch cache.
-class HBStarSession {
- public:
-  HBStarSession(const Circuit& circuit, const HBPlacerOptions& options,
-                double tempScale = 1.0);
-  ~HBStarSession();
+/// The HB*-tree policy of the annealing session (anneal/session.h):
+/// `placeHBStarSA` is `AnnealSession<HBStarBackend>` run to completion.
+///
+/// Replica exchange between two HB*-tree sessions is safe without cache
+/// invalidation: encoding stamps are globally unique, so a swapped-in state
+/// never aliases the other session's scratch cache.  There is no `reseed`:
+/// the hierarchical encoding (islands, CC grids, per-node trees) cannot be
+/// reconstructed from a flat placement, so this backend never adopts
+/// foreign seeds (the plan executor falls back to keeping the replica's own
+/// state).
+struct HBStarBackend {
+  using Options = HBPlacerOptions;
+  using Result = HBPlacerResult;
+  using State = HBState;
 
-  HBStarSession(const HBStarSession&) = delete;
-  HBStarSession& operator=(const HBStarSession&) = delete;
+  HBStarBackend(const Circuit& circuit, const Options& options);
 
-  std::size_t runSweeps(std::size_t maxSweeps);
-  void run();
-  bool finished() const;
+  State initialState() const;
+  /// Node-local repack into the scratch; the pointer aliases
+  /// scr.packed.placement.
+  const Placement* decode(const State& s);
+  void move(State& s, Rng& rng) const { s.perturb(rng); }
+  Result finish(AnnealResult<State> annealed);
 
-  double currentCost() const;
-  double bestCost() const;
-  double temperature() const;
-
-  void exchangeWith(HBStarSession& other);
-
-  /// Decodes the best state so far into the session scratch.  The reference
-  /// stays valid until the session advances or decodes again.
-  const Placement& bestPlacement();
-
-  /// Always returns false: the hierarchical encoding (islands, CC grids,
-  /// per-node trees) cannot be reconstructed from a flat placement, so this
-  /// backend never adopts foreign seeds (the plan executor falls back to
-  /// keeping the replica's own state).
-  bool reseedFromPlacement(const Placement& placement);
-
-  HBPlacerResult finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  const Circuit& circuit;
+  Options options;
+  CostModel model;
+  HBStarScratch localScratch;
+  HBStarScratch& scr;
 };
 
 }  // namespace als

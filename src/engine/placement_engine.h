@@ -12,7 +12,9 @@
 // shared outputs, and a factory keyed by `EngineBackend`.  A `place()` call
 // is one resumable session (engine/replica_session.h) run to completion in
 // one go, so the one-shot facade and the runtime layer's round-based
-// executor share a single backend-erasure layer.
+// executor share a single backend-erasure layer.  Under it, every backend
+// is one policy (its state, decode, move and optional reseed) of the one
+// annealing session template, `AnnealSession` (anneal/session.h).
 //
 // All engines honor the deterministic annealing contract of
 // anneal/annealer.h: `maxSweeps` is the primary budget — for a fixed seed
@@ -20,10 +22,10 @@
 // is a deadline each session arms on its own token (not reproducible).
 //
 // Thread-safety contract (load-bearing for runtime/plan_executor.h): every
-// backend session is stateless across instances.  It may touch only (a) its
-// own members, (b) the `const Circuit&` read-only, and (c) an RNG
-// constructed from `options.seed`.  No backend may keep mutable statics,
-// lazily cache into the circuit, or share an RNG across sessions.
+// session is stateless across instances.  Its backend policy may touch only
+// (a) its own members, (b) the `const Circuit&` read-only, and (c) the RNG
+// the session constructs from `options.seed`.  No backend may keep mutable
+// statics, lazily cache into the circuit, or share an RNG across sessions.
 // Concurrent `place()` calls on one engine instance — or on many engines
 // over the same circuit — are therefore race-free, provided the caller does
 // not mutate the circuit while placements run.  New backends must uphold

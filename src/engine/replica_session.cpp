@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "anneal/session.h"
 #include "bstar/flat_placer.h"
 #include "bstar/hbstar.h"
 #include "engine/backend_map.h"
@@ -13,9 +14,11 @@ namespace als {
 
 namespace {
 
-template <class Session, class NativeOptions, class NativeResult>
+template <class Backend>
 class TypedReplica final : public ReplicaSession {
  public:
+  using Options = typename Backend::Options;
+
   TypedReplica(EngineBackend backend, const Circuit& circuit,
                const EngineOptions& options, double tempScale)
       : backend_(backend),
@@ -28,7 +31,6 @@ class TypedReplica final : public ReplicaSession {
   std::size_t runSweeps(std::size_t maxSweeps) override {
     return session_.runSweeps(maxSweeps);
   }
-  void run() override { session_.run(); }
   bool finished() const override { return session_.finished(); }
 
   double currentCost() const override { return session_.currentCost(); }
@@ -53,7 +55,7 @@ class TypedReplica final : public ReplicaSession {
   }
 
   EngineResult finish() override {
-    NativeResult r = session_.finish();
+    auto r = session_.finish();
     EngineResult result;
     result.placement = std::move(r.placement);
     result.area = r.area;
@@ -71,8 +73,8 @@ class TypedReplica final : public ReplicaSession {
  private:
   /// The one place `timeLimitSec` is armed: each session (a `place()` call
   /// or an executor cell) caps itself on a token linked to the caller's.
-  NativeOptions nativeOptions(const EngineOptions& options) {
-    NativeOptions opt = mapEngineOptions<NativeOptions>(options);
+  Options nativeOptions(const EngineOptions& options) {
+    Options opt = mapEngineOptions<Options>(options);
     if (options.timeLimitSec > 0.0) {
       deadline_.setDeadlineAfter(options.timeLimitSec);
       opt.cancel = &deadline_;
@@ -83,7 +85,7 @@ class TypedReplica final : public ReplicaSession {
   EngineBackend backend_;
   std::uint64_t seed_;
   CancelToken deadline_;  ///< before session_, which points at it
-  Session session_;
+  AnnealSession<Backend> session_;
 };
 
 }  // namespace
@@ -94,20 +96,16 @@ std::unique_ptr<ReplicaSession> makeReplicaSession(EngineBackend backend,
                                                    double tempScale) {
   switch (backend) {
     case EngineBackend::FlatBStar:
-      return std::make_unique<
-          TypedReplica<FlatBStarSession, FlatBStarOptions, FlatBStarResult>>(
+      return std::make_unique<TypedReplica<FlatBStarBackend>>(
           backend, circuit, options, tempScale);
     case EngineBackend::SeqPair:
-      return std::make_unique<TypedReplica<SeqPairSession, SeqPairPlacerOptions,
-                                           SeqPairPlacerResult>>(
+      return std::make_unique<TypedReplica<SeqPairBackend>>(
           backend, circuit, options, tempScale);
     case EngineBackend::Slicing:
-      return std::make_unique<TypedReplica<SlicingSession, SlicingPlacerOptions,
-                                           SlicingPlacerResult>>(
+      return std::make_unique<TypedReplica<SlicingBackend>>(
           backend, circuit, options, tempScale);
     case EngineBackend::HBStar:
-      return std::make_unique<
-          TypedReplica<HBStarSession, HBPlacerOptions, HBPlacerResult>>(
+      return std::make_unique<TypedReplica<HBStarBackend>>(
           backend, circuit, options, tempScale);
   }
   return nullptr;

@@ -3,13 +3,14 @@
 // to completion, and the plan executor (runtime/plan_executor.h) drives
 // grids of them in rounds.
 //
-// Each backend exposes a concrete session type (FlatBStarSession,
-// SeqPairSession, SlicingSession, HBStarSession) that is its one-shot
-// place function cut at sweep granularity.  `ReplicaSession` erases the
-// backend so a runner can hold a heterogeneous fleet; `makeReplicaSession`
-// maps `EngineOptions` to the native options (engine/backend_map.h), so a
-// session run to completion in one go returns what the backend's one-shot
-// place function returns — bit for bit.
+// Each backend states its state, decode, move and optional reseed as a
+// policy (FlatBStarBackend, SeqPairBackend, SlicingBackend, HBStarBackend);
+// the one session template `AnnealSession` (anneal/session.h) is the
+// backend's one-shot place function cut at sweep granularity.
+// `ReplicaSession` erases the backend so a runner can hold a heterogeneous
+// fleet; `makeReplicaSession` maps `EngineOptions` to the native options
+// (engine/backend_map.h), so a session run to completion in one go returns
+// what the backend's one-shot place function returns — bit for bit.
 //
 // Threading contract: a session may move between threads across calls but
 // is never called concurrently; the executor advances sessions in fork-join
@@ -31,8 +32,6 @@ class ReplicaSession {
   /// Advances up to `maxSweeps` temperature steps; returns the number
   /// executed (fewer only when the whole budget finished).
   virtual std::size_t runSweeps(std::size_t maxSweeps) = 0;
-  /// Runs the remaining budget to completion.
-  virtual void run() = 0;
   virtual bool finished() const = 0;
 
   virtual double currentCost() const = 0;
@@ -50,9 +49,10 @@ class ReplicaSession {
   virtual const Placement& bestPlacement() = 0;
 
   /// Replaces the current state with a backend-native reconstruction of
-  /// `placement` (the from_placement converters) and re-anchors.  Returns
+  /// `placement` (the from_placement converters) and re-costs it.  Returns
   /// false — leaving the session untouched — for backends whose encoding
-  /// cannot adopt a foreign placement (slicing, hbstar).
+  /// cannot adopt a foreign placement (slicing, hbstar) and for a placement
+  /// without one rect per module.
   virtual bool reseedFromPlacement(const Placement& placement) = 0;
 
   /// Finalizes (running any leftover budget first) and assembles the result

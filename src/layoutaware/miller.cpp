@@ -187,23 +187,22 @@ MillerSizingResult runMillerSizing(const Technology& tech, const OtaSpecs& specs
     return cost;
   };
 
-  auto move = [&](const MillerDesign& d, Rng& rng) {
-    MillerDesign next = d;
+  auto move = [&](MillerDesign& d, Rng& rng) {
     switch (rng.index(12)) {
-      case 0: next.ib *= std::exp(rng.normal(0.0, 0.18)); break;
-      case 1: next.i2 *= std::exp(rng.normal(0.0, 0.18)); break;
-      case 2: next.w1 *= std::exp(rng.normal(0.0, 0.22)); break;
-      case 3: next.wn *= std::exp(rng.normal(0.0, 0.22)); break;
-      case 4: next.w8 *= std::exp(rng.normal(0.0, 0.22)); break;
-      case 5: next.wp *= std::exp(rng.normal(0.0, 0.22)); break;
-      case 6: next.l1 *= std::exp(rng.normal(0.0, 0.15)); break;
-      case 7: next.ln *= std::exp(rng.normal(0.0, 0.15)); break;
-      case 8: next.l8 *= std::exp(rng.normal(0.0, 0.15)); break;
-      case 9: next.cc *= std::exp(rng.normal(0.0, 0.2)); break;
-      case 10: next.m1 += static_cast<int>(rng.uniformInt(-2, 2)); break;
-      case 11: next.m8 += static_cast<int>(rng.uniformInt(-2, 2)); break;
+      case 0: d.ib *= std::exp(rng.normal(0.0, 0.18)); break;
+      case 1: d.i2 *= std::exp(rng.normal(0.0, 0.18)); break;
+      case 2: d.w1 *= std::exp(rng.normal(0.0, 0.22)); break;
+      case 3: d.wn *= std::exp(rng.normal(0.0, 0.22)); break;
+      case 4: d.w8 *= std::exp(rng.normal(0.0, 0.22)); break;
+      case 5: d.wp *= std::exp(rng.normal(0.0, 0.22)); break;
+      case 6: d.l1 *= std::exp(rng.normal(0.0, 0.15)); break;
+      case 7: d.ln *= std::exp(rng.normal(0.0, 0.15)); break;
+      case 8: d.l8 *= std::exp(rng.normal(0.0, 0.15)); break;
+      case 9: d.cc *= std::exp(rng.normal(0.0, 0.2)); break;
+      case 10: d.m1 += static_cast<int>(rng.uniformInt(-2, 2)); break;
+      case 11: d.m8 += static_cast<int>(rng.uniformInt(-2, 2)); break;
     }
-    return clampedMiller(next, tech);
+    d = clampedMiller(d, tech);
   };
 
   AnnealOptions annealOpt;

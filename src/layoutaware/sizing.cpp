@@ -70,21 +70,20 @@ SizingResult runSizing(const Technology& tech, const OtaSpecs& specs,
     return evaluate(d, options.layoutAware, nullptr, nullptr);
   };
 
-  auto move = [&](const FoldedCascodeDesign& d, Rng& rng) {
-    FoldedCascodeDesign next = d;
+  auto move = [&](FoldedCascodeDesign& d, Rng& rng) {
     switch (rng.index(10)) {
-      case 0: next.ib *= std::exp(rng.normal(0.0, 0.18)); break;
-      case 1: next.w1 *= std::exp(rng.normal(0.0, 0.22)); break;
-      case 2: next.wp *= std::exp(rng.normal(0.0, 0.22)); break;
-      case 3: next.wn *= std::exp(rng.normal(0.0, 0.22)); break;
-      case 4: next.l1 *= std::exp(rng.normal(0.0, 0.15)); break;
-      case 5: next.lp *= std::exp(rng.normal(0.0, 0.15)); break;
-      case 6: next.ln *= std::exp(rng.normal(0.0, 0.15)); break;
-      case 7: next.m1 += static_cast<int>(rng.uniformInt(-2, 2)); break;
-      case 8: next.mp += static_cast<int>(rng.uniformInt(-2, 2)); break;
-      case 9: next.mn += static_cast<int>(rng.uniformInt(-2, 2)); break;
+      case 0: d.ib *= std::exp(rng.normal(0.0, 0.18)); break;
+      case 1: d.w1 *= std::exp(rng.normal(0.0, 0.22)); break;
+      case 2: d.wp *= std::exp(rng.normal(0.0, 0.22)); break;
+      case 3: d.wn *= std::exp(rng.normal(0.0, 0.22)); break;
+      case 4: d.l1 *= std::exp(rng.normal(0.0, 0.15)); break;
+      case 5: d.lp *= std::exp(rng.normal(0.0, 0.15)); break;
+      case 6: d.ln *= std::exp(rng.normal(0.0, 0.15)); break;
+      case 7: d.m1 += static_cast<int>(rng.uniformInt(-2, 2)); break;
+      case 8: d.mp += static_cast<int>(rng.uniformInt(-2, 2)); break;
+      case 9: d.mn += static_cast<int>(rng.uniformInt(-2, 2)); break;
     }
-    return clamped(next, tech);
+    d = clamped(d, tech);
   };
 
   AnnealOptions annealOpt;

@@ -100,36 +100,28 @@ AbsolutePlacerResult placeAbsoluteSA(const Circuit& circuit,
     return c;
   };
 
-  auto move = [&](const AbsState& s, Rng& rng) {
-    AbsState next = s;
+  auto move = [&](AbsState& s, Rng& rng) {
     double r = rng.uniform();
     if (r < 0.6) {  // translate one cell
       std::size_t m = rng.index(n);
       Coord dx = rng.uniformInt(-span / 4, span / 4);
       Coord dy = rng.uniformInt(-span / 4, span / 4);
-      next.rects[m] = next.rects[m].translated(dx, dy);
+      s.rects[m] = s.rects[m].translated(dx, dy);
     } else if (r < 0.9 && n >= 2) {  // swap two cell origins
       std::size_t a = rng.index(n), b = rng.index(n);
-      std::swap(next.rects[a].x, next.rects[b].x);
-      std::swap(next.rects[a].y, next.rects[b].y);
+      std::swap(s.rects[a].x, s.rects[b].x);
+      std::swap(s.rects[a].y, s.rects[b].y);
     } else {  // rotate
       std::size_t m = rng.index(n);
       if (circuit.module(m).rotatable) {
-        next.rects[m] = next.rects[m].rotated90();
-        next.rotated[m] = !next.rotated[m];
+        s.rects[m] = s.rects[m].rotated90();
+        s.rotated[m] = !s.rotated[m];
       }
     }
-    return next;
   };
 
-  AnnealOptions annealOpt;
-  annealOpt.maxSweeps = options.maxSweeps;
-  annealOpt.seed = options.seed;
-  annealOpt.coolingFactor = options.coolingFactor;
-  annealOpt.movesPerTemp = options.movesPerTemp;
-  annealOpt.sizeHint = n;
-  annealOpt.cancel = options.cancel;
-  auto annealed = annealWithRestarts(init, cost, move, annealOpt);
+  auto annealed = annealWithRestarts(init, cost, move,
+                                     annealOptionsOf(options, n));
 
   AbsolutePlacerResult result;
   result.placement = Placement(annealed.best.rects);

@@ -6,12 +6,19 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
+#include <vector>
 
+#include "anneal/annealer.h"
+#include "cost/cost_model.h"
 #include "netlist/circuit.h"
+#include "seqpair/from_placement.h"
+#include "seqpair/moves.h"
 #include "seqpair/packer.h"
 #include "seqpair/sym_placer.h"
+#include "seqpair/symmetry.h"
 #include "util/cancel_token.h"
+#include "util/rng.h"
 
 namespace als {
 
@@ -66,44 +73,38 @@ struct SeqPairPlacerResult {
 SeqPairPlacerResult placeSeqPairSA(const Circuit& circuit,
                                    const SeqPairPlacerOptions& options = {});
 
-/// Resumable sequence-pair SA run — `placeSeqPairSA` cut at sweep
-/// granularity; see bstar/flat_placer.h's FlatBStarSession for the shared
-/// contract (run-to-completion bit-identity, `tempScale`, threading).
-class SeqPairSession {
- public:
-  SeqPairSession(const Circuit& circuit, const SeqPairPlacerOptions& options,
-                 double tempScale = 1.0);
-  ~SeqPairSession();
+/// The sequence-pair policy of the annealing session (anneal/session.h):
+/// `placeSeqPairSA` is `AnnealSession<SeqPairBackend>` run to completion.
+struct SeqPairBackend {
+  using Options = SeqPairPlacerOptions;
+  using Result = SeqPairPlacerResult;
+  using State = SeqPairState;
 
-  SeqPairSession(const SeqPairSession&) = delete;
-  SeqPairSession& operator=(const SeqPairSession&) = delete;
+  SeqPairBackend(const Circuit& circuit, const Options& options);
 
-  std::size_t runSweeps(std::size_t maxSweeps);
-  void run();
-  bool finished() const;
+  /// The constructively symmetrized identity pair.
+  State initialState() const;
+  /// Dims + symmetric construction into the scratch; the pointer aliases
+  /// scr.result.placement (null for a code that is not symmetric-feasible).
+  const Placement* decode(const State& s);
+  void move(State& s, Rng& rng) const { moves.apply(s, rng); }
+  /// The diagonal-order pair of `placement` (seqpair/from_placement.h),
+  /// rotations recovered from the rect dimensions (mirror partners forced
+  /// consistent), then the symmetric-feasible invariant re-established.
+  void reseed(State& s, const Placement& placement);
+  Result finish(AnnealResult<State> annealed);
 
-  double currentCost() const;
-  double bestCost() const;
-  double temperature() const;
-
-  void exchangeWith(SeqPairSession& other);
-
-  /// Decodes the best state so far into the session scratch.  The reference
-  /// stays valid until the session advances or decodes again.
-  const Placement& bestPlacement();
-
-  /// Replaces the current state with the diagonal-order pair of `placement`
-  /// (seqpair/from_placement.h), recovers rotations from the rect
-  /// dimensions (mirror partners forced consistent), re-establishes the
-  /// symmetric-feasible invariant, and re-anchors.  Always succeeds for
-  /// this backend.
-  bool reseedFromPlacement(const Placement& placement);
-
-  SeqPairPlacerResult finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  const Circuit& circuit;
+  std::span<const SymmetryGroup> groups;
+  SymmetricMoveSet moves;
+  CostModel model;
+  SeqPairScratch localScratch;
+  SeqPairScratch& scr;
+  SymBuildOptions buildOpts;
+  // Cross-backend reseed buffers (warm after the first reseed).
+  SeqPairFromPlacementScratch reseedScratch;
+  SymmetryGroup merged;
+  SymFeasibleScratch symScratch;
 };
 
 }  // namespace als

@@ -7,12 +7,15 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
+#include "anneal/annealer.h"
+#include "cost/cost_model.h"
 #include "geom/placement.h"
 #include "netlist/circuit.h"
 #include "slicing/polish.h"
 #include "util/cancel_token.h"
+#include "util/rng.h"
 
 namespace als {
 
@@ -52,42 +55,40 @@ struct SlicingPlacerResult {
 SlicingPlacerResult placeSlicingSA(const Circuit& circuit,
                                    const SlicingPlacerOptions& options = {});
 
-/// Resumable slicing SA run — `placeSlicingSA` cut at sweep granularity;
-/// see bstar/flat_placer.h's FlatBStarSession for the shared contract
-/// (run-to-completion bit-identity, `tempScale`, threading).
-class SlicingSession {
- public:
-  SlicingSession(const Circuit& circuit, const SlicingPlacerOptions& options,
-                 double tempScale = 1.0);
-  ~SlicingSession();
+/// The slicing policy of the annealing session (anneal/session.h):
+/// `placeSlicingSA` is `AnnealSession<SlicingBackend>` run to completion.
+/// It has no `reseed`: a general placement has no exact normalized Polish
+/// expression, so this backend never adopts foreign seeds (the plan
+/// executor falls back to keeping the replica's own state).
+struct SlicingBackend {
+  using Options = SlicingPlacerOptions;
+  using Result = SlicingPlacerResult;
+  /// The Polish expression plus, when shape moves are on, the chosen
+  /// realization index per module (0 = declared footprint).
+  struct State {
+    PolishExpr expr;
+    std::vector<std::uint8_t> shapeIdx;
+  };
 
-  SlicingSession(const SlicingSession&) = delete;
-  SlicingSession& operator=(const SlicingSession&) = delete;
+  SlicingBackend(const Circuit& circuit, const Options& options);
 
-  std::size_t runSweeps(std::size_t maxSweeps);
-  void run();
-  bool finished() const;
+  State initialState() const;
+  /// Applies the state's chosen realizations to the dim buffers, then
+  /// derives the best-area realization of the slicing tree; the pointer
+  /// aliases scr.result.placement.
+  const Placement* decode(const State& s);
+  void move(State& s, Rng& rng) const;
+  Result finish(AnnealResult<State> annealed);
 
-  double currentCost() const;
-  double bestCost() const;
-  double temperature() const;
-
-  void exchangeWith(SlicingSession& other);
-
-  /// Decodes the best state so far into the session scratch.  The reference
-  /// stays valid until the session advances or decodes again.
-  const Placement& bestPlacement();
-
-  /// Always returns false: a general placement has no exact normalized
-  /// Polish expression, so this backend never adopts foreign seeds (the
-  /// plan executor falls back to keeping the replica's own state).
-  bool reseedFromPlacement(const Placement& placement);
-
-  SlicingPlacerResult finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  const Circuit& circuit;
+  Options options;
+  std::vector<Coord> w, h;  ///< declared footprints, shape choices applied
+  std::vector<bool> rotatable;
+  CostModel model;
+  std::vector<ModuleId> shapy;  ///< modules with a shape curve
+  bool shapeMoves = false;
+  SlicingScratch localScratch;
+  SlicingScratch& scr;
 };
 
 }  // namespace als

@@ -43,7 +43,7 @@ TEST(Annealer, MinimizesQuadratic) {
   opt.sizeHint = 4;
   auto result = anneal(
       10.0, [](double x) { return (x - 3.0) * (x - 3.0); },
-      [](double x, Rng& rng) { return x + rng.normal(0.0, 0.5); }, opt);
+      [](double& x, Rng& rng) { x += rng.normal(0.0, 0.5); }, opt);
   EXPECT_NEAR(result.best, 3.0, 0.2);
   EXPECT_GT(result.movesTried, 100u);
   EXPECT_GT(result.movesAccepted, 0u);
@@ -60,13 +60,14 @@ TEST(Annealer, EscapesLocalMinimum) {
   opt.seed = 2;
   opt.maxSweeps = 200;
   auto result = anneal(
-      -1.0, cost, [](double x, Rng& rng) { return x + rng.normal(0.0, 0.7); }, opt);
+      -1.0, cost, [](double& x, Rng& rng) { x += rng.normal(0.0, 0.7); },
+      opt);
   EXPECT_NEAR(result.best, 2.0, 0.3);
 }
 
 TEST(Annealer, DeterministicForSeed) {
   auto cost = [](double x) { return std::abs(x); };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
+  auto move = [](double& x, Rng& rng) { x += rng.uniform(-1.0, 1.0); };
   AnnealOptions opt;
   opt.seed = 3;
   opt.maxSweeps = 100;
@@ -79,8 +80,8 @@ TEST(Annealer, DeterministicForSeed) {
 
 TEST(Annealer, BestNeverWorseThanInitial) {
   auto cost = [](int x) { return static_cast<double>(x * x); };
-  auto move = [](int x, Rng& rng) {
-    return x + static_cast<int>(rng.uniformInt(-2, 2));
+  auto move = [](int& x, Rng& rng) {
+    x += static_cast<int>(rng.uniformInt(-2, 2));
   };
   AnnealOptions opt;
   opt.seed = 4;
@@ -93,7 +94,7 @@ TEST(Annealer, SweepBudgetIsThePrimaryStoppingRule) {
   // With freezing disabled the sweep budget is the only active rule; the
   // run must execute exactly `maxSweeps` temperature steps.
   auto cost = [](double x) { return x; };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform() - 0.5; };
+  auto move = [](double& x, Rng& rng) { x = x + rng.uniform() - 0.5; };
   AnnealOptions opt;
   opt.seed = 5;
   opt.maxSweeps = 77;
@@ -106,7 +107,7 @@ TEST(Annealer, SweepBudgetIsThePrimaryStoppingRule) {
 
 TEST(Annealer, RespectsSecondaryTimeLimit) {
   auto cost = [](double x) { return x; };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform() - 0.5; };
+  auto move = [](double& x, Rng& rng) { x = x + rng.uniform() - 0.5; };
   CancelToken deadline;
   deadline.setDeadlineAfter(0.2);
   AnnealOptions opt;
@@ -126,7 +127,7 @@ TEST(Annealer, UncappedRestartsRunUntilAnArmedDeadline) {
   // deadline that single run is the answer; under a deadline the leftover
   // wall clock funds restarts until the deadline stops the token.
   auto cost = [](double x) { return std::abs(x); };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
+  auto move = [](double& x, Rng& rng) { x += rng.uniform(-1.0, 1.0); };
   AnnealOptions opt;
   opt.seed = 6;
   opt.maxSweeps = 0;
@@ -144,7 +145,7 @@ TEST(Annealer, UncappedRestartsRunUntilAnArmedDeadline) {
 
 TEST(Annealer, RestartsConsumeTheTotalSweepBudgetExactly) {
   auto cost = [](double x) { return std::abs(x); };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
+  auto move = [](double& x, Rng& rng) { x += rng.uniform(-1.0, 1.0); };
   AnnealOptions opt;
   opt.seed = 6;
   opt.maxSweeps = 500;  // a single schedule freezes after ~226 sweeps
@@ -154,7 +155,7 @@ TEST(Annealer, RestartsConsumeTheTotalSweepBudgetExactly) {
 
 TEST(Annealer, RestartsAreDeterministicAndDoNotMutateOptions) {
   auto cost = [](double x) { return std::abs(x); };
-  auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
+  auto move = [](double& x, Rng& rng) { x += rng.uniform(-1.0, 1.0); };
   const AnnealOptions opt{.maxSweeps = 300, .seed = 7};
   auto a = annealWithRestarts(5.0, cost, move, opt);
   auto b = annealWithRestarts(5.0, cost, move, opt);
@@ -170,7 +171,7 @@ TEST(Annealer, DecodedCostRetracesTheDirectCostTrajectory) {
   // Costing through a decoder is a pure evaluation-strategy swap: same RNG
   // stream, same costs (undecodable states included), same acceptances —
   // bit-identical results to the direct cost functor.
-  auto move = [](double x, Rng& rng) { return x + rng.normal(0.0, 0.5); };
+  auto move = [](double& x, Rng& rng) { x += rng.normal(0.0, 0.5); };
   AnnealOptions opt;
   opt.seed = 21;
   opt.maxSweeps = 120;
@@ -187,7 +188,7 @@ TEST(Annealer, DecodedCostRetracesTheDirectCostTrajectory) {
 }
 
 TEST(Annealer, DecodedCostRestartsMatchDirectRestarts) {
-  auto move = [](double x, Rng& rng) { return x + rng.uniform(-1.0, 1.0); };
+  auto move = [](double& x, Rng& rng) { x += rng.uniform(-1.0, 1.0); };
   AnnealOptions opt;
   opt.seed = 23;
   opt.maxSweeps = 400;  // enough for several freeze-terminated restarts
@@ -206,7 +207,7 @@ TEST(Annealer, RestartBeatsOrMatchesSingleRunWithSameTotalBudget) {
   auto cost = [](double x) {
     return std::abs(x - 4.0) + 2.0 * std::sin(3.0 * x);
   };
-  auto move = [](double x, Rng& rng) { return x + rng.normal(0.0, 0.4); };
+  auto move = [](double& x, Rng& rng) { x += rng.normal(0.0, 0.4); };
   AnnealOptions opt;
   opt.seed = 8;
   opt.maxSweeps = 600;
