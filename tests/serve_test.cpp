@@ -147,6 +147,48 @@ TEST(CacheKeyTest, DefaultAndExplicitSpellingsCanonicalizeIdentically) {
             keyOf(text, EngineBackend::SeqPair, spelled));
 }
 
+// The canonical string is the on-disk identity of every stored result: a
+// byte that moves orphans every existing store.  These literals were
+// captured before the options layer was table-driven and must never change
+// under a `v=1` key.
+TEST(CacheKeyTest, CanonicalKeyStringsArePinned) {
+  const char* defaults[] = {
+      "v=1 backend=flat-bstar wl=0.25 sym=2 prox=2 outline=4 maxw=0 maxh=0 "
+      "aspect=0 thermal=0 shape=0 sweeps=256 cool=0.95999999999999996 mpt=0 "
+      "restarts=1 tempering=0 exch=4 ladder=0.90000000000000002 cross=1",
+      "v=1 backend=seqpair wl=0.25 sym=2 prox=2 outline=4 maxw=0 maxh=0 "
+      "aspect=0 thermal=0 shape=0 sweeps=256 cool=0.95999999999999996 mpt=0 "
+      "restarts=1 tempering=0 exch=4 ladder=0.90000000000000002 cross=1",
+      "v=1 backend=slicing wl=0.25 sym=2 prox=2 outline=4 maxw=0 maxh=0 "
+      "aspect=0 thermal=0 shape=0 sweeps=256 cool=0.95999999999999996 mpt=0 "
+      "restarts=1 tempering=0 exch=4 ladder=0.90000000000000002 cross=1",
+      "v=1 backend=hbstar wl=0.25 sym=2 prox=2 outline=4 maxw=0 maxh=0 "
+      "aspect=0 thermal=0 shape=0 sweeps=256 cool=0.95999999999999996 mpt=0 "
+      "restarts=1 tempering=0 exch=4 ladder=0.90000000000000002 cross=1",
+  };
+  ASSERT_EQ(allBackends().size(), std::size(defaults));
+  for (std::size_t i = 0; i < std::size(defaults); ++i) {
+    EXPECT_EQ(canonical(allBackends()[i], EngineOptions{}), defaults[i]);
+  }
+
+  // One OPT soup that sets every knob the wire accepts.
+  EngineOptions soup;
+  for (auto [k, v] : std::initializer_list<std::pair<const char*, const char*>>{
+           {"wl", "0.5"}, {"sym", "3"}, {"prox", "1.5"}, {"outline", "8"},
+           {"maxw", "1000"}, {"maxh", "2000"}, {"aspect", "1.5"},
+           {"thermal", "1"}, {"shape", "0.25"}, {"sweeps", "512"},
+           {"cool", "0.9"}, {"mpt", "7"}, {"restarts", "4"},
+           {"tempering", "1"}, {"exch", "8"}, {"ladder", "0.8"},
+           {"cross", "0"}, {"seed", "9"}, {"threads", "3"}}) {
+    ASSERT_EQ(applyJobOption(soup, k, v), "") << k;
+  }
+  EXPECT_EQ(canonical(EngineBackend::SeqPair, soup),
+            "v=1 backend=seqpair wl=0.5 sym=3 prox=1.5 outline=8 maxw=1000 "
+            "maxh=2000 aspect=1.5 thermal=1 shape=0.25 sweeps=512 "
+            "cool=0.90000000000000002 mpt=7 restarts=4 tempering=1 exch=8 "
+            "ladder=0.80000000000000004 cross=0");
+}
+
 TEST(CacheKeyTest, OptApplicationOrderDoesNotMatter) {
   const std::string_view text = corpusText(CorpusCircuit::Apte);
   EngineOptions forward;
