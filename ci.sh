@@ -114,6 +114,20 @@ echo "=== als_place smoke: corpus x backends determinism gate ==="
 ./build/als_place --smoke --json build/bench-smoke/als_place.json \
   > build/bench-smoke/als_place.out
 
+echo "=== als_place knob refusal: a backend refuses a knob it would drop ==="
+# Slicing has neither a symmetry penalty nor a symmetry guarantee
+# (src/engine/knobs.h), so --sym on it must exit nonzero with a message
+# naming the knob and the backend; the flat B*-tree penalises asymmetry
+# and must accept the same flag.
+if ./build/als_place --backend slicing --sym 3 --circuit apte \
+     > /dev/null 2> build/bench-smoke/als_place_refusal.err; then
+  echo "als_place accepted --sym on slicing"
+  exit 1
+fi
+grep sym build/bench-smoke/als_place_refusal.err | grep -q slicing
+./build/als_place --backend flat-bstar --sym 3 --sweeps 4 --circuit apte \
+  > /dev/null
+
 echo "=== als_serve smoke: daemon + replay, identity / cache / cancel ==="
 # Boots the placement daemon and fires the replay harness at it: apte and
 # ami33 jobs with duplicate resubmissions, run at 1 client and again at 8

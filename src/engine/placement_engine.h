@@ -63,8 +63,11 @@ enum class EngineBackend {
 /// (one normalization for all backends).  A weight only participates where
 /// the backend's representation does not satisfy the constraint by
 /// construction: `symmetryWeight`/`proximityWeight` drive the flat penalty
-/// placer, the outline/aspect knobs the sequence-pair placer; backends
-/// without the matching term ignore the knob.
+/// placer, the outline/aspect knobs the sequence-pair placer.  Which
+/// backend honours, guarantees (inert) or refuses each knob is recorded
+/// once, in the knob table of engine/knobs.h; the wire and CLI refuse a
+/// knob the job's backend would drop, and a race hands each backend only
+/// what it reads.
 struct EngineOptions {
   double wirelengthWeight = 0.25;  ///< lambda, scaled by sqrt(module area)
   double symmetryWeight = 2.0;     ///< mirror-deviation penalty (penalty backends)

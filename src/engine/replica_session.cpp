@@ -6,7 +6,8 @@
 #include "anneal/session.h"
 #include "bstar/flat_placer.h"
 #include "bstar/hbstar.h"
-#include "engine/backend_map.h"
+#include "engine/knobs.h"
+#include "engine/place_scratch.h"
 #include "seqpair/sa_placer.h"
 #include "slicing/slicing_placer.h"
 
@@ -14,19 +15,40 @@ namespace als {
 
 namespace {
 
-template <class Backend>
+/// EngineOptions -> backend B's native options: the table's Session knobs
+/// B honours, and the native struct has a field exactly for those.
+template <EngineBackend B, class Options>
+Options mapEngineOptions(const EngineOptions& options) {
+  Options opt;
+#define ALS_MAP_KNOB(wire, cli, member, ...)                    \
+  {                                                             \
+    constexpr const Knob& knob = knobRow(wire);                 \
+    constexpr bool mapped = knob.layer == KnobLayer::Session && \
+                            knob.on(B) == KnobStatus::Honoured; \
+    static_assert(requires { opt.member; } == mapped, wire);    \
+    if constexpr (mapped) opt.member = options.member;          \
+  }
+  ALS_ENGINE_KNOBS(ALS_MAP_KNOB)
+#undef ALS_MAP_KNOB
+  opt.cancel = options.cancel;
+  if (options.scratch != nullptr) {
+    opt.scratch = subScratch(*options.scratch, opt.scratch);
+  }
+  return opt;
+}
+
+template <EngineBackend B, class Backend>
 class TypedReplica final : public ReplicaSession {
  public:
   using Options = typename Backend::Options;
 
-  TypedReplica(EngineBackend backend, const Circuit& circuit,
-               const EngineOptions& options, double tempScale)
-      : backend_(backend),
-        seed_(options.seed),
+  TypedReplica(const Circuit& circuit, const EngineOptions& options,
+               double tempScale)
+      : seed_(options.seed),
         deadline_(options.cancel),
         session_(circuit, nativeOptions(options), tempScale) {}
 
-  EngineBackend backend() const override { return backend_; }
+  EngineBackend backend() const override { return B; }
 
   std::size_t runSweeps(std::size_t maxSweeps) override {
     return session_.runSweeps(maxSweeps);
@@ -74,7 +96,7 @@ class TypedReplica final : public ReplicaSession {
   /// The one place `timeLimitSec` is armed: each session (a `place()` call
   /// or an executor cell) caps itself on a token linked to the caller's.
   Options nativeOptions(const EngineOptions& options) {
-    Options opt = mapEngineOptions<Options>(options);
+    Options opt = mapEngineOptions<B, Options>(options);
     if (options.timeLimitSec > 0.0) {
       deadline_.setDeadlineAfter(options.timeLimitSec);
       opt.cancel = &deadline_;
@@ -82,7 +104,6 @@ class TypedReplica final : public ReplicaSession {
     return opt;
   }
 
-  EngineBackend backend_;
   std::uint64_t seed_;
   CancelToken deadline_;  ///< before session_, which points at it
   AnnealSession<Backend> session_;
@@ -94,19 +115,20 @@ std::unique_ptr<ReplicaSession> makeReplicaSession(EngineBackend backend,
                                                    const Circuit& circuit,
                                                    const EngineOptions& options,
                                                    double tempScale) {
+  using enum EngineBackend;
   switch (backend) {
-    case EngineBackend::FlatBStar:
-      return std::make_unique<TypedReplica<FlatBStarBackend>>(
-          backend, circuit, options, tempScale);
-    case EngineBackend::SeqPair:
-      return std::make_unique<TypedReplica<SeqPairBackend>>(
-          backend, circuit, options, tempScale);
-    case EngineBackend::Slicing:
-      return std::make_unique<TypedReplica<SlicingBackend>>(
-          backend, circuit, options, tempScale);
-    case EngineBackend::HBStar:
-      return std::make_unique<TypedReplica<HBStarBackend>>(
-          backend, circuit, options, tempScale);
+    case FlatBStar:
+      return std::make_unique<TypedReplica<FlatBStar, FlatBStarBackend>>(
+          circuit, options, tempScale);
+    case SeqPair:
+      return std::make_unique<TypedReplica<SeqPair, SeqPairBackend>>(
+          circuit, options, tempScale);
+    case Slicing:
+      return std::make_unique<TypedReplica<Slicing, SlicingBackend>>(
+          circuit, options, tempScale);
+    case HBStar:
+      return std::make_unique<TypedReplica<HBStar, HBStarBackend>>(
+          circuit, options, tempScale);
   }
   return nullptr;
 }

@@ -9,8 +9,9 @@
 // backend's one-shot place function cut at sweep granularity.
 // `ReplicaSession` erases the backend so a runner can hold a heterogeneous
 // fleet; `makeReplicaSession` maps `EngineOptions` to the native options
-// (engine/backend_map.h), so a session run to completion in one go returns
-// what the backend's one-shot place function returns — bit for bit.
+// through the knob table (engine/knobs.h), so a session run to completion
+// in one go returns what the backend's one-shot place function returns —
+// bit for bit.
 //
 // Threading contract: a session may move between threads across calls but
 // is never called concurrently; the executor advances sessions in fork-join

@@ -4,6 +4,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
+
+#include "engine/knobs.h"
 
 namespace als {
 
@@ -48,14 +51,6 @@ bool parseDouble(std::string_view token, double& out) {
   if (!parseNumber(token, v) || !std::isfinite(v)) return false;
   out = v;
   return true;
-}
-
-bool parseFlag(std::string_view token, bool& out) {
-  if (token == "0" || token == "1") {
-    out = token == "1";
-    return true;
-  }
-  return false;
 }
 
 // --- line scanner for ALSRESULT text ---------------------------------------
@@ -127,41 +122,22 @@ bool CacheKey::parseHex(std::string_view text) {
 
 void canonicalOptionsKey(EngineBackend backend, const EngineOptions& options,
                          std::string& out) {
-  // Fixed order, every result-affecting knob, nothing else (header comment
-  // names the exclusions).  A new EngineOptions knob that can change a
-  // placement MUST be appended here — the serve test's canonicalization
-  // suite cross-checks against a default-constructed struct.
+  // The table's KnobKey::Options rows, in table order (engine/knobs.h; the
+  // header comment names the exclusions).
   out += "v=1 backend=";
   out += backendName(backend);
-  auto num = [&](const char* key, double v) {
+  forEachKnob([&](const Knob& knob, auto member) {
+    if (knob.key != KnobKey::Options) return;
     out += ' ';
-    out += key;
+    out += knob.wire;
     out += '=';
-    appendDouble(out, v);
-  };
-  auto uns = [&](const char* key, std::uint64_t v) {
-    out += ' ';
-    out += key;
-    out += '=';
-    appendUnsigned(out, v);
-  };
-  num("wl", options.wirelengthWeight);
-  num("sym", options.symmetryWeight);
-  num("prox", options.proximityWeight);
-  num("outline", options.outlineWeight);
-  uns("maxw", static_cast<std::uint64_t>(options.maxWidth));
-  uns("maxh", static_cast<std::uint64_t>(options.maxHeight));
-  num("aspect", options.targetAspect);
-  num("thermal", options.thermalWeight);
-  num("shape", options.shapeMoveProb);
-  uns("sweeps", options.maxSweeps);
-  num("cool", options.coolingFactor);
-  uns("mpt", options.movesPerTemp);
-  uns("restarts", options.numRestarts);
-  uns("tempering", options.tempering ? 1 : 0);
-  uns("exch", options.exchangeInterval);
-  num("ladder", options.ladderRatio);
-  uns("cross", options.crossSeed ? 1 : 0);
+    const auto& v = options.*member;
+    if constexpr (std::is_floating_point_v<std::remove_cvref_t<decltype(v)>>) {
+      appendDouble(out, v);
+    } else {
+      appendUnsigned(out, static_cast<std::uint64_t>(v));
+    }
+  });
 }
 
 CacheKey makeCacheKey(std::string_view circuitText, EngineBackend backend,
@@ -173,76 +149,11 @@ CacheKey makeCacheKey(std::string_view circuitText, EngineBackend backend,
 
 std::string applyJobOption(EngineOptions& options, std::string_view key,
                            std::string_view value) {
-  auto bad = [&](std::string_view what) {
-    return "bad OPT " + std::string(key) + ": " + std::string(what);
-  };
-  double d = 0.0;
-  std::uint64_t u = 0;
-  bool b = false;
-  if (key == "wl" || key == "sym" || key == "prox" || key == "outline" ||
-      key == "thermal") {
-    if (!parseDouble(value, d) || d < 0.0) return bad("nonnegative number");
-    if (key == "wl") options.wirelengthWeight = d;
-    else if (key == "sym") options.symmetryWeight = d;
-    else if (key == "prox") options.proximityWeight = d;
-    else if (key == "outline") options.outlineWeight = d;
-    else options.thermalWeight = d;
-    return {};
-  }
-  if (key == "aspect") {
-    if (!parseDouble(value, d) || d < 0.0) return bad("nonnegative number");
-    options.targetAspect = d;
-    return {};
-  }
-  if (key == "shape") {
-    if (!parseDouble(value, d) || d < 0.0 || d > 1.0)
-      return bad("probability in [0,1]");
-    options.shapeMoveProb = d;
-    return {};
-  }
-  if (key == "cool") {
-    if (!parseDouble(value, d) || d <= 0.0 || d >= 1.0)
-      return bad("factor in (0,1)");
-    options.coolingFactor = d;
-    return {};
-  }
-  if (key == "ladder") {
-    if (!parseDouble(value, d) || d <= 0.0) return bad("positive ratio");
-    options.ladderRatio = d;
-    return {};
-  }
-  if (key == "maxw" || key == "maxh") {
-    if (!parseNumber(value, u)) return bad("nonnegative integer");
-    (key == "maxw" ? options.maxWidth : options.maxHeight) =
-        static_cast<Coord>(u);
-    return {};
-  }
-  if (key == "sweeps" || key == "mpt" || key == "restarts" ||
-      key == "threads" || key == "exch") {
-    if (!parseNumber(value, u)) return bad("nonnegative integer");
-    // An uncapped budget plans one slice per restart: bound the count
-    // before a worker thread tries to allocate it.
-    if (key == "restarts" && u > kMaxRestarts) {
-      return bad("integer at most " + std::to_string(kMaxRestarts));
-    }
-    if (key == "sweeps") options.maxSweeps = u;
-    else if (key == "mpt") options.movesPerTemp = u;
-    else if (key == "restarts") options.numRestarts = u;
-    else if (key == "threads") options.numThreads = u;
-    else options.exchangeInterval = u;
-    return {};
-  }
-  if (key == "seed") {
-    if (!parseNumber(value, u)) return bad("nonnegative integer");
-    options.seed = u;
-    return {};
-  }
-  if (key == "tempering" || key == "cross") {
-    if (!parseFlag(value, b)) return bad("0 or 1");
-    (key == "tempering" ? options.tempering : options.crossSeed) = b;
-    return {};
-  }
-  return "unknown OPT key " + std::string(key);
+  const Knob* knob = findKnob(&Knob::wire, key);
+  if (knob == nullptr) return "unknown OPT key " + std::string(key);
+  std::string error = applyKnob(options, *knob, value);
+  if (!error.empty()) error = "bad OPT " + std::string(key) + ": " + error;
+  return error;
 }
 
 bool parseBackendName(std::string_view name, EngineBackend& backend) {

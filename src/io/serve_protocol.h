@@ -18,11 +18,17 @@
 //   CIRCUIT <nbytes>               # then exactly nbytes of ALSBENCH text
 //   END
 //
-// and the server answers with
+// OPT keys and their domains are the knob table's (engine/knobs.h).  A
+// knob the job's backend refuses (`refusedKnob`: `OPT maxw` on slicing,
+// `OPT shape` on seqpair), set away from its default, makes the job an
+// ERROR naming knob and backend, never a placement without the knob.
+//
+// The server answers with
 //
 //   QUEUED <tag> <cache-key-hex>   # admitted (hex = CacheKey::hex())
 //   REJECTED <tag> <reason>        # admission control (queue full) — or
-//   ERROR <tag> <message...>       # malformed job / circuit parse error
+//   ERROR <tag> <message...>       # malformed job, refused knob, or
+//                                  # circuit parse error
 //
 // followed, for admitted jobs, by zero or more
 //
@@ -52,9 +58,10 @@
 // A job's identity is `CacheKey`: (FNV-1a hash of the RAW circuit bytes,
 // FNV-1a hash of the canonical options string, seed).  The canonical
 // options string (canonicalOptionsKey) lists every result-affecting knob of
-// EngineOptions — and nothing else — in a fixed order with doubles printed
-// as %.17g (round-trip exact), so a default knob and the same value spelled
-// explicitly, in any OPT order, canonicalize identically.  Knobs that
+// EngineOptions — the knob table's `KnobKey::Options` rows, and nothing
+// else — in table order with doubles printed as %.17g (round-trip exact),
+// so a default knob and the same value spelled explicitly, in any OPT
+// order, canonicalize identically.  Knobs that
 // cannot affect the placement are excluded by design: `numThreads` (the
 // runtime layer is bit-identical at any thread count) and `timeLimitSec`
 // (the serve layer zeroes it — results under a wall-clock cap would not be
@@ -118,11 +125,10 @@ CacheKey makeCacheKey(std::string_view circuitText, EngineBackend backend,
                       const EngineOptions& options, std::string& scratch);
 
 /// Applies one `OPT <key> <value>` pair to `options`.  Returns empty on
-/// success, else a message naming the key.  Keys mirror the canonical
-/// options string plus the non-identity knobs a client may set
-/// (`restarts`, `threads`); unknown keys are errors (a silently dropped
-/// knob would poison the cache key contract), and so is a `restarts` count
-/// above `kMaxRestarts`.
+/// success, else a message naming the key.  The keys and their domains are
+/// the knob table's (engine/knobs.h); unknown keys are errors (a silently
+/// dropped knob would poison the cache key contract), and so is a value
+/// outside the knob's domain, which leaves `options` untouched.
 std::string applyJobOption(EngineOptions& options, std::string_view key,
                            std::string_view value);
 

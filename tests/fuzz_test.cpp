@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "bstar/contour.h"
 #include "bstar/pack.h"
+#include "engine/knobs.h"
 #include "geom/profile.h"
 #include "io/benchmark_format.h"
 #include "io/corpus.h"
@@ -450,11 +453,12 @@ TEST(ResultTextFuzz, RandomTokenSoupFailsCleanly) {
 }
 
 TEST(ServeWireFuzz, JobOptionSoupFailsWithMessagesAndKeysStayDeterministic) {
-  const char* keys[] = {"wl",     "sym",    "prox",   "outline", "maxw",
-                        "maxh",   "aspect", "thermal", "shape",  "sweeps",
-                        "cool",   "mpt",    "restarts", "tempering", "exch",
-                        "ladder", "cross",  "seed",   "threads", "bogus",
-                        "",       "deadline-ms"};
+  // Every knob of the table, plus keys the parser must reject.
+  std::vector<std::string_view> keys;
+  for (const Knob& knob : kKnobs) keys.push_back(knob.wire);
+  for (std::string_view extra : {"bogus", "", "deadline-ms"}) {
+    keys.push_back(extra);
+  }
   const char* values[] = {"1",   "0",    "-3",  "0.5", "4e9", "nan",
                           "inf", "banana", "",  "1e-300", "99999999999999999999"};
   Rng rng(317);
@@ -466,7 +470,7 @@ TEST(ServeWireFuzz, JobOptionSoupFailsWithMessagesAndKeysStayDeterministic) {
       // here is that no combination crashes or corrupts the options struct.
       // (The daemon-layer deadline keys are NOT engine options and must be
       // rejected here — the daemon intercepts them before this call.)
-      applyJobOption(options, keys[rng.index(std::size(keys))],
+      applyJobOption(options, keys[rng.index(keys.size())],
                      values[rng.index(std::size(values))]);
     }
     // Whatever survived must canonicalize deterministically.

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <cstdio>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -24,9 +25,11 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "engine/knobs.h"
 #include "io/benchmark_format.h"
 #include "io/corpus.h"
 #include "io/serve_protocol.h"
@@ -126,20 +129,33 @@ CacheKey keyOf(std::string_view text, EngineBackend backend,
 
 // --------------------------------------------------------- cache key -------
 
+/// The wire spelling of `options`' member for `knob` (%.17g doubles, as
+/// the canonical key prints them).
+std::string spell(const EngineOptions& options, const Knob& knob) {
+  std::string out;
+  forEachKnob([&](const Knob& k, auto member) {
+    if (k.wire != knob.wire) return;
+    const auto& v = options.*member;
+    if constexpr (std::is_floating_point_v<std::remove_cvref_t<decltype(v)>>) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.17g", v);
+      out = buf;
+    } else {
+      out = std::to_string(static_cast<std::uint64_t>(v));
+    }
+  });
+  return out;
+}
+
 TEST(CacheKeyTest, DefaultAndExplicitSpellingsCanonicalizeIdentically) {
   const std::string_view text = corpusText(CorpusCircuit::Apte);
-  EngineOptions defaulted;
+  const EngineOptions defaulted;
   EngineOptions spelled;
-  // Every knob applyJobOption accepts, set to its default value via the
-  // wire dialect — the canonical string (and so the key) must not move.
-  for (auto [k, v] : std::initializer_list<std::pair<const char*, const char*>>{
-           {"wl", "0.25"}, {"sym", "2"}, {"prox", "2"}, {"outline", "4"},
-           {"maxw", "0"}, {"maxh", "0"}, {"aspect", "0"}, {"thermal", "0"},
-           {"shape", "0"}, {"sweeps", "256"}, {"cool", "0.96"}, {"mpt", "0"},
-           {"restarts", "1"}, {"tempering", "0"}, {"exch", "4"},
-           {"ladder", "0.9"}, {"cross", "1"}, {"seed", "1"},
-           {"threads", "1"}}) {
-    EXPECT_EQ(applyJobOption(spelled, k, v), "") << k;
+  // Every knob of the table, set to its default value via the wire
+  // dialect: the canonical string (and so the key) must not move.
+  for (const Knob& knob : kKnobs) {
+    EXPECT_EQ(applyJobOption(spelled, knob.wire, spell(defaulted, knob)), "")
+        << knob.wire;
   }
   EXPECT_EQ(canonical(EngineBackend::SeqPair, defaulted),
             canonical(EngineBackend::SeqPair, spelled));
@@ -235,45 +251,36 @@ TEST(CacheKeyTest, SeedOnlyMovesTheSeedWord) {
 TEST(CacheKeyTest, EveryResultAffectingKnobChangesTheKey) {
   const std::string_view text = corpusText(CorpusCircuit::Apte);
   const EngineOptions base;
-  const std::uint64_t baseHash =
-      keyOf(text, EngineBackend::SeqPair, base).options;
-
-  // One mutation per result-affecting EngineOptions field (values chosen to
-  // differ from the defaults).  If a future knob is added to EngineOptions
-  // but forgotten in canonicalOptionsKey, the spelled-vs-default test above
-  // cannot catch it; this one documents the full inventory.
-  const std::vector<std::pair<const char*, EngineOptions>> mutations = [] {
-    std::vector<std::pair<const char*, EngineOptions>> out;
-    auto add = [&out](const char* name, auto&& mutate) {
-      EngineOptions o;
-      mutate(o);
-      out.emplace_back(name, o);
-    };
-    add("wirelengthWeight", [](EngineOptions& o) { o.wirelengthWeight = 0.5; });
-    add("symmetryWeight", [](EngineOptions& o) { o.symmetryWeight = 3.0; });
-    add("proximityWeight", [](EngineOptions& o) { o.proximityWeight = 1.0; });
-    add("outlineWeight", [](EngineOptions& o) { o.outlineWeight = 8.0; });
-    add("maxWidth", [](EngineOptions& o) { o.maxWidth = 1000; });
-    add("maxHeight", [](EngineOptions& o) { o.maxHeight = 1000; });
-    add("targetAspect", [](EngineOptions& o) { o.targetAspect = 1.0; });
-    add("thermalWeight", [](EngineOptions& o) { o.thermalWeight = 1.0; });
-    add("shapeMoveProb", [](EngineOptions& o) { o.shapeMoveProb = 0.25; });
-    add("maxSweeps", [](EngineOptions& o) { o.maxSweeps = 512; });
-    add("coolingFactor", [](EngineOptions& o) { o.coolingFactor = 0.9; });
-    add("movesPerTemp", [](EngineOptions& o) { o.movesPerTemp = 7; });
-    add("numRestarts", [](EngineOptions& o) { o.numRestarts = 4; });
-    add("tempering", [](EngineOptions& o) { o.tempering = true; });
-    add("exchangeInterval", [](EngineOptions& o) { o.exchangeInterval = 8; });
-    add("ladderRatio", [](EngineOptions& o) { o.ladderRatio = 0.8; });
-    add("crossSeed", [](EngineOptions& o) { o.crossSeed = false; });
-    return out;
-  }();
-  for (const auto& [name, mutated] : mutations) {
-    EXPECT_NE(keyOf(text, EngineBackend::SeqPair, mutated).options, baseHash)
-        << name << " must participate in the cache key";
+  const CacheKey baseKey = keyOf(text, EngineBackend::SeqPair, base);
+  // One in-domain value away from the default per knob: the canonical
+  // options word moves exactly for KnobKey::Options knobs, the seed word
+  // exactly for the seed, and nothing for result-invariant knobs.
+  for (const Knob& knob : kKnobs) {
+    const std::string current = spell(base, knob);
+    std::string value;
+    switch (knob.domain.kind) {
+      case KnobDomain::Real: {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g",
+                      (knob.domain.lo + knob.domain.hi) / 2);
+        value = buf;
+        break;
+      }
+      case KnobDomain::Count: value = current == "1" ? "2" : "1"; break;
+      case KnobDomain::Flag: value = current == "1" ? "0" : "1"; break;
+    }
+    ASSERT_NE(value, current) << knob.wire;
+    EngineOptions mutated = base;
+    ASSERT_EQ(applyJobOption(mutated, knob.wire, value), "") << knob.wire;
+    const CacheKey key = keyOf(text, EngineBackend::SeqPair, mutated);
+    EXPECT_EQ(key.options != baseKey.options, knob.key == KnobKey::Options)
+        << knob.wire;
+    EXPECT_EQ(key.seed != baseKey.seed, knob.key == KnobKey::Seed)
+        << knob.wire;
   }
   // And the backend itself is part of the canonical string.
-  EXPECT_NE(keyOf(text, EngineBackend::FlatBStar, base).options, baseHash);
+  EXPECT_NE(keyOf(text, EngineBackend::FlatBStar, base).options,
+            baseKey.options);
 }
 
 TEST(CacheKeyTest, HexRoundTripsAndRejectsGarbage) {
@@ -304,6 +311,20 @@ TEST(CacheKeyTest, RestartCountIsBoundedAtParse) {
       << "a rejected OPT must leave the options untouched";
   EXPECT_EQ(applyJobOption(options, "restarts", "1000000"), "");
   EXPECT_EQ(options.numRestarts, kMaxRestarts);
+}
+
+// An outline extent is a Coord: a value past INT64_MAX used to wrap to a
+// negative width (read as "unconstrained") while the key kept the huge one.
+TEST(CacheKeyTest, OutlineExtentIsBoundedAtInt64Max) {
+  for (const char* key : {"maxw", "maxh"}) {
+    EngineOptions options;
+    EXPECT_NE(applyJobOption(options, key, "9223372036854775808"), "") << key;
+    EXPECT_NE(applyJobOption(options, key, "18446744073709551615"), "")
+        << key;
+    EXPECT_EQ(options.maxWidth, 0);
+    EXPECT_EQ(options.maxHeight, 0);
+    EXPECT_EQ(applyJobOption(options, key, "9223372036854775807"), "") << key;
+  }
 }
 
 // ------------------------------------------------------- result text -------

@@ -19,13 +19,12 @@
 //   als_place --circuit ami33 --thermal 1.0 --shapes 0.2
 //   als_place --size --backend seqpair --sweeps 256
 //   als_place --smoke --json smoke.json       # CI: corpus x backends gate
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "engine/knobs.h"
 #include "engine/placement_engine.h"
 #include "io/benchmark_format.h"
 #include "io/corpus.h"
@@ -92,28 +91,6 @@ int usage(const char* argv0) {
                "                     any parse error, illegal placement or mismatch\n",
                argv0);
   return 2;
-}
-
-bool parseNum(const char* s, std::uint64_t* out) {
-  if (*s < '0' || *s > '9') return false;  // strtoull accepts "-1"; we don't
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
-}
-
-bool parseWeight(const char* s, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(s, &end);
-  // Weights are dimensionless non-negative scale factors; reject the rest
-  // (NaN/inf would silently poison every cost the run produces).
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
-  if (!(v >= 0.0) || v > 1e12) return false;
-  *out = v;
-  return true;
 }
 
 bool identicalResults(const EngineResult& a, const EngineResult& b) {
@@ -293,7 +270,9 @@ int runSmoke(BenchIo& io) {
 
   // Scenario leg: the same determinism bar with the thermal objective and
   // shape-selection moves enabled.  apte and ami33 carry Power annotations
-  // and ami33 shape curves, so both new code paths actually execute.
+  // and ami33 shape curves, so both code paths actually execute.  The
+  // sequence pair has no shape move (engine/knobs.h), so its +tsh rows run
+  // thermal only.
   EngineOptions sopt = opt;
   sopt.thermalWeight = 1.0;
   sopt.shapeMoveProb = 0.2;
@@ -442,7 +421,6 @@ int main(int argc, char** argv) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    std::uint64_t n = 0;
     if (arg == "--list") {
       auto printRow = [](CorpusCircuit which) {
         Circuit c = loadCorpusCircuit(which);
@@ -467,52 +445,11 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (!v) return usage(argv[0]);
       outDir = v;
-    } else if (arg == "--sweeps") {
-      const char* v = value();
-      if (!v || !parseNum(v, &n)) return usage(argv[0]);
-      opt.maxSweeps = static_cast<std::size_t>(n);
-    } else if (arg == "--restarts") {
-      const char* v = value();
-      if (!v || !parseNum(v, &n) || n > kMaxRestarts) return usage(argv[0]);
-      opt.numRestarts = static_cast<std::size_t>(n);
-    } else if (arg == "--threads") {
-      const char* v = value();
-      if (!v || !parseNum(v, &n) || n > 1024) return usage(argv[0]);
-      opt.numThreads = static_cast<std::size_t>(n);
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (!v || !parseNum(v, &n)) return usage(argv[0]);
-      opt.seed = n;
-    } else if (arg == "--tempering") {
-      opt.tempering = true;
-    } else if (arg == "--exchange-interval") {
-      const char* v = value();
-      if (!v || !parseNum(v, &n)) return usage(argv[0]);
-      opt.exchangeInterval = static_cast<std::size_t>(n);
-    } else if (arg == "--ladder-ratio") {
-      const char* v = value();
-      // A temperature ratio: must be strictly positive (parseWeight allows
-      // 0, which would zero every rung above the first).
-      if (!v || !parseWeight(v, &opt.ladderRatio) || opt.ladderRatio <= 0.0) {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--wl") {
-      const char* v = value();
-      if (!v || !parseWeight(v, &opt.wirelengthWeight)) return usage(argv[0]);
-    } else if (arg == "--sym") {
-      const char* v = value();
-      if (!v || !parseWeight(v, &opt.symmetryWeight)) return usage(argv[0]);
-    } else if (arg == "--prox") {
-      const char* v = value();
-      if (!v || !parseWeight(v, &opt.proximityWeight)) return usage(argv[0]);
-    } else if (arg == "--thermal") {
-      const char* v = value();
-      if (!v || !parseWeight(v, &opt.thermalWeight)) return usage(argv[0]);
-    } else if (arg == "--shapes") {
-      const char* v = value();
-      // A probability, not a weight: anything above 1 silently means "every
-      // move is a shape move", which is never what a typo intended.
-      if (!v || !parseWeight(v, &opt.shapeMoveProb) || opt.shapeMoveProb > 1.0) {
+    } else if (const Knob* knob = findKnob(&Knob::cli, arg)) {
+      const char* v = knob->domain.kind == KnobDomain::Flag ? "" : value();
+      const std::string error = v ? applyCliOption(opt, arg, v) : "no value";
+      if (!error.empty()) {
+        std::fprintf(stderr, "als_place: %s\n", error.c_str());
         return usage(argv[0]);
       }
     } else if (arg == "--size") {
@@ -564,6 +501,14 @@ int main(int argc, char** argv) {
                    backendArg.c_str());
       return 2;
     }
+  }
+  // Refuse a knob the placing backend would drop (engine/knobs.h); a race
+  // hands each backend what it honours, but --size alone runs seqpair.
+  if (const Knob* k = race && !size ? nullptr : refusedKnob(backend, opt)) {
+    std::fprintf(stderr, "als_place: %s is refused by %s\n",
+                 std::string(k->cli).c_str(),
+                 std::string(backendName(backend)).c_str());
+    return 2;
   }
 
   // --size is a scenario, not a per-file placement: candidates come from the

@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/knobs.h"
 #include "runtime/serve.h"
 #include "util/fault_injection.h"
 
@@ -194,8 +195,8 @@ void appendDouble(std::string& out, double v) {
 /// Parses one JOB block (the JOB line is already consumed and split) and
 /// submits it.  Framing errors abort the connection (return false) — after
 /// a mis-framed CIRCUIT the stream position is unrecoverable; semantic
-/// errors (unknown backend/OPT) are reported as ERROR lines and keep the
-/// connection usable.
+/// errors (unknown backend/OPT, a knob the backend refuses) are reported
+/// as ERROR lines and keep the connection usable.
 bool handleJob(ServeEngine& engine, const std::shared_ptr<Connection>& conn,
                Reader& reader, std::string_view tag,
                std::string_view backendWord) {
@@ -254,6 +255,12 @@ bool handleJob(ServeEngine& engine, const std::shared_ptr<Connection>& conn,
   }
   if (semanticError.empty() && !sawCircuit) {
     semanticError = "JOB block has no CIRCUIT";
+  }
+  const Knob* refused = refusedKnob(backend, options);
+  if (semanticError.empty() && refused != nullptr) {
+    semanticError = "OPT " + std::string(refused->wire) + " is refused by " +
+                    std::string(backendName(backend)) +
+                    ": it has neither the term nor its guarantee";
   }
   if (!semanticError.empty()) {
     writeAll(*conn, "ERROR " + tagStr + " " + semanticError + "\n");
