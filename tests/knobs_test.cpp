@@ -216,13 +216,14 @@ MatrixCircuit matrixCircuit(std::string text) {
 
 /// One non-default value per knob, the OPTs both arms share, and a circuit
 /// on which a backend that honours the knob must move: ami33 carries
-/// symmetry groups, Power annotations and shape curves; the paper's Fig. 2
-/// design carries the proximity group.
+/// symmetry groups, Power annotations and shape curves; a synthetic
+/// circuit carries two proximity groups, which the sequence pair (no
+/// proximity guarantee) breaks.
 struct Probe {
   std::string_view wire;
   const char* value;
   std::vector<std::pair<const char*, const char*>> base;
-  bool fig2 = false;
+  bool proximity = false;
 };
 
 const std::vector<Probe>& probes() {
@@ -347,7 +348,8 @@ EngineOptions matrixOptions(
 TEST(KnobRouteMatrix, EveryKnobIsHonouredInertOrRefusedOnEveryRoute) {
   const MatrixCircuit ami33 =
       matrixCircuit(std::string(corpusText(CorpusCircuit::Ami33)));
-  const MatrixCircuit fig2 = matrixCircuit(writeBenchmark(makeFig2Design()).text);
+  const MatrixCircuit prox = matrixCircuit(
+      writeBenchmark(makeSynthetic({.moduleCount = 40, .seed = 3})).text);
   ServeEngine serve(ServeOptions{});
   // Base arms repeat across knobs; run each (route, backend, options) once.
   std::map<std::string, EngineResult> baseRuns;
@@ -358,7 +360,7 @@ TEST(KnobRouteMatrix, EveryKnobIsHonouredInertOrRefusedOnEveryRoute) {
       if (p.wire == knob.wire) probe = &p;
     }
     ASSERT_NE(probe, nullptr) << "knob '" << knob.wire << "' has no probe";
-    const MatrixCircuit& mc = probe->fig2 ? fig2 : ami33;
+    const MatrixCircuit& mc = probe->proximity ? prox : ami33;
     const EngineOptions base = matrixOptions(probe->base);
     EngineOptions moved = base;
     ASSERT_EQ(applyJobOption(moved, knob.wire, probe->value), "");
@@ -377,7 +379,7 @@ TEST(KnobRouteMatrix, EveryKnobIsHonouredInertOrRefusedOnEveryRoute) {
       for (Route route : kRoutes) {
         const std::string label = at + " via " + routeName(route);
         std::string baseKey = label.substr(label.find(" on ")) +
-                              (probe->fig2 ? " fig2 " : " ami33 ");
+                              (probe->proximity ? " prox " : " ami33 ");
         canonicalOptionsKey(backend, base, baseKey);
         baseKey += " seed=" + std::to_string(base.seed) +
                    " threads=" + std::to_string(base.numThreads);
