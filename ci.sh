@@ -124,7 +124,7 @@ if ./build/als_place --backend slicing --sym 3 --circuit apte \
   echo "als_place accepted --sym on slicing"
   exit 1
 fi
-grep sym build/bench-smoke/als_place_refusal.err | grep -q slicing
+grep -q "sym.*slicing" build/bench-smoke/als_place_refusal.err
 ./build/als_place --backend flat-bstar --sym 3 --sweeps 4 --circuit apte \
   > /dev/null
 
