@@ -7,7 +7,8 @@
 //                   (Power on the dissipating devices, a shape curve on the
 //                   Miller cap) and is placed IN PARALLEL through the
 //                   deterministic BatchPlacer with the thermal objective
-//                   and shape-selection moves enabled;
+//                   enabled (the sequence pair has no shape-selection move
+//                   and refuses the knob: engine/knobs.h);
 //   3. Section II:  thermal verification of the winner — the symmetric
 //                   pairs are checked for temperature mismatch against the
 //                   scratch ThermalField the cost model is pinned to.
@@ -30,7 +31,7 @@ int main() {
   specs.minPmDeg = 55.0;
   specs.minSrVps = 10e6;
 
-  // --- 1 + 2: sizing candidates, placed in parallel with thermal + shapes ---
+  // --- 1 + 2: sizing candidates, placed in parallel with the thermal term ---
   PlacedSizingOptions opt;
   opt.sizing.layoutAware = true;
   opt.sizing.seed = 6;
@@ -40,7 +41,6 @@ int main() {
   opt.placement.numRestarts = 4;
   opt.placement.numThreads = 4;
   opt.placement.thermalWeight = 1.0;       // pair-mismatch term ON
-  opt.placement.shapeMoveProb = 0.1;       // Miller-cap shape selection ON
   opt.placement.seed = 6;
   PlacedSizingResult flow = runMillerPlacedSizing(tech, specs, opt);
 

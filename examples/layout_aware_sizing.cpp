@@ -66,9 +66,10 @@ int main() {
          runSizing(tech, specs, aware), specs);
 
   // Portfolio-hosted flow: the same layout-aware loop, several seeds at a
-  // time, each candidate placed through the engine facade with the thermal
-  // objective and the capacitor shape curve enabled.  Deterministic across
-  // thread counts (BatchPlacer's 1-vs-N contract).
+  // time, each candidate placed through the engine facade on the sequence
+  // pair with the thermal objective enabled (no shape move there: the
+  // backend refuses the knob, engine/knobs.h).  Deterministic across thread
+  // counts (BatchPlacer's 1-vs-N contract).
   std::puts("--- portfolio-hosted placed sizing (Miller, 3 candidates) ---");
   OtaSpecs millerSpecs;
   millerSpecs.minGainDb = 70.0;
@@ -83,7 +84,6 @@ int main() {
   popt.placement.numRestarts = 2;
   popt.placement.numThreads = 4;
   popt.placement.thermalWeight = 1.0;
-  popt.placement.shapeMoveProb = 0.1;
   PlacedSizingResult flow = runMillerPlacedSizing(tech, millerSpecs, popt);
   for (std::size_t i = 0; i < flow.candidates.size(); ++i) {
     const PlacedSizingCandidate& cand = flow.candidates[i];

@@ -285,7 +285,8 @@ bool HBState::packNodeInto(HierNodeId id, bool needProfiles,
   for (HierNodeId child : node.children) {
     s.childMacros.push_back(&s.node[child].macro);
   }
-  packMacrosInto(tree, s.childMacros, c.moduleCount(), s.tree, s.packed);
+  packMacrosInto(tree, s.childMacros, c.moduleCount(),
+                 node.constraint == GroupConstraint::Proximity, s.tree, s.packed);
 
   // Collect the placed rects of modules under this node into one macro.
   h.leavesUnderInto(id, s.dfsStack, s.leaves);

@@ -10,8 +10,10 @@
 //                      children are mirrored as macro pairs, which realizes
 //                      hierarchical symmetry (Fig. 4);
 //   CommonCentroid  -> interdigitated / gridded unit array (fixed macro);
-//   Proximity, None -> sub-B*-tree over the children; B*-tree packings are
-//                      connected, so proximity holds by construction;
+//   Proximity       -> sub-B*-tree over the children, packed connected
+//                      (bstar/pack.h): a group of modules holds proximity
+//                      by construction;
+//   None            -> sub-B*-tree over the children;
 //   top             -> sub-B*-tree over the root children.
 //
 // Simulated annealing perturbs one of the HB*-trees (or an island, or a

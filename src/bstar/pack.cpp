@@ -67,8 +67,8 @@ namespace {
 /// tree item to its macro.
 template <class MacroAt>
 void packMacrosImpl(const BStarTree& tree, MacroAt macroAt,
-                    std::size_t moduleCount, BStarPackScratch& scratch,
-                    PackedMacros& out) {
+                    std::size_t moduleCount, bool connected,
+                    BStarPackScratch& scratch, PackedMacros& out) {
   out.placement.assign(moduleCount);
   out.anchor.assign(tree.size(), Point{0, 0});
   out.width = 0;
@@ -77,9 +77,11 @@ void packMacrosImpl(const BStarTree& tree, MacroAt macroAt,
 
   scratch.contour.reset();
   scratch.x.assign(tree.size(), 0);
+  if (connected) scratch.floor.assign(tree.size(), 0);
   scratch.stack.clear();
   // Preorder DFS: left child sits right of its parent, right child keeps
-  // the parent's x; y always comes from the contour.
+  // the parent's x; y comes from the contour, and in a connected packing a
+  // left child never sits below its parent's bottom.
   scratch.stack.push_back(tree.root());
   while (!scratch.stack.empty()) {
     std::size_t node = scratch.stack.back();
@@ -87,6 +89,7 @@ void packMacrosImpl(const BStarTree& tree, MacroAt macroAt,
     const Macro& m = macroAt(tree.item(node));
     Coord xNode = scratch.x[node];
     Coord yNode = scratch.contour.fitMacro(xNode, m.bottom);
+    if (connected) yNode = std::max(yNode, scratch.floor[node]);
     scratch.contour.placeMacro(xNode, yNode, m.top);
     out.anchor[tree.item(node)] = {xNode, yNode};
     for (std::size_t r = 0; r < m.rects.size(); ++r) {
@@ -100,6 +103,7 @@ void packMacrosImpl(const BStarTree& tree, MacroAt macroAt,
     }
     if (tree.left(node) != BStarTree::npos) {
       scratch.x[tree.left(node)] = xNode + m.w;
+      if (connected) scratch.floor[tree.left(node)] = yNode;
       scratch.stack.push_back(tree.left(node));
     }
   }
@@ -114,17 +118,17 @@ PackedMacros packMacros(const BStarTree& tree, std::span<const Macro> macros,
   PackedMacros out;
   packMacrosImpl(
       tree, [&](std::size_t item) -> const Macro& { return macros[item]; },
-      moduleCount, scratch, out);
+      moduleCount, /*connected=*/false, scratch, out);
   return out;
 }
 
 void packMacrosInto(const BStarTree& tree, std::span<const Macro* const> macros,
-                    std::size_t moduleCount, BStarPackScratch& scratch,
-                    PackedMacros& out) {
+                    std::size_t moduleCount, bool connected,
+                    BStarPackScratch& scratch, PackedMacros& out) {
   assert(tree.size() == macros.size());
   packMacrosImpl(
       tree, [&](std::size_t item) -> const Macro& { return *macros[item]; },
-      moduleCount, scratch, out);
+      moduleCount, connected, scratch, out);
 }
 
 Placement packBStar(const BStarTree& tree, std::span<const Coord> widths,

@@ -87,6 +87,7 @@ struct PackedMacros {
 struct BStarPackScratch {
   FlatContour contour;
   std::vector<Coord> x;             ///< per-node anchor x during the DFS
+  std::vector<Coord> floor;         ///< per-node lowest y (connected packs)
   std::vector<std::size_t> stack;   ///< preorder DFS stack
 };
 
@@ -97,10 +98,12 @@ PackedMacros packMacros(const BStarTree& tree, std::span<const Macro> macros,
 
 /// Scratch-reuse variant over indirect macros (the HB*-tree packer's child
 /// macros live in per-node buffers, not one contiguous array).  `out` is
-/// fully overwritten.
+/// fully overwritten.  With `connected`, a left child never sits below its
+/// parent's bottom, where a plain packing can leave it under an overhang
+/// touching nothing: a connected packing of plain modules is connected.
 void packMacrosInto(const BStarTree& tree, std::span<const Macro* const> macros,
-                    std::size_t moduleCount, BStarPackScratch& scratch,
-                    PackedMacros& out);
+                    std::size_t moduleCount, bool connected,
+                    BStarPackScratch& scratch, PackedMacros& out);
 
 /// Convenience: packs a B*-tree of plain modules (item i = module i with
 /// the given footprints).

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 namespace als {
 
@@ -77,6 +78,20 @@ const Knob* refusedKnob(EngineBackend backend, const EngineOptions& options) {
     }
   });
   return refused;
+}
+
+std::string refusal(EngineBackend backend, const EngineOptions& options) {
+  const Knob* knob = refusedKnob(backend, options);
+  if (knob == nullptr) return {};
+  return "OPT " + std::string(knob->wire) + " is refused by " +
+         std::string(backendName(backend)) +
+         ": it has neither the term nor its guarantee";
+}
+
+void requireHonoured(EngineBackend backend, const EngineOptions& options) {
+  if (std::string m = refusal(backend, options); !m.empty()) {
+    throw std::invalid_argument(m);
+  }
 }
 
 }  // namespace als

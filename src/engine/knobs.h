@@ -147,4 +147,10 @@ std::string applyCliOption(EngineOptions& options, std::string_view flag,
 /// sets away from its `EngineOptions{}` default; null when there is none.
 const Knob* refusedKnob(EngineBackend backend, const EngineOptions& options);
 
+/// The one message every single-backend route gives for `refusedKnob`
+/// ("OPT shape is refused by seqpair: ..."), or empty; `requireHonoured`
+/// throws it as std::invalid_argument.  A race accepts every knob.
+std::string refusal(EngineBackend backend, const EngineOptions& options);
+void requireHonoured(EngineBackend backend, const EngineOptions& options);
+
 }  // namespace als

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "engine/knobs.h"
 #include "engine/replica_session.h"
 
 namespace als {
@@ -31,6 +32,7 @@ std::string_view backendName(EngineBackend backend) {
 
 EngineResult PlacementEngine::place(const Circuit& circuit,
                                     const EngineOptions& options) const {
+  requireHonoured(backend_, options);
   return makeReplicaSession(backend_, circuit, options)->finish();
 }
 

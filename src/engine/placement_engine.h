@@ -65,9 +65,9 @@ enum class EngineBackend {
 /// construction: `symmetryWeight`/`proximityWeight` drive the flat penalty
 /// placer, the outline/aspect knobs the sequence-pair placer.  Which
 /// backend honours, guarantees (inert) or refuses each knob is recorded
-/// once, in the knob table of engine/knobs.h; the wire and CLI refuse a
-/// knob the job's backend would drop, and a race hands each backend only
-/// what it reads.
+/// once, in the knob table of engine/knobs.h; every single-backend route
+/// refuses a knob its backend would drop, and a race hands each backend
+/// only what it reads.
 struct EngineOptions {
   double wirelengthWeight = 0.25;  ///< lambda, scaled by sqrt(module area)
   double symmetryWeight = 2.0;     ///< mirror-deviation penalty (penalty backends)
@@ -162,6 +162,7 @@ class PlacementEngine {
   EngineBackend backend() const { return backend_; }
   std::string_view name() const { return backendName(backend_); }
   /// One restart on the calling thread: `makeReplicaSession(...)->finish()`.
+  /// Throws std::invalid_argument on a refused knob (engine/knobs.h).
   EngineResult place(const Circuit& circuit,
                      const EngineOptions& options) const;
 

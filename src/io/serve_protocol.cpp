@@ -1,9 +1,14 @@
 #include "io/serve_protocol.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <array>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <type_traits>
 
 #include "engine/knobs.h"
@@ -75,18 +80,17 @@ struct Scanner {
   }
 };
 
-/// Splits the first space-delimited token off `line`.
-std::string_view takeToken(std::string_view& line) {
-  while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-  std::size_t end = line.find(' ');
-  std::string_view token = line.substr(0, end);
-  line.remove_prefix(end == std::string_view::npos ? line.size() : end);
-  while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-  return token;
-}
-
 std::string scanError(const Scanner& scanner, const char* message) {
   return "line " + std::to_string(scanner.lineNo) + ": " + message;
+}
+
+/// `words` joined by single spaces, plus the newline: one server line.
+std::string wireLine(std::initializer_list<std::string_view> words) {
+  std::string out;
+  for (std::string_view word : words) {
+    out.append(out.empty() ? "" : " ") += word;
+  }
+  return out += '\n';
 }
 
 }  // namespace
@@ -224,17 +228,19 @@ std::string parseResultText(std::string_view text, EngineBackend& backend,
   if (line != "ALSRESULT 1") return scanError(scanner, "expected ALSRESULT 1");
 
   line = scanner.next();
-  if (takeToken(line) != "Backend" || !parseBackendName(takeToken(line), backend))
+  if (nextToken(line) != "Backend" || !parseBackendName(nextToken(line), backend))
     return scanError(scanner, "expected Backend <name>");
 
   auto field = [&](const char* keyword, auto& out) {
     line = scanner.next();
-    return takeToken(line) == keyword && parseNumber(line, out) ? true : false;
+    return nextToken(line) == keyword && parseNumber(nextToken(line), out) &&
+           line.empty();
   };
   double cost = 0.0;
   {
     line = scanner.next();
-    if (takeToken(line) != "Cost" || !parseDouble(line, cost))
+    if (nextToken(line) != "Cost" || !parseDouble(nextToken(line), cost) ||
+        !line.empty())
       return scanError(scanner, "expected Cost <value>");
   }
   std::int64_t area = 0, hpwl = 0;
@@ -263,9 +269,10 @@ std::string parseResultText(std::string_view text, EngineBackend& backend,
   for (std::size_t i = 0; i < numRects; ++i) {
     line = scanner.next();
     Rect r;
-    if (takeToken(line) != "Rect" || !parseNumber(takeToken(line), r.x) ||
-        !parseNumber(takeToken(line), r.y) ||
-        !parseNumber(takeToken(line), r.w) || !parseNumber(line, r.h)) {
+    if (nextToken(line) != "Rect" || !parseNumber(nextToken(line), r.x) ||
+        !parseNumber(nextToken(line), r.y) ||
+        !parseNumber(nextToken(line), r.w) ||
+        !parseNumber(nextToken(line), r.h) || !line.empty()) {
       return scanError(scanner, "expected Rect <x> <y> <w> <h>");
     }
     result.placement[i] = r;
@@ -280,9 +287,9 @@ std::string parseResultText(std::string_view text, EngineBackend& backend,
     return scanError(scanner, "expected Checksum trailer");
   const std::size_t sealedBytes =
       static_cast<std::size_t>(line.data() - text.data());
-  if (takeToken(line) != "Checksum")
+  if (nextToken(line) != "Checksum")
     return scanError(scanner, "expected Checksum trailer");
-  std::string_view digest = takeToken(line);
+  std::string_view digest = nextToken(line);
   std::uint64_t declared = 0;
   if (digest.size() != 16 || !line.empty()) {
     return scanError(scanner, "expected Checksum <16 hex>");
@@ -312,6 +319,223 @@ std::string parseResultText(std::string_view text, EngineBackend& backend,
   result.bestSeed = bestSeed;
   result.seconds = 0.0;
   return {};
+}
+
+// --- the ALSSERVE 1 codec ----------------------------------------------------
+
+bool writeAll(int fd, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t n = ::write(fd, data.data(), data.size());
+    if (n < 0 && errno != EINTR) return false;
+    if (n > 0) data.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+bool WireReader::readLine(std::string& line) {
+  std::size_t nl;
+  while ((nl = buffer_.find('\n', pos_)) == std::string::npos) {
+    if (!fill()) return false;
+  }
+  line.assign(buffer_, pos_, nl - pos_);
+  if (!line.empty() && line.back() == '\r') line.pop_back();  // the CR rule
+  pos_ = nl + 1;
+  return true;
+}
+
+bool WireReader::readExact(std::size_t n, std::string& out) {
+  while (buffer_.size() - pos_ < n) {
+    if (!fill()) return false;
+  }
+  out.assign(buffer_, pos_, n);
+  pos_ += n;
+  return true;
+}
+
+bool WireReader::fill() {
+  if (fd_ < 0) return false;
+  if (pos_ > (1u << 20)) {  // drop what was consumed before growing
+    buffer_.erase(0, pos_);
+    pos_ = 0;
+  }
+  char chunk[65536];
+  ssize_t n;
+  do {
+    n = ::read(fd_, chunk, sizeof chunk);
+  } while (n < 0 && errno == EINTR);  // a signal is not an EOF
+  if (n <= 0) return false;           // EOF or a real error: the stream ends
+  buffer_.append(chunk, static_cast<std::size_t>(n));
+  return true;
+}
+
+std::string_view nextToken(std::string_view& rest) {
+  const std::size_t a = std::min(rest.size(), rest.find_first_not_of(" \t"));
+  const std::size_t b = std::min(rest.size(), rest.find_first_of(" \t", a));
+  const std::string_view token = rest.substr(a, b - a);
+  rest.remove_prefix(b);
+  return token;
+}
+
+bool parseCount(std::string_view token, std::uint64_t& out) {
+  return parseNumber(token, out);
+}
+
+void appendJobBlock(std::string& out, std::string_view tag,
+                    std::string_view backend, std::span<const WireOpt> opts,
+                    std::optional<std::string_view> circuit) {
+  out.append("JOB ").append(tag).append(" ").append(backend).append("\n");
+  for (const auto& [key, value] : opts) {
+    out.append("OPT ").append(key).append(" ").append(value) += '\n';
+  }
+  if (circuit) {
+    out.append("CIRCUIT ").append(std::to_string(circuit->size())) += '\n';
+    out += *circuit;
+  }
+  out += "END\n";
+}
+
+JobStatus readJob(WireReader& reader, std::string_view args, std::string& tag,
+                  JobRequest& job, std::string& error) {
+  tag = nextToken(args);
+  const std::string_view backendWord = nextToken(args);
+  job = JobRequest{};
+  error.clear();
+  if (backendWord.empty()) {  // then the tag may be missing too
+    tag = "?";
+    error = "JOB needs <tag> <backend>";
+    return JobStatus::Error;
+  }
+  if (!parseBackendName(backendWord, job.backend)) {
+    error = "unknown backend '" + std::string(backendWord) + "'";
+  }
+  std::string line;
+  bool sawCircuit = false;
+  for (;;) {
+    if (!reader.readLine(line)) return JobStatus::Broken;
+    std::string_view rest = line;
+    const std::string_view word = nextToken(rest);
+    if (word == "END") break;
+    if (word == "OPT") {
+      const std::string_view key = nextToken(rest);
+      const std::string_view value = nextToken(rest);
+      if (!error.empty()) continue;  // the first semantic error stands
+      // Deadlines are serve-layer knobs, not EngineOptions (JobRequest).
+      std::uint64_t n = 0;
+      if (key != "deadline-ms" && key != "deadline-sweeps") {
+        error = applyJobOption(job.options, key, value);
+      } else if (!parseCount(value, n)) {
+        error = "bad OPT " + std::string(key) + ": nonnegative integer";
+      } else if (key == "deadline-ms") {
+        job.deadlineSeconds = static_cast<double>(n) / 1000.0;
+      } else {
+        job.deadlineSweeps = static_cast<std::size_t>(n);
+      }
+    } else if (word == "CIRCUIT") {
+      std::uint64_t nbytes = 0;
+      if (!parseCount(nextToken(rest), nbytes) || nbytes > kMaxCircuitBytes ||
+          !reader.readExact(static_cast<std::size_t>(nbytes),
+                            job.circuitText)) {
+        return JobStatus::Broken;
+      }
+      sawCircuit = true;
+    } else {
+      return JobStatus::Broken;  // not part of a JOB block
+    }
+  }
+  if (error.empty() && !sawCircuit) error = "JOB block has no CIRCUIT";
+  return error.empty() ? JobStatus::Ok : JobStatus::Error;
+}
+
+std::string queuedLine(std::string_view tag, const CacheKey& key) {
+  return wireLine({"QUEUED", tag, key.hex()});
+}
+
+std::string rejectedLine(std::string_view tag) {
+  return wireLine({"REJECTED", tag, "queue-full"});
+}
+
+std::string errorLine(std::string_view tag, std::string_view message) {
+  return wireLine({"ERROR", tag, message});
+}
+
+std::string progressLine(std::string_view tag, std::size_t round,
+                         std::size_t sweepsDone, double bestCost) {
+  std::string best;
+  appendDouble(best, bestCost);
+  return wireLine({"PROGRESS", tag, std::to_string(round),
+                   std::to_string(sweepsDone), best});
+}
+
+std::string statsLine(const ServeStats& s) {
+  std::string out = "STATS";
+  for (std::uint64_t v : {s.submitted, s.completed, s.cacheHits,
+                          s.cacheMisses, s.cancelled, s.rejected,
+                          s.deadlineExpired, s.quarantined, s.evicted,
+                          std::uint64_t{s.memoryOnly}}) {
+    out += ' ' + std::to_string(v);
+  }
+  return out += '\n';
+}
+
+void appendResultBlock(std::string& out, std::string_view tag,
+                       std::string_view status, EngineBackend backend,
+                       const EngineResult& result) {
+  std::string payload;
+  writeResultText(backend, result, payload);
+  out += wireLine({"RESULT", tag, status, std::to_string(payload.size())});
+  out += payload;
+  out += wireLine({"DONE", tag});
+}
+
+bool parseReply(std::string_view line, ServerReply& out) {
+  out = ServerReply{};
+  const std::string_view word = nextToken(line);
+  if (word == "FLUSHED" || word == "BYE") {
+    out.kind = word == "BYE" ? ServerReply::Bye : ServerReply::Flushed;
+    return nextToken(line).empty();
+  }
+  if (word == "STATS") {
+    out.kind = ServerReply::Stats;
+    std::uint64_t v[10];
+    for (std::uint64_t& slot : v) {
+      if (!parseCount(nextToken(line), slot)) return false;
+    }
+    out.stats = {v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8],
+                 v[9] != 0};
+    return nextToken(line).empty();
+  }
+  out.tag = nextToken(line);
+  if (word == "ERROR") {
+    out.kind = ServerReply::Error;
+    out.text =
+        line.substr(std::min(line.size(), line.find_first_not_of(" \t")));
+    return !out.tag.empty();
+  }
+  if (word == "PROGRESS") {
+    out.kind = ServerReply::Progress;
+    return parseCount(nextToken(line), out.round) &&
+           parseCount(nextToken(line), out.sweepsDone) &&
+           parseNumber(nextToken(line), out.bestCost);
+  }
+  out.text = nextToken(line);
+  if (word == "RESULT") {
+    out.kind = ServerReply::Result;
+    return !out.text.empty() && parseCount(nextToken(line), out.bytes);
+  }
+  out.kind = word == "QUEUED" ? ServerReply::Queued : ServerReply::Rejected;
+  return (word == "QUEUED" || word == "REJECTED") && !out.text.empty();
+}
+
+bool readResultBody(WireReader& reader, const ServerReply& result,
+                    std::string& payload) {
+  std::string line;
+  if (!reader.readExact(static_cast<std::size_t>(result.bytes), payload) ||
+      !reader.readLine(line)) {
+    return false;
+  }
+  std::string_view rest = line;
+  return nextToken(rest) == "DONE" && nextToken(rest) == result.tag &&
+         rest.empty();
 }
 
 }  // namespace als

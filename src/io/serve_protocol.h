@@ -1,10 +1,11 @@
 // Wire vocabulary of the placement service (tools/als_serve): content
 // hashing, the canonical options key, the cache key, the ALSRESULT result
-// text and the OPT key/value job-options dialect.  Everything here is pure
-// string/struct work — socket plumbing lives in the tools; the in-process
-// serve engine (runtime/serve.h) and its on-disk cache
-// (runtime/result_cache.h) share these definitions so a result persisted by
-// one daemon parses bit-identically in the next.
+// text, the OPT key/value job-options dialect and the ALSSERVE 1 codec.
+// Everything here is pure string/struct work over a byte stream; sockets
+// and threads live in the tools.  The in-process serve engine
+// (runtime/serve.h) and its on-disk cache (runtime/result_cache.h) share
+// these definitions so a result persisted by one daemon parses
+// bit-identically in the next.
 //
 // ## Protocol ("ALSSERVE 1", line-delimited over a local stream socket)
 //
@@ -12,16 +13,17 @@
 //
 //   JOB <tag> <backend>            # tag: client-chosen, no whitespace
 //   OPT <key> <value>              # zero or more (see applyJobOption; the
-//                                  # daemon also accepts the serve-layer
-//                                  # keys `deadline-ms` / `deadline-sweeps`,
-//                                  # which never enter the cache key)
+//                                  # serve-layer keys `deadline-ms` /
+//                                  # `deadline-sweeps` are accepted too and
+//                                  # never enter the cache key)
 //   CIRCUIT <nbytes>               # then exactly nbytes of ALSBENCH text
 //   END
 //
 // OPT keys and their domains are the knob table's (engine/knobs.h).  A
 // knob the job's backend refuses (`refusedKnob`: `OPT maxw` on slicing,
 // `OPT shape` on seqpair), set away from its default, makes the job an
-// ERROR naming knob and backend, never a placement without the knob.
+// ERROR naming knob and backend (`ServeEngine::submit` refuses it), never a
+// placement without the knob.
 //
 // The server answers with
 //
@@ -49,9 +51,22 @@
 // <evicted> <memory-only>` — the last three surface the store's health,
 // runtime/result_cache.h), `FLUSH` (drops every cache entry, memory and
 // disk; answered `FLUSHED` — how the replay harness forces recomputation)
-// and `SHUTDOWN` (answered `BYE`; the daemon drains and exits).  One
-// connection may carry many jobs; all server lines are tagged, so clients
-// may pipeline.
+// and `SHUTDOWN` (answered `BYE`; the daemon drains and exits).  An
+// unknown command is answered `ERROR ? unknown command`.  One connection
+// may carry many jobs; all server lines are tagged, so clients may
+// pipeline.
+//
+// ## The codec
+//
+// Both ends speak the grammar through these functions only: `WireReader`
+// (lines and exact byte counts over an fd or a string; the one CR rule
+// strips a line's trailing `\r`, never payload bytes), `writeAll`,
+// `nextToken`, `parseCount`, `appendJobBlock` / `readJob`, the `*Line`
+// formatters with `appendResultBlock`, and `parseReply` / `readResultBody`.
+// `readJob` calls a framing error (an unknown line in the block, a bad or
+// over-64-MiB CIRCUIT count, EOF) Broken: the connection closes.  A
+// semantic error (JOB without tag or backend, an unknown backend, the first
+// bad OPT, no CIRCUIT, in that precedence) is Error: ERROR, and read on.
 //
 // ## Cache key contract
 //
@@ -74,8 +89,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "engine/placement_engine.h"
 
@@ -174,5 +192,105 @@ void writeResultText(EngineBackend backend, const EngineResult& result,
 /// is unspecified.  `result.seconds` is set to 0.
 std::string parseResultText(std::string_view text, EngineBackend& backend,
                             EngineResult& result);
+
+// ---------------------------------------------------------------------------
+// The ALSSERVE 1 codec (see "The codec" above).
+
+/// Writes all of `data`, retrying EINTR and short writes; false when the
+/// peer is gone.
+bool writeAll(int fd, std::string_view data);
+
+class WireReader {
+ public:
+  explicit WireReader(int fd) : fd_(fd) {}
+  /// Yields `text`, then EOF.
+  explicit WireReader(std::string text) : buffer_(std::move(text)) {}
+
+  bool readLine(std::string& line);
+  bool readExact(std::size_t n, std::string& out);
+
+ private:
+  bool fill();
+  int fd_ = -1;
+  std::string buffer_;
+  std::size_t pos_ = 0;
+};
+
+/// Splits the next token off `rest`; empty at the end of the line.
+std::string_view nextToken(std::string_view& rest);
+/// A decimal count: digits only, within uint64.
+bool parseCount(std::string_view token, std::uint64_t& out);
+inline constexpr std::uint64_t kMaxCircuitBytes = 64u << 20;
+
+/// One job as the wire describes it; `ServeEngine::Job` adds the callbacks.
+struct JobRequest {
+  std::string circuitText;  ///< raw ALSBENCH bytes (hashed as-is)
+  EngineBackend backend = EngineBackend::FlatBStar;
+  EngineOptions options;
+  // Deadlines (0 = none) bound whether a run finishes, never what a
+  // finished run produces, so they are not part of the cache key.
+  double deadlineSeconds = 0.0;   ///< `OPT deadline-ms`, from submit
+  std::size_t deadlineSweeps = 0;  ///< `OPT deadline-sweeps`, all slices
+};
+
+/// One `OPT <key> <value>` line.
+using WireOpt = std::pair<std::string_view, std::string>;
+
+/// Appends a JOB block; without `circuit` it has no CIRCUIT line.
+void appendJobBlock(std::string& out, std::string_view tag,
+                    std::string_view backend, std::span<const WireOpt> opts,
+                    std::optional<std::string_view> circuit);
+
+enum class JobStatus { Ok, Error, Broken };
+/// Reads the JOB block whose JOB line continues with `args`.  Sets `tag`
+/// ("?" when the line has none), and `job` on Ok or `error` on Error.
+JobStatus readJob(WireReader& reader, std::string_view args, std::string& tag,
+                  JobRequest& job, std::string& error);
+
+/// The STATS reply's shape, filled by `ServeEngine::stats`.
+struct ServeStats {
+  std::uint64_t submitted = 0;   ///< jobs accepted by submit
+  std::uint64_t completed = 0;   ///< jobs whose onDone ran (any outcome)
+  std::uint64_t cacheHits = 0;
+  std::uint64_t cacheMisses = 0;  ///< computed jobs (includes cancelled)
+  std::uint64_t cancelled = 0;
+  std::uint64_t rejected = 0;    ///< admission-control rejections
+  std::uint64_t deadlineExpired = 0;  ///< jobs cut off by a deadline
+  // The store's health, from ResultCache::Stats:
+  std::uint64_t quarantined = 0;  ///< corrupt store entries quarantined
+  std::uint64_t evicted = 0;      ///< entries dropped by the size cap
+  bool memoryOnly = false;        ///< store degraded, disk writes disabled
+
+  friend bool operator==(const ServeStats&, const ServeStats&) = default;
+};
+
+// Server lines, each with its newline; REJECTED's reason is `queue-full`.
+std::string queuedLine(std::string_view tag, const CacheKey& key);
+std::string rejectedLine(std::string_view tag);
+std::string errorLine(std::string_view tag, std::string_view message);
+std::string progressLine(std::string_view tag, std::size_t round,
+                         std::size_t sweepsDone, double bestCost);
+std::string statsLine(const ServeStats& stats);
+/// RESULT, the ALSRESULT payload and DONE.
+void appendResultBlock(std::string& out, std::string_view tag,
+                       std::string_view status, EngineBackend backend,
+                       const EngineResult& result);
+
+/// One server line as a client reads it; views point into the line.
+struct ServerReply {
+  enum Kind { Queued, Rejected, Error, Progress, Result, Stats, Flushed, Bye };
+  Kind kind = Error;
+  std::string_view tag;
+  std::string_view text;  ///< key hex, reason, message or RESULT status
+  std::uint64_t round = 0, sweepsDone = 0, bytes = 0;
+  double bestCost = 0.0;
+  ServeStats stats;
+};
+
+/// False when `line` is none of the server lines.
+bool parseReply(std::string_view line, ServerReply& out);
+/// After a RESULT line: its payload, then the matching DONE line.
+bool readResultBody(WireReader& reader, const ServerReply& result,
+                    std::string& payload);
 
 }  // namespace als

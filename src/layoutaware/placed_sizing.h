@@ -11,7 +11,8 @@
 // derivation the layout template uses, Power annotations from the bias
 // currents (the thermal objective's radiators), a discretized shape curve
 // on the Miller capacitor (the soft block of the design) — so a candidate's
-// placement runs with the thermal/shape workloads enabled end to end.
+// placement runs with the thermal workload enabled end to end, and with
+// shape selection on a backend that has the move.
 //
 // Determinism contract: the candidate seeds come from the portfolio seed
 // schedule (anneal/annealer.h), the sizing runs are sequential pure
@@ -37,9 +38,10 @@ struct PlacedSizingOptions {
   SizingOptions sizing;
   std::size_t numCandidates = 4;
   /// Backend + engine options the candidates are placed with.  numThreads
-  /// fans the candidate x restart grid; thermalWeight/shapeMoveProb work
-  /// here like everywhere else (the candidate circuits carry Power
-  /// annotations and a capacitor shape curve).
+  /// fans the candidate x restart grid; thermalWeight and shapeMoveProb
+  /// work here like everywhere else (the candidates carry Power annotations
+  /// and a capacitor shape curve), so the default sequence pair refuses
+  /// shapeMoveProb (engine/knobs.h).
   EngineBackend backend = EngineBackend::SeqPair;
   EngineOptions placement;
 };

@@ -2,12 +2,14 @@
 
 #include <stdexcept>
 
+#include "engine/knobs.h"
 #include "util/stopwatch.h"
 
 namespace als {
 
 EngineResult PortfolioRunner::run(const Circuit& circuit, EngineBackend backend,
                                   const EngineOptions& options) const {
+  requireHonoured(backend, options);
   Stopwatch clock;
   PlanOutcome out = executePlan(
       pool_, {.circuits = {&circuit, 1}, .backends = {&backend, 1},
@@ -36,6 +38,7 @@ PortfolioRunner::RaceOutcome PortfolioRunner::race(
 std::vector<EngineResult> BatchPlacer::placeAll(
     std::span<const Circuit> circuits, EngineBackend backend,
     const EngineOptions& options) const {
+  requireHonoured(backend, options);
   return executePlan(pool_, {.circuits = circuits,
                              .backends = {&backend, 1},
                              .options = options})

@@ -56,7 +56,8 @@ class PortfolioRunner {
 
   /// Runs the restart portfolio of one backend; `result.placement` is the
   /// winning slice's placement, moves/sweeps aggregate over all slices,
-  /// `seconds` is the portfolio's wall clock.
+  /// `seconds` is the portfolio's wall clock.  Throws std::invalid_argument
+  /// on a refused knob (engine/knobs.h).
   EngineResult run(const Circuit& circuit, EngineBackend backend,
                    const EngineOptions& options) const;
 
@@ -82,7 +83,8 @@ class PortfolioRunner {
 /// is small.  Results are index-aligned with `circuits` and equal each
 /// circuit's own `PortfolioRunner::run` (tempering included), except that
 /// each result's `seconds` is the summed annealing time of that circuit's
-/// slices (the batch shares one wall clock).
+/// slices (the batch shares one wall clock).  Throws std::invalid_argument
+/// on a knob `backend` refuses (engine/knobs.h).
 class BatchPlacer {
  public:
   BatchPlacer() = default;

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <thread>
 
+#include "engine/knobs.h"
 #include "io/benchmark_format.h"
 #include "runtime/plan_executor.h"
 #include "runtime/thread_pool.h"
@@ -87,13 +88,17 @@ void ServeEngine::shutdown() {
 // --- submission / control ---------------------------------------------------
 
 ServeEngine::Submission ServeEngine::submit(Job job) {
+  Submission out;
+  out.error = refusal(job.backend, job.options);
+  if (!out.error.empty()) return out;
   // The serve layer's reproducibility invariants, applied BEFORE the key is
   // computed (both knobs are excluded from the canonical options string):
   // no wall-clock stopping rule, parallelism across jobs rather than within.
+  // A one-backend job never cross-seeds, so `cross` must not split the key.
   job.options.timeLimitSec = 0.0;
   job.options.numThreads = 1;
+  job.options.crossSeed = EngineOptions{}.crossSeed;
   std::string keyScratch;
-  Submission out;
   out.key =
       makeCacheKey(job.circuitText, job.backend, job.options, keyScratch);
 

@@ -55,7 +55,9 @@
 //
 // The serve layer forces `timeLimitSec = 0` and `numThreads = 1` on every
 // job (reproducibility and the parallelism-across-jobs scheduling model;
-// both knobs are excluded from the cache key for exactly this reason).
+// both knobs are excluded from the cache key for exactly this reason), and
+// resets `crossSeed` to its default: a job runs one backend, and only a
+// race of two can cross-seed, so the knob must not split the cache.
 #pragma once
 
 #include <cstdint>
@@ -82,21 +84,6 @@ struct ServeOptions {
   std::size_t cacheCapacity = 0;
 };
 
-struct ServeStats {
-  std::uint64_t submitted = 0;   ///< jobs accepted by submit
-  std::uint64_t completed = 0;   ///< jobs whose onDone ran (any outcome)
-  std::uint64_t cacheHits = 0;
-  std::uint64_t cacheMisses = 0;  ///< computed jobs (includes cancelled)
-  std::uint64_t cancelled = 0;
-  std::uint64_t rejected = 0;    ///< admission-control rejections
-  std::uint64_t deadlineExpired = 0;  ///< jobs cut off by a deadline
-  // Mirrored from ResultCache::Stats by stats() — the daemon's STATS reply
-  // is the operator's one window into the store's health:
-  std::uint64_t quarantined = 0;  ///< corrupt store entries quarantined
-  std::uint64_t evicted = 0;      ///< entries dropped by the size cap
-  bool memoryOnly = false;        ///< store degraded, disk writes disabled
-};
-
 class ServeEngine {
  public:
   /// Completion report, valid only during the `onDone` call (the result
@@ -118,17 +105,8 @@ class ServeEngine {
                                         double bestCost)>;
   using DoneFn = std::function<void(const JobOutcome&)>;
 
-  struct Job {
-    std::string circuitText;  ///< raw ALSBENCH bytes (hashed as-is)
-    EngineBackend backend = EngineBackend::FlatBStar;
-    EngineOptions options;
-    /// Wall-clock deadline in seconds from submit (0 = none).  Not part of
-    /// the cache key — a deadline changes whether a run finishes, never
-    /// what a finished run produces.
-    double deadlineSeconds = 0.0;
-    /// Total-sweep budget across slices or replicas (0 = none);
-    /// round-granular.
-    std::size_t deadlineSweeps = 0;
+  /// The wire's job (io/serve_protocol.h) plus its callbacks.
+  struct Job : JobRequest {
     ProgressFn onProgress;  ///< per round; may be empty
     DoneFn onDone;          ///< exactly once per accepted job; may be empty
   };
@@ -136,7 +114,8 @@ class ServeEngine {
   struct Submission {
     bool accepted = false;
     std::uint64_t id = 0;  ///< valid when accepted
-    CacheKey key;          ///< computed either way (REJECTED replies carry it)
+    CacheKey key;          ///< computed when the job is admissible
+    std::string error;     ///< a refused knob (engine/knobs.h): not queued
   };
 
   explicit ServeEngine(const ServeOptions& options);
@@ -145,8 +124,9 @@ class ServeEngine {
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Admission control + enqueue.  Callbacks run on worker threads; they
-  /// must not call back into submit/shutdown.
+  /// Admission control + enqueue.  A knob the job's backend refuses is
+  /// reported in `error` before anything is queued or counted.  Callbacks
+  /// run on worker threads; they must not call back into submit/shutdown.
   Submission submit(Job job);
 
   /// Requests cancellation of a pending or running job; false when the id

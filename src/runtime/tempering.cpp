@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "engine/knobs.h"
 #include "util/stopwatch.h"
 
 namespace als {
@@ -33,6 +34,7 @@ TemperingOutcome TemperingRunner::run(const Circuit& circuit,
                                       EngineBackend backend,
                                       const EngineOptions& options,
                                       TemperingScratch* scratch) const {
+  requireHonoured(backend, options);
   return runLadders(circuit, {&backend, 1}, options, scratch);
 }
 

@@ -61,7 +61,7 @@ class TemperingRunner {
   /// optional TemperingScratch gives replica i persistent warm buffers
   /// across runs (grown to the replica count on the calling thread);
   /// `options.scratch` is ignored — one PlaceScratch cannot serve multiple
-  /// concurrent replicas.
+  /// concurrent replicas.  Throws std::invalid_argument on a refused knob.
   TemperingOutcome run(const Circuit& circuit, EngineBackend backend,
                        const EngineOptions& options,
                        TemperingScratch* scratch = nullptr) const;

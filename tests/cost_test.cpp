@@ -21,6 +21,7 @@
 #include "slicing/polish.h"
 #include "thermal/thermal.h"
 #include "util/rng.h"
+#include "test_util.h"
 
 namespace als {
 namespace {
@@ -371,8 +372,9 @@ TEST(CostModel, EngineWeightPlumbingIsDeterministic) {
   opt.proximityWeight = 3.0;
   for (EngineBackend backend : allBackends()) {
     auto engine = makeEngine(backend);
-    EngineResult a = engine->place(c, opt);
-    EngineResult b = engine->place(c, opt);
+    const EngineOptions honoured = test_util::honouredBy(backend, opt);
+    EngineResult a = engine->place(c, honoured);
+    EngineResult b = engine->place(c, honoured);
     EXPECT_EQ(a.cost, b.cost) << engine->name();
     ASSERT_EQ(a.placement.size(), b.placement.size()) << engine->name();
     for (std::size_t m = 0; m < a.placement.size(); ++m) {

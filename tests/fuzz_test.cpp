@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -480,6 +481,69 @@ TEST(ServeWireFuzz, JobOptionSoupFailsWithMessagesAndKeysStayDeterministic) {
     const CacheKey b =
         makeCacheKey(circuit, EngineBackend::SeqPair, options, scratch);
     EXPECT_EQ(a, b) << "round " << round;
+  }
+}
+
+// JOB blocks through the reader the daemon runs (`readJob` over a
+// WireReader).  Blocks the writer builds never break framing, whatever
+// their options say, and an accepted one carries its circuit; line soup
+// with LF or CRLF endings ends Ok, Error or Broken without crashing, and
+// of the first two only an Error carries a message.
+TEST(ServeWireFuzz, JobBlockSoupFramesOrFailsThroughTheDaemonReader) {
+  std::vector<std::string_view> keys;
+  for (const Knob& knob : kKnobs) keys.push_back(knob.wire);
+  for (std::string_view extra : {"deadline-ms", "deadline-sweeps", "bogus"}) {
+    keys.push_back(extra);
+  }
+  const char* values[] = {"1", "0", "-3", "0.5", "nan", "banana", "", "64"};
+  const char* backends[] = {"seqpair", "flat-bstar", "slicing", "hbstar", "b*"};
+  const std::string_view circuit = corpusText(CorpusCircuit::Apte);
+  auto readOne = [](WireReader& reader, std::string& error, JobRequest& job) {
+    std::string line, tag;
+    EXPECT_TRUE(reader.readLine(line));
+    std::string_view rest = line;
+    EXPECT_EQ(nextToken(rest), "JOB");
+    const JobStatus status = readJob(reader, rest, tag, job, error);
+    if (status != JobStatus::Broken) {
+      EXPECT_EQ(error.empty(), status == JobStatus::Ok);
+    }
+    return status;
+  };
+  Rng rng(353);
+  for (int round = 0; round < 300; ++round) {
+    std::vector<WireOpt> opts;
+    for (std::size_t i = 0, n = rng.index(6); i < n; ++i) {
+      opts.push_back({keys[rng.index(keys.size())],
+                      values[rng.index(std::size(values))]});
+    }
+    std::string wire;
+    std::optional<std::string_view> carried;
+    if (rng.index(4) != 0) carried = circuit;
+    appendJobBlock(wire, "t" + std::to_string(round),
+                   backends[rng.index(std::size(backends))], opts, carried);
+    WireReader written(wire + wire);  // two blocks back to back
+    for (int block = 0; block < 2; ++block) {
+      std::string error;
+      JobRequest job;
+      const JobStatus status = readOne(written, error, job);
+      EXPECT_NE(status, JobStatus::Broken) << "round " << round;
+      if (status == JobStatus::Ok) {
+        EXPECT_EQ(job.circuitText, circuit);
+      }
+    }
+
+    const char* lines[] = {"OPT sweeps 4", "OPT deadline-ms 7", "OPT", "END",
+                           "CIRCUIT 3", "CIRCUIT 99999999999", "CIRCUIT x",
+                           "", "abc", "JOB a b", "\r", "OPT seed"};
+    std::string soup = "JOB s seqpair\n";
+    for (std::size_t i = 0, n = rng.index(8); i < n; ++i) {
+      soup += lines[rng.index(std::size(lines))];
+      soup += rng.index(2) == 0 ? "\n" : "\r\n";
+    }
+    std::string error;
+    JobRequest job;
+    WireReader souped(soup);
+    readOne(souped, error, job);
   }
 }
 

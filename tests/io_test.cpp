@@ -403,8 +403,9 @@ void expectRoundTrip(const Circuit& original) {
   opt.shapeMoveProb = 0.15;
   for (EngineBackend backend : allBackends()) {
     auto engine = makeEngine(backend);
-    EngineResult a = engine->place(original, opt);
-    EngineResult b = engine->place(parsed.circuit, opt);
+    const EngineOptions honoured = test_util::honouredBy(backend, opt);
+    EngineResult a = engine->place(original, honoured);
+    EngineResult b = engine->place(parsed.circuit, honoured);
     EXPECT_EQ(a.cost, b.cost) << engine->name();
     EXPECT_EQ(a.area, b.area) << engine->name();
     EXPECT_EQ(a.hpwl, b.hpwl) << engine->name();

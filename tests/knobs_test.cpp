@@ -8,8 +8,9 @@
 //   * `refusedKnob` names the knob a backend would otherwise drop;
 //   * the route matrix: for every knob x backend x route, a Honoured knob
 //     moves the result, an Inert one leaves it bit-identical while the
-//     guaranteed constraint holds, and a Refused one is named by
-//     `refusedKnob` before anything runs.
+//     guaranteed constraint holds, and a Refused one is refused by every
+//     single-backend route with the one `refusal` message before anything
+//     runs, while a race accepts it and leaves the result bit-identical.
 #include "engine/knobs.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <span>
 #include <string>
 #include <string_view>
@@ -204,21 +206,23 @@ bool routeReads(Route route, const Knob& knob) {
 }
 
 struct MatrixCircuit {
+  std::string name;
   std::string text;
   Circuit circuit;
 };
 
-MatrixCircuit matrixCircuit(std::string text) {
+MatrixCircuit matrixCircuit(std::string name, std::string text) {
   ParseResult parsed = parseBenchmark(text);
   EXPECT_TRUE(parsed.ok()) << parsed.error;
-  return {std::move(text), std::move(parsed.circuit)};
+  return {std::move(name), std::move(text), std::move(parsed.circuit)};
 }
 
 /// One non-default value per knob, the OPTs both arms share, and a circuit
 /// on which a backend that honours the knob must move: ami33 carries
-/// symmetry groups, Power annotations and shape curves; a synthetic
-/// circuit carries two proximity groups, which the sequence pair (no
-/// proximity guarantee) breaks.
+/// symmetry groups, Power annotations and shape curves; two synthetic
+/// circuits carry two proximity groups each, which the sequence pair (no
+/// proximity guarantee) breaks, and on the second of which a plain B*-tree
+/// packing drops a group member under an overhang.
 struct Probe {
   std::string_view wire;
   const char* value;
@@ -230,7 +234,8 @@ const std::vector<Probe>& probes() {
   static const std::vector<Probe> kProbes = {
       {"wl", "3", {}},
       {"sym", "0", {}},
-      {"prox", "20", {}, true},
+      // The budget at which the plain packing disconnects a seed-6 group.
+      {"prox", "20", {{"sweeps", "16"}, {"mpt", "40"}}, true},
       {"outline", "40", {{"maxw", "1000"}}},
       {"maxw", "1000", {}},
       {"maxh", "1000", {}},
@@ -319,6 +324,28 @@ EngineResult runRoute(Route route, const MatrixCircuit& mc,
   return {};
 }
 
+/// What a single-backend route answers a refused knob with: the message of
+/// the std::invalid_argument it throws, or ServeEngine's submit error.
+std::string routeRefusal(Route route, const MatrixCircuit& mc,
+                         EngineBackend backend, const EngineOptions& options,
+                         ServeEngine& serve) {
+  if (route == Route::Serve) {
+    ServeEngine::Job job;
+    job.circuitText = mc.text;
+    job.backend = backend;
+    job.options = options;
+    const ServeEngine::Submission sub = serve.submit(std::move(job));
+    EXPECT_FALSE(sub.accepted);
+    return sub.error;
+  }
+  try {
+    runRoute(route, mc, backend, options, serve);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 /// The constraint an Inert knob's representation guarantees, checked on
 /// the placement it produced.
 void expectGuarantee(const Knob& knob, const Circuit& c, const Placement& p,
@@ -347,9 +374,13 @@ EngineOptions matrixOptions(
 
 TEST(KnobRouteMatrix, EveryKnobIsHonouredInertOrRefusedOnEveryRoute) {
   const MatrixCircuit ami33 =
-      matrixCircuit(std::string(corpusText(CorpusCircuit::Ami33)));
-  const MatrixCircuit prox = matrixCircuit(
-      writeBenchmark(makeSynthetic({.moduleCount = 40, .seed = 3})).text);
+      matrixCircuit("ami33", std::string(corpusText(CorpusCircuit::Ami33)));
+  std::vector<MatrixCircuit> prox;
+  for (std::uint64_t seed : {3, 6}) {
+    prox.push_back(matrixCircuit(
+        "prox" + std::to_string(seed),
+        writeBenchmark(makeSynthetic({.moduleCount = 40, .seed = seed})).text));
+  }
   ServeEngine serve(ServeOptions{});
   // Base arms repeat across knobs; run each (route, backend, options) once.
   std::map<std::string, EngineResult> baseRuns;
@@ -360,41 +391,54 @@ TEST(KnobRouteMatrix, EveryKnobIsHonouredInertOrRefusedOnEveryRoute) {
       if (p.wire == knob.wire) probe = &p;
     }
     ASSERT_NE(probe, nullptr) << "knob '" << knob.wire << "' has no probe";
-    const MatrixCircuit& mc = probe->proximity ? prox : ami33;
     const EngineOptions base = matrixOptions(probe->base);
     EngineOptions moved = base;
     ASSERT_EQ(applyJobOption(moved, knob.wire, probe->value), "");
 
-    for (EngineBackend backend : allBackends()) {
-      const std::string at =
-          std::string(knob.wire) + " on " + std::string(backendName(backend));
-      const Knob* refused = refusedKnob(backend, moved);
-      if (knob.on(backend) == KnobStatus::Refused) {
-        EXPECT_TRUE(refused != nullptr && refused->wire == knob.wire) << at;
-        continue;
-      }
-      EXPECT_EQ(refusedKnob(backend, base), nullptr) << at;
-      EXPECT_EQ(refused, nullptr) << at;
+    using Circuits = std::span<const MatrixCircuit>;
+    for (const MatrixCircuit& mc :
+         probe->proximity ? Circuits(prox) : Circuits(&ami33, 1)) {
+      for (EngineBackend backend : allBackends()) {
+        const std::string at = std::string(knob.wire) + " on " +
+                               std::string(backendName(backend)) + " (" +
+                               mc.name + ")";
+        const bool isRefused = knob.on(backend) == KnobStatus::Refused;
+        const Knob* refused = refusedKnob(backend, moved);
+        EXPECT_EQ(refused == nullptr ? "" : refused->wire,
+                  isRefused ? knob.wire : "")
+            << at;
+        // A refused knob's probe may need a refused partner (`outline` reads
+        // `maxw`), so only an admissible cell's base arm must be admissible.
+        if (!isRefused) {
+          EXPECT_EQ(refusedKnob(backend, base), nullptr) << at;
+        }
 
-      for (Route route : kRoutes) {
-        const std::string label = at + " via " + routeName(route);
-        std::string baseKey = label.substr(label.find(" on ")) +
-                              (probe->proximity ? " prox " : " ami33 ");
-        canonicalOptionsKey(backend, base, baseKey);
-        baseKey += " seed=" + std::to_string(base.seed) +
-                   " threads=" + std::to_string(base.numThreads);
-        auto [it, fresh] = baseRuns.try_emplace(baseKey);
-        if (fresh) it->second = runRoute(route, mc, backend, base, serve);
-        const EngineResult result = runRoute(route, mc, backend, moved, serve);
+        for (Route route : kRoutes) {
+          const std::string label = at + " via " + routeName(route);
+          if (isRefused && route != Route::Race) {
+            EXPECT_EQ(routeRefusal(route, mc, backend, moved, serve),
+                      refusal(backend, moved))
+                << label << " must refuse the knob";
+            continue;
+          }
+          std::string baseKey = label.substr(label.find(" on ")) + " ";
+          canonicalOptionsKey(backend, base, baseKey);
+          baseKey += " seed=" + std::to_string(base.seed) +
+                     " threads=" + std::to_string(base.numThreads);
+          auto [it, fresh] = baseRuns.try_emplace(baseKey);
+          if (fresh) it->second = runRoute(route, mc, backend, base, serve);
+          const EngineResult result =
+              runRoute(route, mc, backend, moved, serve);
 
-        const bool mustMove = knob.on(backend) == KnobStatus::Honoured &&
-                              knob.key != KnobKey::None &&
-                              routeReads(route, knob);
-        EXPECT_EQ(!sameResult(it->second, result), mustMove)
-            << label << (mustMove ? " must move the result"
-                                  : " must leave the result bit-identical");
-        if (knob.on(backend) == KnobStatus::Inert) {
-          expectGuarantee(knob, mc.circuit, result.placement, label);
+          const bool mustMove = knob.on(backend) == KnobStatus::Honoured &&
+                                knob.key != KnobKey::None &&
+                                routeReads(route, knob);
+          EXPECT_EQ(!sameResult(it->second, result), mustMove)
+              << label << (mustMove ? " must move the result"
+                                    : " must leave the result bit-identical");
+          if (knob.on(backend) == KnobStatus::Inert) {
+            expectGuarantee(knob, mc.circuit, result.placement, label);
+          }
         }
       }
     }

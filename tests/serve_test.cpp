@@ -353,6 +353,260 @@ TEST(ResultTextTest, RoundTripsBitIdentically) {
             "");
 }
 
+// -------------------------------------------------------- wire codec -------
+// The ALSSERVE 1 codec (io/serve_protocol.h), fed from strings: the daemon
+// and its clients run exactly these functions over their sockets.
+
+/// The daemon's dispatch of one JOB block: the JOB line, then `readJob`.
+JobStatus readBlock(WireReader& reader, std::string& tag, JobRequest& job,
+                    std::string& error) {
+  std::string line;
+  EXPECT_TRUE(reader.readLine(line));
+  std::string_view rest = line;
+  EXPECT_EQ(nextToken(rest), "JOB");
+  return readJob(reader, rest, tag, job, error);
+}
+
+JobStatus readBlock(std::string wire, std::string& tag, JobRequest& job,
+                    std::string& error) {
+  WireReader reader(std::move(wire));
+  return readBlock(reader, tag, job, error);
+}
+
+const std::string_view kTinyCircuit =
+    "ALSBENCH 1\nCircuit t\nNumBlocks 1\nBlock a 10 10\n";
+
+TEST(ServeCodecTest, ReaderSplitsLinesStripsOneCrAndCountsBytes) {
+  WireReader reader(std::string("A b\r\nc\n\r\r\n12345tail\nlast"));
+  std::string line;
+  ASSERT_TRUE(reader.readLine(line));
+  EXPECT_EQ(line, "A b");
+  ASSERT_TRUE(reader.readLine(line));
+  EXPECT_EQ(line, "c");
+  ASSERT_TRUE(reader.readLine(line));
+  EXPECT_EQ(line, "\r") << "one CR rule: only the last \\r goes";
+  ASSERT_TRUE(reader.readExact(5, line));
+  EXPECT_EQ(line, "12345");
+  ASSERT_TRUE(reader.readLine(line));
+  EXPECT_EQ(line, "tail");
+  EXPECT_FALSE(reader.readLine(line)) << "an unterminated line is EOF";
+  ASSERT_TRUE(reader.readExact(4, line));
+  EXPECT_EQ(line, "last");
+  EXPECT_FALSE(reader.readExact(1, line));
+
+  std::string_view rest = " \tJOB  t1\tseqpair ";
+  EXPECT_EQ(nextToken(rest), "JOB");
+  EXPECT_EQ(nextToken(rest), "t1");
+  EXPECT_EQ(nextToken(rest), "seqpair");
+  EXPECT_EQ(nextToken(rest), "");
+
+  std::uint64_t n = 0;
+  EXPECT_TRUE(parseCount("18446744073709551615", n));
+  EXPECT_EQ(n, ~std::uint64_t{0});
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1.5", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parseCount(bad, n)) << '"' << bad << '"';
+  }
+}
+
+TEST(ServeCodecTest, JobBlockRoundTripsThroughWriterAndReader) {
+  const WireOpt opts[] = {{"sweeps", "12"},       {"restarts", "2"},
+                          {"seed", "5"},          {"wl", "0.5"},
+                          {"deadline-ms", "250"}, {"deadline-sweeps", "64"}};
+  std::string wire;
+  appendJobBlock(wire, "t1", "seqpair", opts, kTinyCircuit);
+  EXPECT_EQ(wire.substr(0, wire.find("CIRCUIT")),
+            "JOB t1 seqpair\nOPT sweeps 12\nOPT restarts 2\nOPT seed 5\n"
+            "OPT wl 0.5\nOPT deadline-ms 250\nOPT deadline-sweeps 64\n");
+
+  std::string tag, error;
+  JobRequest job;
+  ASSERT_EQ(readBlock(wire, tag, job, error), JobStatus::Ok) << error;
+  EXPECT_EQ(tag, "t1");
+  EXPECT_EQ(job.backend, EngineBackend::SeqPair);
+  EXPECT_EQ(job.circuitText, kTinyCircuit);
+  EXPECT_EQ(job.deadlineSeconds, 0.25);
+  EXPECT_EQ(job.deadlineSweeps, 64u);
+  EngineOptions expected;
+  expected.maxSweeps = 12;
+  expected.numRestarts = 2;
+  expected.seed = 5;
+  expected.wirelengthWeight = 0.5;
+  EXPECT_EQ(canonical(job.backend, job.options),
+            canonical(EngineBackend::SeqPair, expected));
+  EXPECT_EQ(job.options.seed, 5u);
+
+  // CRLF control lines frame exactly like LF ones; the payload is raw.
+  std::string crlf = "JOB t1 seqpair\r\nOPT sweeps 12\r\nOPT restarts 2\r\n"
+                     "OPT seed 5\r\nOPT wl 0.5\r\nOPT deadline-ms 250\r\n"
+                     "OPT deadline-sweeps 64\r\nCIRCUIT " +
+                     std::to_string(kTinyCircuit.size()) + "\r\n" +
+                     std::string(kTinyCircuit) + "END\r\n";
+  JobRequest viaCrlf;
+  ASSERT_EQ(readBlock(crlf, tag, viaCrlf, error), JobStatus::Ok) << error;
+  EXPECT_EQ(tag, "t1");
+  EXPECT_EQ(viaCrlf.circuitText, job.circuitText);
+  EXPECT_EQ(canonical(viaCrlf.backend, viaCrlf.options),
+            canonical(job.backend, job.options));
+  EXPECT_EQ(viaCrlf.deadlineSeconds, job.deadlineSeconds);
+  EXPECT_EQ(viaCrlf.deadlineSweeps, job.deadlineSweeps);
+}
+
+TEST(ServeCodecTest, FramingErrorsBreakTheConnection) {
+  const std::string circuit = "CIRCUIT " + std::to_string(kTinyCircuit.size()) +
+                              "\n" + std::string(kTinyCircuit);
+  const std::string blocks[] = {
+      "JOB t seqpair\nFROB\nEND\n",                  // unknown line
+      "JOB t seqpair\n\nEND\n",                      // empty line
+      "JOB t seqpair\nCIRCUIT ten\nEND\n",           // bad count
+      "JOB t seqpair\nCIRCUIT -1\nEND\n",            // signed count
+      "JOB t seqpair\nCIRCUIT 100\nshort\nEND\n",    // EOF mid-payload
+      "JOB t seqpair\nOPT sweeps 4\n",               // EOF before END
+      "JOB t bogus\nOPT sweeps -1\nFROB\nEND\n",     // after a semantic error
+      "JOB t seqpair\n" + circuit + "OPT seed 2\n",  // EOF after the payload
+  };
+  for (const std::string& block : blocks) {
+    std::string tag, error;
+    JobRequest job;
+    EXPECT_EQ(readBlock(block, tag, job, error), JobStatus::Broken) << block;
+  }
+}
+
+TEST(ServeCodecTest, CircuitCountAboveTheCapIsRefusedBeforeAnyRead) {
+  std::string tag, error;
+  JobRequest job;
+  WireReader reader("JOB t seqpair\nCIRCUIT " +
+                    std::to_string(kMaxCircuitBytes + 1) + "\nnext line\n");
+  ASSERT_EQ(readBlock(reader, tag, job, error), JobStatus::Broken);
+  // No payload byte was consumed: the over-cap count alone broke framing.
+  std::string line;
+  ASSERT_TRUE(reader.readLine(line));
+  EXPECT_EQ(line, "next line");
+}
+
+TEST(ServeCodecTest, SemanticErrorsKeepTheConnectionInPrecedenceOrder) {
+  const std::string circuit = "CIRCUIT " + std::to_string(kTinyCircuit.size()) +
+                              "\n" + std::string(kTinyCircuit);
+  struct Case {
+    std::string block;
+    const char* tag;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"JOB t1\n", "?", "JOB needs <tag> <backend>"},
+      {"JOB\n", "?", "JOB needs <tag> <backend>"},
+      {"JOB t2 bogus\nOPT sweeps -1\nEND\n", "t2", "unknown backend 'bogus'"},
+      {"JOB t3 seqpair\nOPT sweeps -1\nOPT deadline-ms x\nEND\n", "t3",
+       "bad OPT sweeps: integer in [0, 18446744073709551615]"},
+      {"JOB t4 seqpair\nOPT deadline-ms x\nOPT bogus 1\n" + circuit + "END\n",
+       "t4", "bad OPT deadline-ms: nonnegative integer"},
+      {"JOB t5 seqpair\nOPT bogus 1\nEND\n", "t5", "unknown OPT key bogus"},
+      {"JOB t6 seqpair\nOPT sweeps 4\nEND\n", "t6", "JOB block has no CIRCUIT"},
+  };
+  for (const Case& c : cases) {
+    std::string tag, error;
+    JobRequest job;
+    EXPECT_EQ(readBlock(c.block, tag, job, error), JobStatus::Error) << c.block;
+    EXPECT_EQ(tag, c.tag) << c.block;
+    EXPECT_EQ(error, c.error) << c.block;
+  }
+  for (const char* key : {"deadline-ms", "deadline-sweeps"}) {
+    for (const char* value : {"", "-5", "1.5", "+3", "1e3", "abc",
+                              "18446744073709551616"}) {
+      const std::string block = "JOB t seqpair\nOPT " + std::string(key) +
+                                " " + value + "\n" + circuit + "END\n";
+      std::string tag, error;
+      JobRequest job;
+      EXPECT_EQ(readBlock(block, tag, job, error), JobStatus::Error) << block;
+      EXPECT_EQ(error, "bad OPT " + std::string(key) + ": nonnegative integer");
+    }
+  }
+}
+
+TEST(ServeCodecTest, ServerLinesHaveTheirWireBytesAndParseBack) {
+  const CacheKey key{1, 2, 3};
+  EXPECT_EQ(queuedLine("t", key), "QUEUED t " + key.hex() + "\n");
+  EXPECT_EQ(rejectedLine("t"), "REJECTED t queue-full\n");
+  EXPECT_EQ(errorLine("?", "unknown command"), "ERROR ? unknown command\n");
+  EXPECT_EQ(progressLine("t", 3, 96, 0.1),
+            "PROGRESS t 3 96 0.10000000000000001\n");
+  ServeStats stats{1, 2, 3, 4, 5, 6, 7, 8, 9, true};
+  EXPECT_EQ(statsLine(stats), "STATS 1 2 3 4 5 6 7 8 9 1\n");
+
+  // Views in the reply point into `line`, which the caller keeps alive.
+  auto parsed = [](const std::string& line) {
+    ServerReply reply;
+    EXPECT_TRUE(parseReply(std::string_view(line).substr(0, line.size() - 1),
+                           reply))
+        << line;
+    return reply;
+  };
+  const std::string queued = queuedLine("t", key);
+  ServerReply r = parsed(queued);
+  EXPECT_EQ(r.kind, ServerReply::Queued);
+  EXPECT_EQ(r.tag, "t");
+  EXPECT_EQ(r.text, key.hex());
+  const std::string rejected = rejectedLine("t");
+  r = parsed(rejected);
+  EXPECT_EQ(r.kind, ServerReply::Rejected);
+  EXPECT_EQ(r.text, "queue-full");
+  const std::string error = errorLine("t", "bad OPT x: y z");
+  r = parsed(error);
+  EXPECT_EQ(r.kind, ServerReply::Error);
+  EXPECT_EQ(r.text, "bad OPT x: y z");
+  const std::string progress = progressLine("t", 3, 96, 0.1);
+  r = parsed(progress);
+  EXPECT_EQ(r.kind, ServerReply::Progress);
+  EXPECT_EQ(r.round, 3u);
+  EXPECT_EQ(r.sweepsDone, 96u);
+  EXPECT_EQ(r.bestCost, 0.1);
+  r = parsed(statsLine(stats));
+  EXPECT_EQ(r.kind, ServerReply::Stats);
+  EXPECT_EQ(r.stats, stats);
+  EXPECT_EQ(parsed("FLUSHED\n").kind, ServerReply::Flushed);
+  EXPECT_EQ(parsed("BYE\n").kind, ServerReply::Bye);
+  for (const char* bad :
+       {"", "QUEUED", "QUEUED t", "RESULT t miss", "RESULT t miss x",
+        "PROGRESS t 1 2", "STATS 1 2", "STATS 1 2 3 4 5 6 7 8 9 1 11",
+        "BYE now", "HELLO t"}) {
+    ServerReply reply;
+    EXPECT_FALSE(parseReply(bad, reply)) << '"' << bad << '"';
+  }
+}
+
+TEST(ServeCodecTest, ResultBlockRoundTripsThroughTheReader) {
+  const std::string_view text = corpusText(CorpusCircuit::Apte);
+  EngineOptions options;
+  options.maxSweeps = 16;
+  const EngineResult computed = oracle(text, EngineBackend::SeqPair, options);
+  std::string wire;
+  appendResultBlock(wire, "t7", "miss", EngineBackend::SeqPair, computed);
+  std::string payload;
+  writeResultText(EngineBackend::SeqPair, computed, payload);
+  EXPECT_EQ(wire, "RESULT t7 miss " + std::to_string(payload.size()) + "\n" +
+                      payload + "DONE t7\n");
+
+  WireReader reader(wire + progressLine("t8", 1, 2, 3.0));
+  std::string line;
+  ASSERT_TRUE(reader.readLine(line));
+  ServerReply reply;
+  ASSERT_TRUE(parseReply(line, reply));
+  EXPECT_EQ(reply.kind, ServerReply::Result);
+  EXPECT_EQ(reply.tag, "t7");
+  EXPECT_EQ(reply.text, "miss");
+  std::string body;
+  ASSERT_TRUE(readResultBody(reader, reply, body));
+  EXPECT_EQ(body, payload);
+  ASSERT_TRUE(reader.readLine(line));
+  EXPECT_EQ(line, "PROGRESS t8 1 2 3");
+
+  // A DONE for another tag, or none, is a broken RESULT.
+  WireReader wrongDone(payload + "DONE t9\n");
+  EXPECT_FALSE(readResultBody(wrongDone, reply, body));
+  WireReader truncated(payload.substr(0, payload.size() / 2));
+  EXPECT_FALSE(readResultBody(truncated, reply, body));
+}
+
 // ------------------------------------------------------- serve engine ------
 
 TEST(ServeEngineTest, CacheHitIsBitIdenticalToRecompute) {
@@ -444,6 +698,46 @@ TEST(ServeEngineTest, TemperingJobsMatchThePortfolioOracle) {
                        "tempering job, exchange interval " +
                            std::to_string(interval));
   }
+}
+
+// A serve job runs one backend, and only a race of two can cross-seed, so
+// `OPT cross 0` names the same result as the default: one key, one compute.
+TEST(ServeEngineTest, CrossSeedDoesNotSplitTheCache) {
+  ServeOptions serveOpts;
+  serveOpts.workers = 1;
+  ServeEngine engine(serveOpts);
+  const std::string_view text = corpusText(CorpusCircuit::Apte);
+  EngineOptions options;
+  options.maxSweeps = 32;
+  options.numRestarts = 2;
+  options.tempering = true;
+  EngineOptions noCross = options;
+  ASSERT_EQ(applyJobOption(noCross, "cross", "0"), "");
+
+  CompletedJob first = runJob(engine, text, EngineBackend::FlatBStar, noCross);
+  ASSERT_EQ(first.error, "");
+  EXPECT_FALSE(first.cacheHit);
+  CompletedJob second = runJob(engine, text, EngineBackend::FlatBStar, options);
+  ASSERT_EQ(second.error, "");
+  EXPECT_EQ(second.key, first.key);
+  EXPECT_TRUE(second.cacheHit);
+  expectBitIdentical(second.result, first.result, "cross 0 vs default");
+}
+
+// A knob the backend refuses is an error at submit: nothing is queued or
+// counted, and the message is the one every single-backend route gives.
+TEST(ServeEngineTest, RefusedKnobIsAnErrorBeforeAnythingIsQueued) {
+  ServeEngine engine(ServeOptions{});
+  ServeEngine::Job job;
+  job.circuitText = std::string(corpusText(CorpusCircuit::Apte));
+  job.backend = EngineBackend::SeqPair;
+  ASSERT_EQ(applyJobOption(job.options, "shape", "0.2"), "");
+  const ServeEngine::Submission sub = engine.submit(std::move(job));
+  EXPECT_FALSE(sub.accepted);
+  EXPECT_EQ(sub.error,
+            "OPT shape is refused by seqpair: it has neither the term nor its "
+            "guarantee");
+  EXPECT_EQ(engine.stats(), ServeStats{});
 }
 
 TEST(ServeEngineTest, ParseFailureCompletesWithErrorAndIsNotCached) {

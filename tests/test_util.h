@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/knobs.h"
 #include "geom/placement.h"
 #include "netlist/circuit.h"
 #include "seqpair/sequence_pair.h"
@@ -273,6 +274,19 @@ inline SlicedResult referenceEvaluatePolish(const PolishExpr& expr,
     }
   }
   return out;
+}
+
+/// `options` with every knob `backend` refuses put back to its default:
+/// what a loop over all backends hands each one, now that a single-backend
+/// route throws on a refused knob (engine/knobs.h).
+inline EngineOptions honouredBy(EngineBackend backend, EngineOptions options) {
+  const EngineOptions defaults;
+  forEachKnob([&](const Knob& knob, auto member) {
+    if (knob.on(backend) == KnobStatus::Refused) {
+      options.*member = defaults.*member;
+    }
+  });
+  return options;
 }
 
 }  // namespace test_util

@@ -28,6 +28,7 @@
 #include "engine/placement_engine.h"
 #include "io/benchmark_format.h"
 #include "io/corpus.h"
+#include "io/serve_protocol.h"
 #include "layoutaware/placed_sizing.h"
 #include "netlist/circuit.h"
 #include "runtime/portfolio.h"
@@ -104,6 +105,17 @@ bool identicalResults(const EngineResult& a, const EngineResult& b) {
     if (!(a.placement[m] == b.placement[m])) return false;
   }
   return true;
+}
+
+/// One row of the smoke table: `r` placed on `c` by `backend`.
+void smokeRow(Table& table, std::string label, const Circuit& c,
+              EngineBackend backend, const EngineResult& r, bool ok) {
+  table.addRow({std::move(label), std::to_string(c.moduleCount()),
+                std::string(backendName(backend)),
+                Table::fmt(static_cast<double>(r.area) /
+                           static_cast<double>(c.totalModuleArea())),
+                Table::fmt(static_cast<double>(r.hpwl) / 1000.0, 1),
+                ok ? "yes" : "NO"});
 }
 
 bool writePlacementFile(const std::string& path, const Circuit& c,
@@ -196,7 +208,16 @@ int runSmoke(BenchIo& io) {
   Table table({"circuit", "blocks", "backend", "area/modarea", "HPWL (um)",
                "deterministic"});
   int failures = 0;
-  for (CorpusCircuit which : allCorpusCircuits()) {
+  // The MCNC corpus, then n100 — where seqpair's incremental LCS carries
+  // the decode — on a reduced sweep budget so the smoke gate stays in
+  // seconds.
+  EngineOptions gopt = opt;
+  gopt.maxSweeps = 24;
+  gopt.numRestarts = 2;
+  std::vector<CorpusCircuit> corpus = allCorpusCircuits();
+  corpus.push_back(CorpusCircuit::N100);
+  for (CorpusCircuit which : corpus) {
+    EngineOptions* o = which == CorpusCircuit::N100 ? &gopt : &opt;
     ParseResult parsed = parseBenchmark(corpusText(which));
     if (!parsed.ok()) {
       std::fprintf(stderr, "als_place: corpus '%s' fails to parse: %s\n",
@@ -206,11 +227,11 @@ int runSmoke(BenchIo& io) {
     }
     const Circuit& c = parsed.circuit;
     for (EngineBackend backend : allBackends()) {
-      opt.numThreads = 1;
-      EngineResult serial = runner.run(c, backend, opt);
-      opt.numThreads = 8;
-      EngineResult parallel = runner.run(c, backend, opt);
-      EngineResult again = runner.run(c, backend, opt);
+      o->numThreads = 1;
+      EngineResult serial = runner.run(c, backend, *o);
+      o->numThreads = 8;
+      EngineResult parallel = runner.run(c, backend, *o);
+      EngineResult again = runner.run(c, backend, *o);
       bool deterministic = identicalResults(serial, parallel) &&
                            identicalResults(parallel, again);
       bool legal = serial.placement.isLegal() &&
@@ -223,62 +244,24 @@ int runSmoke(BenchIo& io) {
                                    : "is NOT deterministic across runs/threads");
         ++failures;
       }
-      table.addRow({corpusName(which), std::to_string(c.moduleCount()),
-                    std::string(backendName(backend)),
-                    Table::fmt(static_cast<double>(serial.area) /
-                               static_cast<double>(c.totalModuleArea())),
-                    Table::fmt(static_cast<double>(serial.hpwl) / 1000.0, 1),
-                    deterministic && legal ? "yes" : "NO"});
+      smokeRow(table, corpusName(which), c, backend, serial,
+               deterministic && legal);
       io.add(std::string(backendName(backend)), corpusName(which), parallel, 8,
-             &opt);
-    }
-  }
-  // GSRC leg: the same determinism bar at 100 blocks, where seqpair's
-  // incremental LCS carries the decode — on a reduced sweep budget so the
-  // smoke gate stays in seconds.
-  {
-    EngineOptions gopt = opt;
-    gopt.maxSweeps = 24;
-    gopt.numRestarts = 2;
-    Circuit c = loadCorpusCircuit(CorpusCircuit::N100);
-    for (EngineBackend backend : allBackends()) {
-      gopt.numThreads = 1;
-      EngineResult serial = runner.run(c, backend, gopt);
-      gopt.numThreads = 8;
-      EngineResult parallel = runner.run(c, backend, gopt);
-      EngineResult again = runner.run(c, backend, gopt);
-      bool deterministic = identicalResults(serial, parallel) &&
-                           identicalResults(parallel, again);
-      bool legal = serial.placement.isLegal() &&
-                   serial.placement.size() == c.moduleCount();
-      if (!deterministic || !legal) {
-        std::fprintf(stderr, "als_place: n100/%s %s\n",
-                     std::string(backendName(backend)).c_str(),
-                     deterministic ? "produced an illegal placement"
-                                   : "is NOT deterministic across runs/threads");
-        ++failures;
-      }
-      table.addRow({"n100", std::to_string(c.moduleCount()),
-                    std::string(backendName(backend)),
-                    Table::fmt(static_cast<double>(serial.area) /
-                               static_cast<double>(c.totalModuleArea())),
-                    Table::fmt(static_cast<double>(serial.hpwl) / 1000.0, 1),
-                    deterministic && legal ? "yes" : "NO"});
-      io.add(std::string(backendName(backend)), "n100", parallel, 8, &gopt);
+             o);
     }
   }
 
   // Scenario leg: the same determinism bar with the thermal objective and
   // shape-selection moves enabled.  apte and ami33 carry Power annotations
   // and ami33 shape curves, so both code paths actually execute.  The
-  // sequence pair has no shape move (engine/knobs.h), so its +tsh rows run
-  // thermal only.
+  // sequence pair has no shape move and refuses the knob (engine/knobs.h),
+  // so its +tsh rows run thermal only.
   EngineOptions sopt = opt;
   sopt.thermalWeight = 1.0;
-  sopt.shapeMoveProb = 0.2;
   for (CorpusCircuit which : {CorpusCircuit::Apte, CorpusCircuit::Ami33}) {
     Circuit c = loadCorpusCircuit(which);
     for (EngineBackend backend : allBackends()) {
+      sopt.shapeMoveProb = backend == EngineBackend::SeqPair ? 0.0 : 0.2;
       sopt.numThreads = 1;
       EngineResult serial = runner.run(c, backend, sopt);
       sopt.numThreads = 8;
@@ -293,13 +276,8 @@ int runSmoke(BenchIo& io) {
                                    : "is NOT deterministic across threads");
         ++failures;
       }
-      table.addRow({std::string(corpusName(which)) + "+tsh",
-                    std::to_string(c.moduleCount()),
-                    std::string(backendName(backend)),
-                    Table::fmt(static_cast<double>(parallel.area) /
-                               static_cast<double>(c.totalModuleArea())),
-                    Table::fmt(static_cast<double>(parallel.hpwl) / 1000.0, 1),
-                    deterministic && legal ? "yes" : "NO"});
+      smokeRow(table, std::string(corpusName(which)) + "+tsh", c, backend,
+               parallel, deterministic && legal);
       io.add(std::string(backendName(backend)) + "+thermal", corpusName(which),
              parallel, 8, &sopt);
     }
@@ -344,20 +322,16 @@ int runSmoke(BenchIo& io) {
                            "restart portfolio");
         ++failures;
       }
-      table.addRow({std::string(corpusName(which)) + "+pt",
-                    std::to_string(c.moduleCount()),
-                    std::string(backendName(backend)),
-                    Table::fmt(static_cast<double>(parallel.area) /
-                               static_cast<double>(c.totalModuleArea())),
-                    Table::fmt(static_cast<double>(parallel.hpwl) / 1000.0, 1),
-                    deterministic && degenerates && legal ? "yes" : "NO"});
+      smokeRow(table, std::string(corpusName(which)) + "+pt", c, backend,
+               parallel, deterministic && degenerates && legal);
       io.add(std::string(backendName(backend)) + "+pt", corpusName(which),
              parallel, 8, &topt);
     }
   }
 
   // --size flow leg: the whole sizing-on-portfolio pipeline must reduce to
-  // a bit-identical winner at 1 vs 8 placement threads.
+  // a bit-identical winner at 1 vs 8 placement threads.  It places on the
+  // sequence pair, which has no shape move: thermal only.
   {
     Technology tech = Technology::c035();
     PlacedSizingOptions popt;
@@ -366,7 +340,6 @@ int runSmoke(BenchIo& io) {
     popt.numCandidates = 3;
     popt.placement = opt;
     popt.placement.thermalWeight = 1.0;
-    popt.placement.shapeMoveProb = 0.2;
     popt.placement.numThreads = 1;
     PlacedSizingResult serial = runMillerPlacedSizing(tech, millerSpecs(), popt);
     popt.placement.numThreads = 8;
@@ -384,12 +357,8 @@ int runSmoke(BenchIo& io) {
       ++failures;
     }
     const PlacedSizingCandidate& best = parallel.best();
-    table.addRow({"miller --size", std::to_string(best.circuit.moduleCount()),
-                  std::string(backendName(popt.backend)),
-                  Table::fmt(static_cast<double>(best.placement.area) /
-                             static_cast<double>(best.circuit.totalModuleArea())),
-                  Table::fmt(static_cast<double>(best.placement.hpwl) / 1000.0, 1),
-                  deterministic ? "yes" : "NO"});
+    smokeRow(table, "miller --size", best.circuit, popt.backend, best.placement,
+             deterministic);
   }
 
   table.print(std::cout);
@@ -488,19 +457,10 @@ int main(int argc, char** argv) {
 
   bool race = backendArg == "race";
   EngineBackend backend = EngineBackend::SeqPair;
-  if (!race) {
-    bool found = false;
-    for (EngineBackend b : allBackends()) {
-      if (backendName(b) == backendArg) {
-        backend = b;
-        found = true;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "als_place: unknown backend '%s'\n",
-                   backendArg.c_str());
-      return 2;
-    }
+  if (!race && !parseBackendName(backendArg, backend)) {
+    std::fprintf(stderr, "als_place: unknown backend '%s'\n",
+                 backendArg.c_str());
+    return 2;
   }
   // Refuse a knob the placing backend would drop (engine/knobs.h); a race
   // hands each backend what it honours, but --size alone runs seqpair.
