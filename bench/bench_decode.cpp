@@ -41,7 +41,7 @@
 #include "bstar/contour.h"
 #include "bstar/flat_placer.h"
 #include "bstar/pack.h"
-#include "engine/placement_engine.h"
+#include "engine/replica_session.h"
 #include "io/corpus.h"
 #include "seqpair/sa_placer.h"
 #include "slicing/slicing_placer.h"
@@ -243,11 +243,10 @@ int main(int argc, char** argv) {
   for (CorpusCircuit which : allCorpusCircuits()) {
     Circuit c = loadCorpusCircuit(which);
     for (EngineBackend backend : allBackends()) {
-      const std::unique_ptr<PlacementEngine> engine = makeEngine(backend);
       EngineOptions opt;
       opt.maxSweeps = sweeps;
       opt.seed = 1;
-      EngineResult r = engine->place(c, opt);
+      EngineResult r = makeReplicaSession(backend, c, opt)->finish();
       double movesPerSec =
           r.seconds > 0.0 ? static_cast<double>(r.movesTried) / r.seconds : 0.0;
       moves.addRow({corpusName(which), std::string(backendName(backend)),

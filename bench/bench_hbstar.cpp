@@ -11,7 +11,7 @@
 // the flat baseline reports its residual deviations.
 //
 // The E6 HB*-tree rows run through the runtime portfolio (one seed-split
-// restart per hardware core through the PlacementEngine facade); the flat
+// restart per hardware core through the plan executor); the flat
 // baseline keeps its direct call because its residual-violation fields are
 // backend-specific.  Flags: --json <path>, --smoke (fixed sweep budgets).
 #include <cstdio>
@@ -121,10 +121,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::puts(
       "\nReading: the hierarchical placer satisfies every symmetry /\n"
-      "common-centroid / proximity constraint by construction; the flat\n"
-      "baseline must buy constraint compliance with penalty weight and\n"
-      "typically keeps residual deviations in the same budget.  (The HB*\n"
-      "rows run a restart portfolio — one seed-split restart per hardware\n"
-      "thread at the same per-restart wall budget.)");
+      "common-centroid constraint, and proximity for groups of modules, by\n"
+      "construction; the flat baseline must buy constraint compliance with\n"
+      "penalty weight and typically keeps residual deviations in the same\n"
+      "budget.  (The HB* rows run a restart portfolio — one seed-split\n"
+      "restart per hardware thread at the same per-restart wall budget.)");
   return 0;
 }

@@ -12,7 +12,7 @@
 // Flags: --json <path> (machine-readable records), --smoke (fixed sweep
 // budgets for CI).  The placers keep their direct backend calls: the bench
 // reads backend-specific outputs (axis2x, overlap, residual violations)
-// the shared engine facade does not carry.
+// the shared EngineResult does not carry.
 #include <cstdio>
 #include <iostream>
 

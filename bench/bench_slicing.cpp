@@ -13,7 +13,7 @@
 // where slicing should be competitive.
 //
 // Migrated to the runtime portfolio API: every placer runs a seed-split
-// restart portfolio through the PlacementEngine facade on all hardware
+// restart portfolio through the plan executor on all hardware
 // threads, so the per-placer wall-clock budget buys one restart per core
 // instead of one restart total.  (The flat B*-tree's constraint penalty is
 // irrelevant here: density-only circuits carry no symmetry groups or

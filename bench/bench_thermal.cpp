@@ -11,14 +11,14 @@
 //
 // A second experiment measures the thermal OBJECTIVE (not just the
 // symmetry argument): corpus circuits carrying Power annotations are placed
-// through the engine facade with the pair-mismatch term off and on, and the
+// as one engine session with the pair-mismatch term off and on, and the
 // worst/mean pair mismatch of the results are compared per backend.
 //
 // Flags: --json <path>, --smoke (fixed sweep budgets for CI).
 #include <cstdio>
 #include <iostream>
 
-#include "engine/placement_engine.h"
+#include "engine/replica_session.h"
 #include "io/corpus.h"
 #include "netlist/generators.h"
 #include "seqpair/packer.h"
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
       "temperature difference across matched couples — the thermal argument\n"
       "Section II gives for symmetric analog placement.\n");
 
-  std::puts("=== thermal objective through the engine facade ===\n");
+  std::puts("=== thermal objective through one engine session ===\n");
   Table objTable({"circuit", "backend", "thermal wt", "worst pair dT (K)",
                   "mean pair dT (K)", "area/modarea"});
   // Corpus circuits whose Power annotations make the term live.
@@ -112,13 +112,12 @@ int main(int argc, char** argv) {
     std::vector<double> power;
     for (const Module& m : c.modules()) power.push_back(m.powerW);
     for (EngineBackend backend : allBackends()) {
-      const std::unique_ptr<PlacementEngine> engine = makeEngine(backend);
       for (double wt : {0.0, 4.0}) {
         EngineOptions opt;
         io.applyBudget(opt, 1.0, 48);
         opt.seed = 7;
         opt.thermalWeight = wt;
-        EngineResult r = engine->place(c, opt);
+        EngineResult r = makeReplicaSession(backend, c, opt)->finish();
         ThermalField field(sourcesFromPlacement(r.placement, power));
         double worst = 0.0, sum = 0.0;
         std::size_t pairs = 0;

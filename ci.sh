@@ -52,8 +52,10 @@ cmake --build build-tsan -j "$JOBS"
 # tempering run goes through its fork-joins, and the round-barrier exchange
 # loop and the cross-backend reseed path are the only places cells touch
 # shared state mid-run, so the executor's thread-invariance suites get a
-# dedicated instrumented pass.
-./build-tsan/runtime_test --gtest_filter='Portfolio.*:BatchPlacer.*:Tempering.*'
+# dedicated instrumented pass.  The pool's own suite and the executor's
+# bank-vs-owned-buffers suite ride along: the pool's job type is the
+# executor's only task shape.
+./build-tsan/runtime_test --gtest_filter='ThreadPool.*:PlanExecutor.*:Portfolio.*:BatchPlacer.*:Tempering.*'
 # Serve layer under both sanitizers, as its own leg: the job tokens (client
 # cancels and deadlines, read by the workers' sweep checks), the shared
 # result cache (quarantine/eviction under the store mutex) and the worker

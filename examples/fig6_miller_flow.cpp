@@ -1,5 +1,5 @@
 // End-to-end flow on the paper's Fig. 6 circuit — the Miller op amp —
-// chaining the library's scenario subsystems through the engine facade:
+// chaining the library's scenario subsystems through the engine layer:
 //
 //   1. Section V:   layout-aware electrical sizing, several candidates on
 //                   the portfolio seed schedule (layoutaware/placed_sizing.h);

@@ -66,7 +66,7 @@ int main() {
          runSizing(tech, specs, aware), specs);
 
   // Portfolio-hosted flow: the same layout-aware loop, several seeds at a
-  // time, each candidate placed through the engine facade on the sequence
+  // time, each candidate placed through the plan executor on the sequence
   // pair with the thermal objective enabled (no shape move there: the
   // backend refuses the knob, engine/knobs.h).  Deterministic across thread
   // counts (BatchPlacer's 1-vs-N contract).

@@ -1,4 +1,4 @@
-// Parallel restart portfolios over the engine facade (runtime layer).
+// Parallel restart portfolios over the plan executor (runtime layer).
 //
 // Shows the three runtime entry points on paper circuits:
 //   1. PortfolioRunner::run  — one backend, N seed-split restarts over all

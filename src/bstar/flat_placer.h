@@ -25,7 +25,7 @@ namespace als {
 
 /// Reusable decode buffers of one flat B*-tree SA run.  Optional: a run
 /// without one builds its own.  A scratch may be reused across sequential
-/// runs and circuits (the runtime layer keeps one per worker thread) but
+/// runs and circuits (the runtime layer keeps one per bank cell) but
 /// never by two concurrent runs; its contents never influence results.
 struct FlatBStarScratch {
   BStarPackScratch pack;

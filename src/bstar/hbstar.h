@@ -12,7 +12,8 @@
 //   CommonCentroid  -> interdigitated / gridded unit array (fixed macro);
 //   Proximity       -> sub-B*-tree over the children, packed connected
 //                      (bstar/pack.h): a group of modules holds proximity
-//                      by construction;
+//                      by construction; a group over groups can come out
+//                      disconnected (child macros touch by bounding box);
 //   None            -> sub-B*-tree over the children;
 //   top             -> sub-B*-tree over the root children.
 //

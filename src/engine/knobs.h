@@ -3,11 +3,12 @@
 // `mapEngineOptions`, the `als_place` flags and `refusedKnob` iterate it.
 // A knob's status per backend is H (Honoured: the backend's objective, or
 // for a Plan knob the runtime layer, reads it), I (Inert: the
-// representation guarantees the constraint by construction, as the
-// symmetric-feasible sequence pair of Section II and the HB*-tree of
-// Section III do, so the value cannot change a result) or R (Refused: no
-// term and no guarantee, so setting it away from its default is refused
-// before anything runs).  A race accepts every knob.
+// representation guarantees the constraint on every circuit, as Section
+// II's sequence pair and Section III's HB*-tree do for symmetry) or R
+// (Refused: no term and no guarantee, so setting it away from its default
+// is refused before anything runs).  The HB*-tree keeps only groups of
+// MODULES connected, so `prox` is refused there.  A race accepts every
+// knob.
 #pragma once
 
 #include <algorithm>
@@ -57,7 +58,7 @@ inline constexpr std::uint64_t kMaxCoord = std::numeric_limits<Coord>::max();
 #define ALS_ENGINE_KNOBS(X)                                                                    \
   X("wl", "--wl", wirelengthWeight, real(0, kMaxWeight), Options, Session, "HHHH")             \
   X("sym", "--sym", symmetryWeight, real(0, kMaxWeight), Options, Session, "HIRI")             \
-  X("prox", "--prox", proximityWeight, real(0, kMaxWeight), Options, Session, "HRRI")          \
+  X("prox", "--prox", proximityWeight, real(0, kMaxWeight), Options, Session, "HRRR")          \
   X("outline", "", outlineWeight, real(0, kMaxWeight), Options, Session, "RHRR")               \
   X("maxw", "", maxWidth, count(kMaxCoord), Options, Session, "RHRR")                          \
   X("maxh", "", maxHeight, count(kMaxCoord), Options, Session, "RHRR")                         \

@@ -2,9 +2,6 @@
 
 #include <array>
 
-#include "engine/knobs.h"
-#include "engine/replica_session.h"
-
 namespace als {
 
 namespace {
@@ -28,16 +25,6 @@ std::string_view backendName(EngineBackend backend) {
     case EngineBackend::HBStar: return "hbstar";
   }
   return "unknown";
-}
-
-EngineResult PlacementEngine::place(const Circuit& circuit,
-                                    const EngineOptions& options) const {
-  requireHonoured(backend_, options);
-  return makeReplicaSession(backend_, circuit, options)->finish();
-}
-
-std::unique_ptr<PlacementEngine> makeEngine(EngineBackend backend) {
-  return std::make_unique<PlacementEngine>(backend);
 }
 
 }  // namespace als

@@ -1,20 +1,16 @@
-// Unified facade over the library's annealing-based placement backends.
-//
-// The repo grows several independently developed placers — the flat B*-tree
-// baseline (Section III's straw man), the symmetric-feasible sequence-pair
-// placer (Section II), the slicing/Polish-expression baseline (ILAC-style)
-// and the hierarchical HB*-tree placer (Section III proper).  Each has its
-// own options/result structs for backend-specific knobs, but callers that
-// just want "a placement of this circuit" — benches, batch drivers, future
-// parallel-restart and sharding layers — need one seam.  `PlacementEngine`
-// is that seam: one options struct carrying the shared SA knobs (sweep
-// budget, seed, cooling, wirelength weight), one result struct carrying the
-// shared outputs, and a factory keyed by `EngineBackend`.  A `place()` call
-// is one resumable session (engine/replica_session.h) run to completion in
-// one go, so the one-shot facade and the runtime layer's round-based
-// executor share a single backend-erasure layer.  Under it, every backend
-// is one policy (its state, decode, move and optional reseed) of the one
-// annealing session template, `AnnealSession` (anneal/session.h).
+// The engine vocabulary over the annealing-based placement backends — the
+// flat B*-tree baseline (Section III's straw man), the symmetric-feasible
+// sequence pair (Section II), the slicing/Polish-expression baseline
+// (ILAC-style) and the hierarchical HB*-tree (Section III proper): the
+// backend enum, `EngineOptions` (the shared SA knobs) and `EngineResult`.
+// One route takes a job to its runs: the plan executor
+// (runtime/plan_executor.h) turns the options into a grid of resumable
+// sessions (engine/replica_session.h), each one policy of `AnnealSession`
+// (anneal/session.h); a one-backend job is `PortfolioRunner::run`, a
+// one-slice plan at the default single restart.  The executor keeps two
+// routes and a per-cell bank because each pays (plan_executor.h: ~2 KB per
+// finished cell against ~192 KB per live cell; the bank warms the exact
+// allocation gates).
 //
 // All engines honor the deterministic annealing contract of
 // anneal/annealer.h: `maxSweeps` is the primary budget — for a fixed seed
@@ -26,14 +22,13 @@
 // (a) its own members, (b) the `const Circuit&` read-only, and (c) the RNG
 // the session constructs from `options.seed`.  No backend may keep mutable
 // statics, lazily cache into the circuit, or share an RNG across sessions.
-// Concurrent `place()` calls on one engine instance — or on many engines
-// over the same circuit — are therefore race-free, provided the caller does
-// not mutate the circuit while placements run.  New backends must uphold
-// this contract before registration in `makeReplicaSession`.
+// Concurrent sessions over the same circuit are therefore race-free,
+// provided the caller does not mutate the circuit while placements run.
+// New backends must uphold this contract before registration in
+// `makeReplicaSession`.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string_view>
 
@@ -43,12 +38,11 @@
 
 namespace als {
 
-struct PlaceScratch;  // engine/place_scratch.h
-
 /// Upper bound on `EngineOptions::numRestarts` wherever a count arrives from
-/// outside the program (CLI flags, wire options).  An uncapped budget plans
-/// one slice per restart, so an unbounded count is an allocation bomb.
-inline constexpr std::size_t kMaxRestarts = 1'000'000;
+/// outside the program (CLI flags, wire options), equal to the thread bound.
+/// A serve job keeps every slice's session alive (~190 KB each on ami49
+/// hbstar, ~1.1 MB on n300 hbstar), so 1024 caps a job near 1.1 GB.
+inline constexpr std::size_t kMaxRestarts = 1024;
 
 enum class EngineBackend {
   FlatBStar,  ///< flat B*-tree, constraints as penalties (bstar/flat_placer.h)
@@ -94,9 +88,7 @@ struct EngineOptions {
 
   // Multi-start knobs, honored by the runtime layer (runtime/plan_executor.h):
   // `maxSweeps` stays the *total* budget and is split across `numRestarts`
-  // seed-scheduled slices fanned over `numThreads` threads.  A plain
-  // `place()` call is always one restart on the calling thread and ignores
-  // both fields.
+  // seed-scheduled slices fanned over `numThreads` threads.
   std::size_t numRestarts = 1;  ///< independent SA restarts (seed-split)
   std::size_t numThreads = 1;   ///< worker threads (0 = all hardware cores)
 
@@ -106,8 +98,7 @@ struct EngineOptions {
   // instead of as independent restarts.  Results stay bit-identical at any
   // thread count; with `exchangeInterval = 0` AND `ladderRatio = 1.0` they
   // degenerate to the independent-restart portfolio exactly (see
-  // runtime/plan_executor.h for why both are needed).  A plain `place()`
-  // call ignores all four fields.
+  // runtime/plan_executor.h for why both are needed).
   bool tempering = false;
   std::size_t exchangeInterval = 4;  ///< sweeps per round (0 = never exchange)
   /// t0 multiplier between rungs (> 0).  Ratios below 1 are legal and make
@@ -119,13 +110,6 @@ struct EngineOptions {
   /// points (via the from_placement converters; backends that cannot adopt
   /// a foreign placement keep their state).
   bool crossSeed = true;
-
-  /// Optional warm decode buffers (engine/place_scratch.h): the engine maps
-  /// the backend's sub-scratch into the native options.  Contents never
-  /// influence results; at most one place() call may use it at a time.  The
-  /// runtime layer manages its own scratches and ignores a caller-provided
-  /// one.
-  PlaceScratch* scratch = nullptr;
 
   /// Cooperative cancellation (util/cancel_token.h), honored by every
   /// backend at sweep granularity and by the runtime layer at restart/round
@@ -144,8 +128,8 @@ struct EngineResult {
   std::size_t sweeps = 0;      ///< SA temperature steps executed (aggregate)
   double seconds = 0.0;        ///< wall clock of the whole run
 
-  // Per-restart accounting, filled by the runtime layer; a plain `place()`
-  // call reports itself as one restart.
+  // Per-restart accounting, filled by the runtime layer; a single session
+  // reports itself as one restart.
   std::size_t restartsRun = 1;   ///< restarts actually executed
   std::size_t bestRestart = 0;   ///< schedule index of the winning restart
   std::uint64_t bestSeed = 0;    ///< seed the winning restart annealed with
@@ -155,21 +139,5 @@ struct EngineResult {
 std::span<const EngineBackend> allBackends();
 
 std::string_view backendName(EngineBackend backend);
-
-class PlacementEngine {
- public:
-  explicit PlacementEngine(EngineBackend backend) : backend_(backend) {}
-  EngineBackend backend() const { return backend_; }
-  std::string_view name() const { return backendName(backend_); }
-  /// One restart on the calling thread: `makeReplicaSession(...)->finish()`.
-  /// Throws std::invalid_argument on a refused knob (engine/knobs.h).
-  EngineResult place(const Circuit& circuit,
-                     const EngineOptions& options) const;
-
- private:
-  EngineBackend backend_;
-};
-
-std::unique_ptr<PlacementEngine> makeEngine(EngineBackend backend);
 
 }  // namespace als

@@ -31,9 +31,6 @@ Options mapEngineOptions(const EngineOptions& options) {
   ALS_ENGINE_KNOBS(ALS_MAP_KNOB)
 #undef ALS_MAP_KNOB
   opt.cancel = options.cancel;
-  if (options.scratch != nullptr) {
-    opt.scratch = subScratch(*options.scratch, opt.scratch);
-  }
   return opt;
 }
 
@@ -43,10 +40,10 @@ class TypedReplica final : public ReplicaSession {
   using Options = typename Backend::Options;
 
   TypedReplica(const Circuit& circuit, const EngineOptions& options,
-               double tempScale)
+               double tempScale, PlaceScratch* scratch)
       : seed_(options.seed),
         deadline_(options.cancel),
-        session_(circuit, nativeOptions(options), tempScale) {}
+        session_(circuit, nativeOptions(options, scratch), tempScale) {}
 
   EngineBackend backend() const override { return B; }
 
@@ -93,10 +90,11 @@ class TypedReplica final : public ReplicaSession {
   }
 
  private:
-  /// The one place `timeLimitSec` is armed: each session (a `place()` call
-  /// or an executor cell) caps itself on a token linked to the caller's.
-  Options nativeOptions(const EngineOptions& options) {
+  /// The one place `timeLimitSec` is armed: each session caps itself on a
+  /// token linked to the caller's.
+  Options nativeOptions(const EngineOptions& options, PlaceScratch* scratch) {
     Options opt = mapEngineOptions<B, Options>(options);
+    if (scratch != nullptr) opt.scratch = subScratch(*scratch, opt.scratch);
     if (options.timeLimitSec > 0.0) {
       deadline_.setDeadlineAfter(options.timeLimitSec);
       opt.cancel = &deadline_;
@@ -111,24 +109,23 @@ class TypedReplica final : public ReplicaSession {
 
 }  // namespace
 
-std::unique_ptr<ReplicaSession> makeReplicaSession(EngineBackend backend,
-                                                   const Circuit& circuit,
-                                                   const EngineOptions& options,
-                                                   double tempScale) {
+std::unique_ptr<ReplicaSession> makeReplicaSession(
+    EngineBackend backend, const Circuit& circuit,
+    const EngineOptions& options, double tempScale, PlaceScratch* scratch) {
   using enum EngineBackend;
   switch (backend) {
     case FlatBStar:
       return std::make_unique<TypedReplica<FlatBStar, FlatBStarBackend>>(
-          circuit, options, tempScale);
+          circuit, options, tempScale, scratch);
     case SeqPair:
       return std::make_unique<TypedReplica<SeqPair, SeqPairBackend>>(
-          circuit, options, tempScale);
+          circuit, options, tempScale, scratch);
     case Slicing:
       return std::make_unique<TypedReplica<Slicing, SlicingBackend>>(
-          circuit, options, tempScale);
+          circuit, options, tempScale, scratch);
     case HBStar:
       return std::make_unique<TypedReplica<HBStar, HBStarBackend>>(
-          circuit, options, tempScale);
+          circuit, options, tempScale, scratch);
   }
   return nullptr;
 }

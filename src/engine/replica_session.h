@@ -1,7 +1,7 @@
 // Backend-erased resumable annealing runs — the engine-level seam every
-// placement runs through: the engine facade's `place()` is one session run
-// to completion, and the plan executor (runtime/plan_executor.h) drives
-// grids of them in rounds.
+// placement runs through: the plan executor (runtime/plan_executor.h)
+// drives grids of them, and a single session run to completion is one
+// restart of one backend (the single-session benches call it directly).
 //
 // Each backend states its state, decode, move and optional reseed as a
 // policy (FlatBStarBackend, SeqPairBackend, SlicingBackend, HBStarBackend);
@@ -63,12 +63,19 @@ class ReplicaSession {
   virtual EngineResult finish() = 0;
 };
 
+struct PlaceScratch;  // engine/place_scratch.h
+
 /// One resumable replica of `backend` on `circuit`.  `tempScale` multiplies
 /// the calibrated t0 of every internal restart (1.0 = the sequential
-/// schedule, exactly) — the temperature-ladder hook.
-std::unique_ptr<ReplicaSession> makeReplicaSession(EngineBackend backend,
-                                                   const Circuit& circuit,
-                                                   const EngineOptions& options,
-                                                   double tempScale = 1.0);
+/// schedule, exactly) — the temperature-ladder hook.  `scratch`, when
+/// given, lends the session warm decode buffers (the backend's
+/// sub-scratch; the scratch-reuse contract of engine/place_scratch.h: it
+/// must outlive the session and serve no other live session); without
+/// one the session owns its buffers.  Results are identical either way.
+/// No knob is refused here; the runtime routes refuse (engine/knobs.h).
+std::unique_ptr<ReplicaSession> makeReplicaSession(
+    EngineBackend backend, const Circuit& circuit,
+    const EngineOptions& options, double tempScale = 1.0,
+    PlaceScratch* scratch = nullptr);
 
 }  // namespace als

@@ -83,17 +83,17 @@ class PlanRun {
 
   void execute() {
     if (roundSweeps_ == 0) {
-      workerScratch_.resize(pool_.threadCount());
-      pool_.parallelFor(total_, [this](std::size_t i, std::size_t slot) {
-        runCell(i, slot);
+      // Barrier-free route: each cell lives for one task only.
+      pool_.parallelFor(total_, [this](std::size_t i) {
+        results_[i] = createCell(i)->finish();
       });
     } else {
       sessions_.resize(total_);
-      pool_.parallelFor(total_, [this](std::size_t i, std::size_t) {
-        sessions_[i] = createCell(i, bankScratch(i));
+      pool_.parallelFor(total_, [this](std::size_t i) {
+        sessions_[i] = createCell(i);
       });
       runRounds();
-      pool_.parallelFor(total_, [this](std::size_t i, std::size_t) {
+      pool_.parallelFor(total_, [this](std::size_t i) {
         results_[i] = sessions_[i]->finish();
       });
     }
@@ -114,32 +114,16 @@ class PlanRun {
  private:
   std::size_t backendCount() const { return req_.backends.size(); }
 
-  std::unique_ptr<ReplicaSession> createCell(std::size_t i,
-                                             PlaceScratch* scratch) const {
+  /// Cell `i`'s session, on its bank entry when the plan has a bank and on
+  /// its own buffers otherwise.
+  std::unique_ptr<ReplicaSession> createCell(std::size_t i) const {
     const std::size_t group = i / k_;
     const std::size_t c = group / backendCount();
-    EngineOptions opt =
-        sliceEngineOptions(opt_, plan_[i % k_], movesPerTemp_[c]);
-    opt.scratch = scratch;
-    return makeReplicaSession(req_.backends[group % backendCount()],
-                              req_.circuits[c], opt, scales_[i % k_]);
-  }
-
-  PlaceScratch* bankScratch(std::size_t i) const {
-    return req_.bank != nullptr ? req_.bank->replicas[i].get() : nullptr;
-  }
-
-  /// Barrier-free route: the cell lives for one task only.
-  void runCell(std::size_t i, std::size_t slot) {
-    PlaceScratch* scratch = bankScratch(i);
-    if (scratch == nullptr) {
-      // A slot runs its tasks sequentially, so its scratch is never shared;
-      // created lazily because a short plan may not touch every slot.
-      std::unique_ptr<PlaceScratch>& s = workerScratch_[slot];
-      if (s == nullptr) s = std::make_unique<PlaceScratch>();
-      scratch = s.get();
-    }
-    results_[i] = createCell(i, scratch)->finish();
+    return makeReplicaSession(
+        req_.backends[group % backendCount()], req_.circuits[c],
+        sliceEngineOptions(opt_, plan_[i % k_], movesPerTemp_[c]),
+        scales_[i % k_],
+        req_.bank != nullptr ? req_.bank->replicas[i].get() : nullptr);
   }
 
   void step(std::size_t i) {
@@ -153,8 +137,7 @@ class PlanRun {
     temps_.resize(total_);
     active_.resize(total_);
     while (true) {
-      pool_.parallelFor(total_,
-                        [this](std::size_t i, std::size_t) { step(i); });
+      pool_.parallelFor(total_, [this](std::size_t i) { step(i); });
       ++out_.rounds;
       bool anyActive = false;
       RoundStatus status{out_.rounds, roundSweeps_, 0,
@@ -253,8 +236,7 @@ class PlanRun {
   std::vector<std::uint64_t> seeds_;
   std::vector<std::size_t> movesPerTemp_;  ///< per circuit
   std::vector<EngineResult> results_;
-  std::vector<std::unique_ptr<PlaceScratch>> workerScratch_;  ///< per slot
-  std::vector<std::unique_ptr<ReplicaSession>> sessions_;     ///< rounds route
+  std::vector<std::unique_ptr<ReplicaSession>> sessions_;  ///< rounds route
   std::vector<double> costs_, temps_;
   std::vector<std::uint8_t> active_;
   std::vector<std::size_t> swaps_;
@@ -290,7 +272,6 @@ EngineOptions sliceEngineOptions(const EngineOptions& base,
   opt.numRestarts = 1;
   opt.numThreads = 1;
   opt.tempering = false;
-  opt.scratch = nullptr;
   return opt;
 }
 

@@ -1,5 +1,9 @@
-// The plan executor — the one way the runtime layer runs a restart plan
-// (thread pool -> plan executor -> replica sessions -> backends).
+// The plan executor — the one route from a job to its replica sessions
+// (thread pool -> plan executor -> replica sessions -> backends).  Every
+// library caller that places — a one-backend run, a race, a batch, a
+// tempering ladder, a serve job — is a plan here; a one-backend job at the
+// default single restart is a one-slice plan, bit-identical to one session
+// run to completion.
 //
 // A plan is a grid of cells.  Each (circuit, backend) pair is a GROUP, and
 // each group holds the `options.numRestarts` budget slices of the shared
@@ -30,14 +34,31 @@
 //
 // Two routes:
 //   * barrier-free — no exchanges and no round hook.  Each cell is created,
-//     run and finished inside one pool task on that worker's warm scratch,
-//     so at most `threadCount()` sessions are alive at once.
+//     run and finished inside one pool task, so at most `threadCount()`
+//     sessions are alive at once.
 //   * rounds — the ladder exchanges or a hook needs barriers.  All sessions
 //     are created up front and advance in fork-join rounds of
 //     `exchangeInterval` sweeps (the ladder's spacing is part of its
 //     result) or, when the ladder never exchanges, of `hook->interval`
 //     sweeps.  Exchanges, cross-seeding and the hook run on the calling
 //     thread between fork-joins.
+// Scratch: a cell borrows its entry of the caller's per-cell bank
+// (`PlanRequest::bank`) when there is one, and otherwise owns its session's
+// buffers.  There is no per-worker scratch.
+//
+// Why two routes and a bank (throwaway probes, not committed):
+//   * the routes hold different amounts of memory — over 4000 ami49 hbstar
+//     cells the barrier-free route held about 2 KB per finished cell, the
+//     rounds route about 192 KB per live cell;
+//   * the bank is the seam the exact allocation gates warm through — a
+//     cold slicing session keeps growing its memoised curve buffers for
+//     about 100 sweeps (355 allocations at 16 sweeps against 344 at 8 on
+//     ami33), so only a pre-warmed bank makes the gates' zero difference
+//     hold, and a serve worker keeps one warm across jobs.
+// Per-worker buffers do not pay: 15 portfolio races shaped like alsbench
+// mcnc-race (5 MCNC circuits x 3 seeds, 8 restarts, 4 backends, 4 threads)
+// took 4.16, 4.12 and 4.13 s with them and 4.02, 4.12 and 4.20 s without,
+// with identical cost sums.
 //
 // Determinism: every cell is a pure function of its (seed, budget, rung)
 // slice plus the barrier decisions applied to it; the barrier decisions are
@@ -78,8 +99,7 @@ std::vector<RestartSlice> makeRestartPlan(const EngineOptions& options);
 
 /// Options of one cell: own seed and budget, shared resolved movesPerTemp,
 /// multi-start and tempering knobs neutralized (a cell is exactly one
-/// session), the caller's scratch dropped (the executor picks the cell's
-/// scratch).  Every field the caller set — objective weights, the cancel
+/// session).  Every field the caller set — objective weights, the cancel
 /// token — flows through unchanged.
 EngineOptions sliceEngineOptions(const EngineOptions& base,
                                  const RestartSlice& slice,
@@ -125,14 +145,14 @@ void planExchanges(std::uint64_t round, std::uint64_t salt,
                    std::span<const std::uint8_t> active,
                    std::vector<std::size_t>& out);
 
-/// Persistent per-cell scratch bank.  Sessions that stay alive across round
-/// barriers cannot share a worker's scratch, so the bank is keyed by CELL
-/// INDEX — each entry is touched by exactly one session per plan, at any
-/// thread count.  The scratch-reuse contract of engine/place_scratch.h
-/// applies: contents never influence results, only whether the round loop
-/// allocates, and at most one plan may use a bank at a time.  Passing the
-/// same bank to consecutive plans keeps every buffer at its high-water
-/// capacity — the setup the steady-state allocation gate
+/// Persistent per-cell scratch bank, the one scratch seam of the runtime
+/// layer.  The bank is keyed by CELL INDEX — each entry is lent to exactly
+/// one session per plan (through `makeReplicaSession`'s scratch parameter),
+/// on either route and at any thread count.  The scratch-reuse contract of
+/// engine/place_scratch.h applies: contents never influence results, only
+/// whether the round loop allocates, and at most one plan may use a bank at
+/// a time.  Passing the same bank to consecutive plans keeps every buffer
+/// at its high-water capacity — the setup the steady-state allocation gate
 /// (tests/alloc_gate_test.cpp) measures under, and what a serve worker
 /// keeps across jobs.
 struct TemperingScratch {
@@ -188,8 +208,7 @@ struct PlanOutcome {
 };
 
 /// Runs the plan on `pool`, or on a pool sized from `options.numThreads`
-/// when `pool` is null.  `options.scratch` is ignored: one PlaceScratch
-/// cannot serve concurrent cells.
+/// when `pool` is null.
 PlanOutcome executePlan(ThreadPool* pool, const PlanRequest& request);
 
 }  // namespace als

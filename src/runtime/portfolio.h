@@ -16,6 +16,13 @@
 // runner alike: the slices become coupled parallel-tempering replicas
 // (runtime/tempering.h exposes the per-replica accounting).
 //
+// `PortfolioRunner::run` is the library's one-backend placement call: at
+// `numRestarts = 1` it is a one-slice plan, bit-identical to one session
+// run to completion.  Untempered runs take the barrier-free route (~2 KB
+// per finished cell, against ~192 KB per live cell on the rounds route)
+// on session-owned buffers; the per-cell bank stays for callers that keep
+// sessions warm across plans (tempering, serve).
+//
 // `movesPerTemp == 0` auto-scaling is resolved ONCE per circuit (from its
 // module count, the hint every registered backend uses) and the resolved
 // value is stamped into each slice, so split-budget restarts anneal on

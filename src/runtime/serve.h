@@ -53,6 +53,11 @@
 // deadlines apply to every job; an uncapped job (`sweeps 0`) restarts until
 // its wall deadline passes (anneal/annealer.h).
 //
+// A job's round hook needs the rounds route, which keeps every cell alive
+// (~192 KB each on ami49 hbstar, against ~2 KB per finished cell without
+// barriers) — hence `kMaxRestarts` = 1024 — and the worker's bank keeps
+// the buffers warm from job to job.
+//
 // The serve layer forces `timeLimitSec = 0` and `numThreads = 1` on every
 // job (reproducibility and the parallelism-across-jobs scheduling model;
 // both knobs are excluded from the cache key for exactly this reason), and

@@ -13,8 +13,7 @@ ThreadPool::ThreadPool(std::size_t numThreads) {
   std::size_t total = resolveThreadCount(numThreads);
   workers_.reserve(total - 1);
   for (std::size_t i = 0; i + 1 < total; ++i) {
-    // Slot 0 is the caller; workers take 1..total-1.
-    workers_.emplace_back([this, slot = i + 1] { workerLoop(slot); });
+    workers_.emplace_back([this] { workerLoop(); });
   }
 }
 
@@ -29,16 +28,11 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::parallelFor(std::size_t count,
                              const std::function<void(std::size_t)>& fn) {
-  parallelFor(count, [&fn](std::size_t index, std::size_t) { fn(index); });
-}
-
-void ThreadPool::parallelFor(
-    std::size_t count, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
   // A pool without workers (or a single task) runs inline on the caller:
   // same claims in the same order, no synchronization.
   if (workers_.empty() || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i, 0);
+    for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
 
@@ -55,7 +49,7 @@ void ThreadPool::parallelFor(
   }
   wake_.notify_all();
 
-  runJob(0);  // the caller is a full participant (slot 0)
+  runJob();  // the caller is a full participant
 
   std::exception_ptr error;
   {
@@ -69,7 +63,7 @@ void ThreadPool::parallelFor(
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::workerLoop(std::size_t slot) {
+void ThreadPool::workerLoop() {
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -79,20 +73,20 @@ void ThreadPool::workerLoop(std::size_t slot) {
     // Claim-and-run until the current job is exhausted.  The lock is held
     // here and inside runJob except while an index's fn executes.
     lock.unlock();
-    runJob(slot);
+    runJob();
     lock.lock();
   }
 }
 
-void ThreadPool::runJob(std::size_t slot) {
+void ThreadPool::runJob() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (job_ != nullptr && nextIndex_ < jobCount_) {
     const std::size_t index = nextIndex_++;
-    const std::function<void(std::size_t, std::size_t)>* fn = job_;
+    const std::function<void(std::size_t)>* fn = job_;
     lock.unlock();
     std::exception_ptr error;
     try {
-      (*fn)(index, slot);
+      (*fn)(index);
     } catch (...) {
       error = std::current_exception();
     }

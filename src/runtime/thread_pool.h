@@ -14,6 +14,11 @@
 // (the caller of parallelFor is the remaining participant, which makes a
 // 1-thread pool run fully inline — no spawn, no synchronization).  One
 // fork-join runs at a time; concurrent parallelFor calls serialize.
+//
+// Tasks are not told which thread runs them: the plan executor keeps no
+// per-thread state.  Its two routes and its per-cell bank each pay for
+// themselves (~2 KB per finished cell against ~192 KB per live cell; the
+// bank warms the exact allocation gates — runtime/plan_executor.h).
 #pragma once
 
 #include <condition_variable>
@@ -52,19 +57,9 @@ class ThreadPool {
   void parallelFor(std::size_t count,
                    const std::function<void(std::size_t)>& fn);
 
-  /// Slotted variant: `fn(i, slot)` additionally receives the identity of
-  /// the participating thread — 0 for the caller, 1..threadCount()-1 for
-  /// the workers.  Within one fork-join a slot runs its indices strictly
-  /// sequentially, so slot-indexed resources (e.g. the plan executor's
-  /// per-worker decode scratches) need no further synchronization.  Which
-  /// *indices* land on which slot is scheduling-dependent; only state whose
-  /// contents cannot influence results may be keyed by slot.
-  void parallelFor(std::size_t count,
-                   const std::function<void(std::size_t, std::size_t)>& fn);
-
  private:
-  void workerLoop(std::size_t slot);
-  void runJob(std::size_t slot);  // claim indices until the job is exhausted
+  void workerLoop();
+  void runJob();  // claim indices until the job is exhausted
 
   std::vector<std::thread> workers_;
 
@@ -72,7 +67,7 @@ class ThreadPool {
   std::condition_variable wake_;     // workers: new job or shutdown
   std::condition_variable done_;     // caller: all indices finished
   std::mutex forkJoinMutex_;         // serializes concurrent parallelFor
-  const std::function<void(std::size_t, std::size_t)>* job_ = nullptr;
+  const std::function<void(std::size_t)>* job_ = nullptr;
   std::size_t jobCount_ = 0;         // indices in the current job
   std::size_t nextIndex_ = 0;        // next unclaimed index
   std::size_t pendingIndices_ = 0;   // claimed-or-unclaimed, not yet finished

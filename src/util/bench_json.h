@@ -73,7 +73,7 @@ class BenchIo {
 
   void add(BenchRecord record);
 
-  /// Convenience: record an engine-facade result.  When `opt` is given, the
+  /// Convenience: record an engine result.  When `opt` is given, the
   /// record also carries the objective weights the run placed with.
   void add(std::string backend, std::string circuit, const EngineResult& r,
            std::size_t threads = 1, const EngineOptions* opt = nullptr);

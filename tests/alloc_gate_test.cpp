@@ -6,13 +6,14 @@
 //
 // Measurement: this binary replaces the global operator new/delete with a
 // counting pass-through (test-only hook; affects only this test binary).
-// For each backend we warm a shared PlaceScratch with a full-length run,
-// then measure two runs of different sweep counts from the same seed.  The
-// shorter run's trajectory is a prefix of the longer one's, so every
-// per-run (cold) allocation — cost model construction, initial state,
-// result copies — is identical in both, and any difference in allocation
-// counts is exactly (allocations per move) x (extra moves).  The gate
-// asserts that difference is zero.
+// For each backend we warm a shared PlaceScratch with a full-length session
+// (lent through makeReplicaSession's scratch parameter, the seam the plan
+// executor's per-cell bank uses), then measure two sessions of different
+// sweep counts from the same seed.  The shorter run's trajectory is a
+// prefix of the longer one's, so every per-run (cold) allocation — cost
+// model construction, initial state, result copies — is identical in both,
+// and any difference in allocation counts is exactly (allocations per move)
+// x (extra moves).  The gate asserts that difference is zero.
 //
 // The gate only runs under NDEBUG: debug asserts deliberately re-validate
 // whole encodings (allocating), which is fine — CI builds are Release /
@@ -25,7 +26,7 @@
 
 #include "bstar/from_placement.h"
 #include "engine/place_scratch.h"
-#include "engine/placement_engine.h"
+#include "engine/replica_session.h"
 #include "io/corpus.h"
 #include "io/serve_protocol.h"
 #include "runtime/result_cache.h"
@@ -100,11 +101,11 @@ class AllocGate : public ::testing::TestWithParam<EngineBackend> {};
 /// the contract is zero — for whatever objective/move mix `opt` enables.
 void expectZeroAllocsPerMove(EngineBackend backend, EngineOptions opt) {
   const Circuit circuit = loadCorpusCircuit(CorpusCircuit::Ami33);
-  const std::unique_ptr<PlacementEngine> engine = makeEngine(backend);
-
   PlaceScratch scratch;
   opt.seed = 1;
-  opt.scratch = &scratch;
+  auto place = [&] {
+    return makeReplicaSession(backend, circuit, opt, 1.0, &scratch)->finish();
+  };
 
   const std::size_t shortSweeps = 8;
   const std::size_t longSweeps = 16;
@@ -112,17 +113,17 @@ void expectZeroAllocsPerMove(EngineBackend backend, EngineOptions opt) {
   // Warm-up: the full-length run grows every buffer to its steady-state
   // capacity (the short run's trajectory is a prefix of the long one's).
   opt.maxSweeps = longSweeps;
-  EngineResult warm = engine->place(circuit, opt);
+  EngineResult warm = place();
 
   opt.maxSweeps = shortSweeps;
   unsigned long long before = gAllocCount.load(std::memory_order_relaxed);
-  EngineResult shortRun = engine->place(circuit, opt);
+  EngineResult shortRun = place();
   unsigned long long shortAllocs =
       gAllocCount.load(std::memory_order_relaxed) - before;
 
   opt.maxSweeps = longSweeps;
   before = gAllocCount.load(std::memory_order_relaxed);
-  EngineResult longRun = engine->place(circuit, opt);
+  EngineResult longRun = place();
   unsigned long long longAllocs =
       gAllocCount.load(std::memory_order_relaxed) - before;
 
@@ -326,7 +327,8 @@ TEST(AllocGateServe, WarmCacheHitPathDoesNotAllocate) {
   {
     const Circuit circuit = loadCorpusCircuit(CorpusCircuit::Ami49);
     cache.store(key, EngineBackend::SeqPair,
-                makeEngine(EngineBackend::SeqPair)->place(circuit, opt));
+                makeReplicaSession(EngineBackend::SeqPair, circuit, opt)
+                    ->finish());
   }
 
   EngineBackend backend = EngineBackend::FlatBStar;

@@ -15,6 +15,7 @@
 #include "cost/cost_model.h"
 #include "engine/placement_engine.h"
 #include "netlist/generators.h"
+#include "runtime/portfolio.h"
 #include "seqpair/moves.h"
 #include "seqpair/sym_placer.h"
 #include "seqpair/symmetry.h"
@@ -371,14 +372,14 @@ TEST(CostModel, EngineWeightPlumbingIsDeterministic) {
   opt.symmetryWeight = 1.25;
   opt.proximityWeight = 3.0;
   for (EngineBackend backend : allBackends()) {
-    auto engine = makeEngine(backend);
+    const std::string_view name = backendName(backend);
     const EngineOptions honoured = test_util::honouredBy(backend, opt);
-    EngineResult a = engine->place(c, honoured);
-    EngineResult b = engine->place(c, honoured);
-    EXPECT_EQ(a.cost, b.cost) << engine->name();
-    ASSERT_EQ(a.placement.size(), b.placement.size()) << engine->name();
+    EngineResult a = PortfolioRunner().run(c, backend, honoured);
+    EngineResult b = PortfolioRunner().run(c, backend, honoured);
+    EXPECT_EQ(a.cost, b.cost) << name;
+    ASSERT_EQ(a.placement.size(), b.placement.size()) << name;
     for (std::size_t m = 0; m < a.placement.size(); ++m) {
-      EXPECT_EQ(a.placement[m], b.placement[m]) << engine->name();
+      EXPECT_EQ(a.placement[m], b.placement[m]) << name;
     }
   }
 }

@@ -1,12 +1,15 @@
-// PlacementEngine facade tests, including the determinism regression that
-// guards the sweep-budget contract: a fixed (seed, maxSweeps) pair must give
-// bit-identical placements on every run, on any machine, under sanitizers.
+// One-backend engine runs (`PortfolioRunner::run`, the library's one
+// placement route for a single backend), including the determinism
+// regression that guards the sweep-budget contract: a fixed (seed,
+// maxSweeps) pair must give bit-identical placements on every run, on any
+// machine, under sanitizers.
 #include "engine/placement_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -14,40 +17,42 @@
 #include "bstar/hbstar.h"
 #include "engine/replica_session.h"
 #include "netlist/generators.h"
+#include "runtime/portfolio.h"
 #include "seqpair/sa_placer.h"
 #include "slicing/slicing_placer.h"
 
 namespace als {
 namespace {
 
-TEST(PlacementEngine, FactoryCoversAllBackends) {
+TEST(EngineRun, BackendListNamesEveryBackend) {
   ASSERT_FALSE(allBackends().empty());
+  std::vector<std::string_view> names;
   for (EngineBackend backend : allBackends()) {
-    auto engine = makeEngine(backend);
-    ASSERT_NE(engine, nullptr) << backendName(backend);
-    EXPECT_EQ(engine->backend(), backend);
-    EXPECT_EQ(engine->name(), backendName(backend));
-    EXPECT_FALSE(engine->name().empty());
+    const std::string_view name = backendName(backend);
+    EXPECT_FALSE(name.empty());
+    EXPECT_NE(name, "unknown");
+    for (std::string_view seen : names) EXPECT_NE(seen, name);
+    names.push_back(name);
   }
 }
 
-TEST(PlacementEngine, AllBackendsProduceLegalPlacements) {
+TEST(EngineRun, AllBackendsProduceLegalPlacements) {
   Circuit c = makeTableICircuit(TableICircuit::ComparatorV2);
   EngineOptions opt;
   opt.maxSweeps = 120;
   opt.seed = 3;
   for (EngineBackend backend : allBackends()) {
-    auto engine = makeEngine(backend);
-    EngineResult r = engine->place(c, opt);
-    ASSERT_EQ(r.placement.size(), c.moduleCount()) << engine->name();
-    EXPECT_TRUE(r.placement.isLegal()) << engine->name();
-    EXPECT_GE(r.area, c.totalModuleArea()) << engine->name();
-    EXPECT_GT(r.movesTried, 0u) << engine->name();
-    EXPECT_GT(r.sweeps, 0u) << engine->name();
+    const std::string_view name = backendName(backend);
+    EngineResult r = PortfolioRunner().run(c, backend, opt);
+    ASSERT_EQ(r.placement.size(), c.moduleCount()) << name;
+    EXPECT_TRUE(r.placement.isLegal()) << name;
+    EXPECT_GE(r.area, c.totalModuleArea()) << name;
+    EXPECT_GT(r.movesTried, 0u) << name;
+    EXPECT_GT(r.sweeps, 0u) << name;
   }
 }
 
-TEST(PlacementEngine, SameSeedGivesBitIdenticalPlacements) {
+TEST(EngineRun, SameSeedGivesBitIdenticalPlacements) {
   // 250 sweeps crosses the ~226-sweep freeze point of the default schedule,
   // so the restart path is part of the guarded contract too.
   Circuit c = makeTableICircuit(TableICircuit::ComparatorV2);
@@ -55,17 +60,16 @@ TEST(PlacementEngine, SameSeedGivesBitIdenticalPlacements) {
   opt.maxSweeps = 250;
   opt.seed = 17;
   for (EngineBackend backend : allBackends()) {
-    auto engine = makeEngine(backend);
-    EngineResult a = engine->place(c, opt);
-    EngineResult b = engine->place(c, opt);
-    EXPECT_EQ(a.area, b.area) << engine->name();
-    EXPECT_EQ(a.hpwl, b.hpwl) << engine->name();
-    EXPECT_EQ(a.movesTried, b.movesTried) << engine->name();
-    EXPECT_EQ(a.sweeps, b.sweeps) << engine->name();
-    ASSERT_EQ(a.placement.size(), b.placement.size()) << engine->name();
+    const std::string_view name = backendName(backend);
+    EngineResult a = PortfolioRunner().run(c, backend, opt);
+    EngineResult b = PortfolioRunner().run(c, backend, opt);
+    EXPECT_EQ(a.area, b.area) << name;
+    EXPECT_EQ(a.hpwl, b.hpwl) << name;
+    EXPECT_EQ(a.movesTried, b.movesTried) << name;
+    EXPECT_EQ(a.sweeps, b.sweeps) << name;
+    ASSERT_EQ(a.placement.size(), b.placement.size()) << name;
     for (std::size_t m = 0; m < a.placement.size(); ++m) {
-      EXPECT_EQ(a.placement[m], b.placement[m])
-          << engine->name() << " module " << m;
+      EXPECT_EQ(a.placement[m], b.placement[m]) << name << " module " << m;
     }
   }
 }
@@ -123,9 +127,10 @@ void expectSameRun(const EngineResult& a, const EngineResult& b) {
   }
 }
 
-TEST(PlacementEngine, FacadeMatchesDirectBackendCall) {
-  // The facade only maps options; it must not change what the backend
-  // computes.  250 sweeps crosses the freeze point, so restarts are covered.
+TEST(EngineRun, OneRestartMatchesDirectBackendCall) {
+  // A one-restart run only maps options; it must not change what the
+  // backend computes.  250 sweeps crosses the freeze point, so restarts are
+  // covered.
   Circuit c = makeTableICircuit(TableICircuit::ComparatorV2);
   EngineOptions opt;
   opt.maxSweeps = 250;
@@ -134,7 +139,7 @@ TEST(PlacementEngine, FacadeMatchesDirectBackendCall) {
   opt.coolingFactor = 0.95;
   for (EngineBackend backend : allBackends()) {
     SCOPED_TRACE(backendName(backend));
-    expectSameRun(makeEngine(backend)->place(c, opt),
+    expectSameRun(PortfolioRunner().run(c, backend, opt),
                   placeDirect(backend, c, opt));
   }
 }
@@ -227,7 +232,7 @@ TEST(ReplicaSessionContract, ExchangeIsDefinedWithinOneBackendOnly) {
   }
 }
 
-TEST(PlacementEngine, SweepBudgetIsHonoredExactly) {
+TEST(EngineRun, SweepBudgetIsHonoredExactly) {
   // Miller: a circuit every backend supports (the HB*-tree placer needs a
   // hierarchy with even symmetry-pair structure, which Fig. 1 lacks).
   Circuit c = makeTableICircuit(TableICircuit::MillerV2);
@@ -235,9 +240,8 @@ TEST(PlacementEngine, SweepBudgetIsHonoredExactly) {
   opt.maxSweeps = 90;
   opt.seed = 2;
   for (EngineBackend backend : allBackends()) {
-    auto engine = makeEngine(backend);
-    EngineResult r = engine->place(c, opt);
-    EXPECT_EQ(r.sweeps, 90u) << engine->name();
+    EngineResult r = PortfolioRunner().run(c, backend, opt);
+    EXPECT_EQ(r.sweeps, 90u) << backendName(backend);
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include "engine/placement_engine.h"
 #include "io/corpus.h"
+#include "runtime/portfolio.h"
 #include "test_util.h"
 
 namespace als {
@@ -30,10 +31,9 @@ void expectGolden(CorpusCircuit which, const EngineOptions& opt,
                   std::span<const Golden> goldens) {
   Circuit c = loadCorpusCircuit(which);
   for (const Golden& g : goldens) {
-    auto engine = makeEngine(g.backend);
-    EngineResult r = engine->place(c, opt);
-    std::string label =
-        std::string(corpusName(which)) + "/" + std::string(engine->name());
+    EngineResult r = PortfolioRunner().run(c, g.backend, opt);
+    std::string label = std::string(corpusName(which)) + "/" +
+                        std::string(backendName(g.backend));
     EXPECT_EQ(r.cost, g.cost) << label;
     EXPECT_EQ(r.hpwl, g.hpwl) << label;
     EXPECT_EQ(r.area, g.area) << label;
@@ -124,13 +124,13 @@ TEST(IoGolden, PinnedConfigurationIsBitStable) {
   Circuit c = loadCorpusCircuit(CorpusCircuit::Apte);
   EngineOptions opt = goldenOptions();
   for (EngineBackend backend : allBackends()) {
-    auto engine = makeEngine(backend);
-    EngineResult a = engine->place(c, opt);
-    EngineResult b = engine->place(c, opt);
-    EXPECT_EQ(a.cost, b.cost) << engine->name();
-    ASSERT_EQ(a.placement.size(), b.placement.size()) << engine->name();
+    const std::string_view name = backendName(backend);
+    EngineResult a = PortfolioRunner().run(c, backend, opt);
+    EngineResult b = PortfolioRunner().run(c, backend, opt);
+    EXPECT_EQ(a.cost, b.cost) << name;
+    ASSERT_EQ(a.placement.size(), b.placement.size()) << name;
     for (std::size_t m = 0; m < a.placement.size(); ++m) {
-      EXPECT_EQ(a.placement[m], b.placement[m]) << engine->name();
+      EXPECT_EQ(a.placement[m], b.placement[m]) << name;
     }
   }
 }

@@ -10,6 +10,7 @@
 #include "engine/placement_engine.h"
 #include "io/corpus.h"
 #include "netlist/generators.h"
+#include "runtime/portfolio.h"
 #include "test_util.h"
 
 namespace als {
@@ -215,7 +216,7 @@ TEST(BenchmarkParse, NumericEnvelopeRejectsOverflowingCircuits) {
   EngineOptions opt;
   opt.maxSweeps = 2;
   for (EngineBackend backend : allBackends()) {
-    EngineResult r = makeEngine(backend)->place(at.circuit, opt);
+    EngineResult r = PortfolioRunner().run(at.circuit, backend, opt);
     EXPECT_GE(r.area, at.circuit.totalModuleArea()) << backendName(backend);
     EXPECT_EQ(r.area, r.placement.boundingBox().area()) << backendName(backend);
     EXPECT_GE(r.hpwl, 0) << backendName(backend);
@@ -402,18 +403,17 @@ void expectRoundTrip(const Circuit& original) {
   opt.thermalWeight = 1.0;
   opt.shapeMoveProb = 0.15;
   for (EngineBackend backend : allBackends()) {
-    auto engine = makeEngine(backend);
+    const std::string_view name = backendName(backend);
     const EngineOptions honoured = test_util::honouredBy(backend, opt);
-    EngineResult a = engine->place(original, honoured);
-    EngineResult b = engine->place(parsed.circuit, honoured);
-    EXPECT_EQ(a.cost, b.cost) << engine->name();
-    EXPECT_EQ(a.area, b.area) << engine->name();
-    EXPECT_EQ(a.hpwl, b.hpwl) << engine->name();
-    EXPECT_EQ(a.movesTried, b.movesTried) << engine->name();
-    ASSERT_EQ(a.placement.size(), b.placement.size()) << engine->name();
+    EngineResult a = PortfolioRunner().run(original, backend, honoured);
+    EngineResult b = PortfolioRunner().run(parsed.circuit, backend, honoured);
+    EXPECT_EQ(a.cost, b.cost) << name;
+    EXPECT_EQ(a.area, b.area) << name;
+    EXPECT_EQ(a.hpwl, b.hpwl) << name;
+    EXPECT_EQ(a.movesTried, b.movesTried) << name;
+    ASSERT_EQ(a.placement.size(), b.placement.size()) << name;
     for (std::size_t m = 0; m < a.placement.size(); ++m) {
-      EXPECT_EQ(a.placement[m], b.placement[m])
-          << engine->name() << " module " << m;
+      EXPECT_EQ(a.placement[m], b.placement[m]) << name << " module " << m;
     }
   }
 }
@@ -541,18 +541,16 @@ TEST(CorpusPlacement, StructuralBackendsKeepSymmetryExactly) {
   opt.maxSweeps = 80;
   opt.seed = 3;
   for (EngineBackend backend : {EngineBackend::SeqPair, EngineBackend::HBStar}) {
-    auto engine = makeEngine(backend);
-    EngineResult r = engine->place(c, opt);
+    EngineResult r = PortfolioRunner().run(c, backend, opt);
     test_util::expectPlacementInvariants(r.placement, c, {.symTolerance = 0},
-                                         std::string(engine->name()));
+                                         std::string(backendName(backend)));
   }
   for (EngineBackend backend :
        {EngineBackend::FlatBStar, EngineBackend::Slicing}) {
-    auto engine = makeEngine(backend);
-    EngineResult r = engine->place(c, opt);
+    EngineResult r = PortfolioRunner().run(c, backend, opt);
     test_util::expectPlacementInvariants(
         r.placement, c, {.symTolerance = test_util::kNoSymmetryCheck},
-        std::string(engine->name()));
+        std::string(backendName(backend)));
   }
 }
 

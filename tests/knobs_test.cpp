@@ -177,13 +177,12 @@ TEST(KnobTable, RefusedKnobNamesWhatTheBackendWouldDrop) {
 
 // ----------------------------------------------------------- route matrix --
 
-enum class Route { Place, Run, Race, Batch, Tempering, Serve };
-constexpr Route kRoutes[] = {Route::Place, Route::Run,       Route::Race,
-                             Route::Batch, Route::Tempering, Route::Serve};
+enum class Route { Run, Race, Batch, Tempering, Serve };
+constexpr Route kRoutes[] = {Route::Run, Route::Race, Route::Batch,
+                             Route::Tempering, Route::Serve};
 
 const char* routeName(Route route) {
   switch (route) {
-    case Route::Place: return "place()";
     case Route::Run: return "PortfolioRunner::run";
     case Route::Race: return "PortfolioRunner::race";
     case Route::Batch: return "BatchPlacer";
@@ -193,14 +192,12 @@ const char* routeName(Route route) {
   return "";
 }
 
-/// Whether `route` reads `knob` at all.  Session knobs reach every route.
-/// A plain place() is one restart and reads no Plan knob; TemperingRunner
-/// runs the ladder whatever `tempering` says; and cross-seeding needs two
-/// backends, which no route here races (CrossSeedsOnlyARaceOfTwoBackends
-/// covers that case).
+/// Whether `route` reads `knob` at all.  Session knobs reach every route,
+/// and so does every Plan knob but two: TemperingRunner runs the ladder
+/// whatever `tempering` says, and cross-seeding needs two backends, which
+/// no route here races (CrossSeedsOnlyARaceOfTwoBackends covers that case).
 bool routeReads(Route route, const Knob& knob) {
   if (knob.layer == KnobLayer::Session) return true;
-  if (route == Route::Place) return false;
   if (knob.wire == "tempering") return route != Route::Tempering;
   return knob.wire != "cross";
 }
@@ -305,8 +302,6 @@ EngineResult runRoute(Route route, const MatrixCircuit& mc,
                       ServeEngine& serve) {
   const Circuit& c = mc.circuit;
   switch (route) {
-    case Route::Place:
-      return PlacementEngine(backend).place(c, options);
     case Route::Run:
       return PortfolioRunner().run(c, backend, options);
     case Route::Race:
@@ -443,6 +438,47 @@ TEST(KnobRouteMatrix, EveryKnobIsHonouredInertOrRefusedOnEveryRoute) {
       }
     }
   }
+}
+
+// Why `prox` is refused, not inert, on the HB*-tree: its guarantee covers
+// groups of modules only.  A Proximity node over two None groups (3 and 2
+// blocks) packs the groups' macros connected by bounding box, and the
+// groups inside pack as plain packings, so the group's rectangles can come
+// out disconnected.  Two 8-block circuits, seeds 1-10, 16 sweeps of 40
+// moves: at least one placement breaks the group.
+TEST(KnobTable, HBStarProximityGuaranteeCoversGroupsOfModulesOnly) {
+  const char* hierarchy =
+      "NumHierNodes 12\n"
+      "Leaf l0 b0\nLeaf l1 b1\nLeaf l2 b2\nLeaf l3 b3\n"
+      "Leaf l4 b4\nLeaf l5 b5\nLeaf l6 b6\nLeaf l7 b7\n"
+      "Group g1 none - 3 0 1 2\nGroup g2 none - 2 3 4\n"
+      "Group p proximity - 2 8 9\nGroup top none - 4 10 5 6 7\nRoot 11\n";
+  const char* blocks[] = {
+      "Block b0 5000 5000\nBlock b1 4000 3000\nBlock b2 5000 2000\n"
+      "Block b3 2000 1000\nBlock b4 2000 5000\nBlock b5 2000 1000\n"
+      "Block b6 5000 1000\nBlock b7 3000 5000\n",
+      "Block b0 1000 3000\nBlock b1 5000 1000\nBlock b2 2000 5000\n"
+      "Block b3 1000 4000\nBlock b4 1000 1000\nBlock b5 1000 2000\n"
+      "Block b6 4000 5000\nBlock b7 4000 5000\n",
+  };
+  int broken = 0;
+  for (const char* b : blocks) {
+    ParseResult parsed = parseBenchmark(
+        std::string("ALSBENCH 1\nCircuit nested\nNumBlocks 8\n") + b +
+        hierarchy);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const Circuit& c = parsed.circuit;
+    const CostModel model(c, makeObjective(c, ObjectiveWeights{}));
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      EngineOptions o = matrixOptions({{"sweeps", "16"}, {"mpt", "40"}});
+      o.seed = seed;
+      const EngineResult r =
+          PortfolioRunner().run(c, EngineBackend::HBStar, o);
+      broken += model.proximityViolations(r.placement);
+    }
+  }
+  EXPECT_GT(broken, 0);
+  EXPECT_EQ(knobRow("prox").on(EngineBackend::HBStar), KnobStatus::Refused);
 }
 
 // Cross-seeding is the one knob only a race of two or more backends reads:

@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "anneal/annealer.h"
+#include "engine/replica_session.h"
 #include "io/corpus.h"
 #include "netlist/generators.h"
 #include "runtime/tempering.h"
@@ -239,7 +241,7 @@ TEST(Portfolio, SingleRestartMatchesAPlainEngineCall) {
   opt.numThreads = 4;
   PortfolioRunner runner;
   for (EngineBackend backend : allBackends()) {
-    EngineResult direct = makeEngine(backend)->place(c, opt);
+    EngineResult direct = makeReplicaSession(backend, c, opt)->finish();
     EngineResult portfolio = runner.run(c, backend, opt);
     // seconds is wall clock and may differ; everything else is identical.
     expectBitIdentical(direct, portfolio, backendName(backend));
@@ -394,8 +396,9 @@ TEST(Tempering, ThreadCountDoesNotChangeAnyBackendsResult) {
 }
 
 // With one replica there is no ladder and nothing to exchange, so a
-// tempering run chopped into rounds must equal the plain one-shot engine
-// call bit for bit — this pins the run/pause resumability seam itself.
+// tempering run chopped into rounds must equal one session run to
+// completion bit for bit — this pins the run/pause resumability seam
+// itself.
 TEST(Tempering, SingleReplicaMatchesAPlainEngineCall) {
   Circuit c = makeTableICircuit(TableICircuit::MillerV2);
   EngineOptions opt;
@@ -410,7 +413,7 @@ TEST(Tempering, SingleReplicaMatchesAPlainEngineCall) {
   EngineOptions plain = opt;
   plain.tempering = false;
   for (EngineBackend backend : allBackends()) {
-    EngineResult direct = makeEngine(backend)->place(c, plain);
+    EngineResult direct = makeReplicaSession(backend, c, plain)->finish();
     TemperingOutcome tempered = runner.run(c, backend, opt);
     expectBitIdentical(direct, tempered.result, backendName(backend));
   }
@@ -545,6 +548,59 @@ TEST(Tempering, RaceWithCrossSeedingIsThreadCountInvariant) {
   PortfolioRunner::RaceOutcome viaPortfolio = routed.race(c, allBackends(), opt);
   EXPECT_EQ(viaPortfolio.backend, serial.backend);
   expectBitIdentical(viaPortfolio.result, serial.result, "routed race");
+}
+
+// The per-cell bank is the executor's one scratch seam, and a cell without
+// one owns its session's buffers.  Either way a cell computes the same bits:
+// on the barrier-free route (a restart plan) and on the rounds route (a
+// ladder), for every backend, with the bank warmed on another circuit first
+// so stale contents would show.
+TEST(PlanExecutor, WarmBankAndSessionOwnedBuffersGiveIdenticalCells) {
+  const Circuit warmUp = loadCorpusCircuit(CorpusCircuit::Apte);
+  const Circuit c = loadCorpusCircuit(CorpusCircuit::Ami33);
+  for (bool ladder : {false, true}) {
+    EngineOptions opt;
+    opt.maxSweeps = 24;
+    opt.numRestarts = 3;
+    opt.seed = 13;
+    opt.numThreads = 2;
+    opt.tempering = ladder;
+    opt.exchangeInterval = 2;
+    for (EngineBackend backend : allBackends()) {
+      const std::string label = std::string(backendName(backend)) +
+                                (ladder ? " ladder" : " restarts");
+      const std::span<const EngineBackend> backends(&backend, 1);
+      TemperingScratch bank;
+      executePlan(nullptr, {.circuits = {&warmUp, 1},
+                            .backends = backends,
+                            .options = opt,
+                            .bank = &bank});
+      const PlanOutcome banked = executePlan(
+          nullptr, {.circuits = {&c, 1},
+                    .backends = backends,
+                    .options = opt,
+                    .bank = &bank});
+      const PlanOutcome owned = executePlan(
+          nullptr, {.circuits = {&c, 1}, .backends = backends, .options = opt});
+      ASSERT_EQ(banked.results.size(), 1u) << label;
+      ASSERT_EQ(owned.results.size(), 1u) << label;
+      expectBitIdentical(banked.results[0], owned.results[0], label);
+      EXPECT_EQ(banked.rounds, owned.rounds) << label;
+      EXPECT_EQ(banked.exchangesAccepted, owned.exchangesAccepted) << label;
+      EXPECT_EQ(banked.rounds > 0, ladder) << label;
+      ASSERT_EQ(banked.cells.size(), owned.cells.size()) << label;
+      for (std::size_t i = 0; i < banked.cells.size(); ++i) {
+        const TemperingReplica& a = banked.cells[i];
+        const TemperingReplica& b = owned.cells[i];
+        EXPECT_EQ(a.seed, b.seed) << label << " cell " << i;
+        EXPECT_EQ(a.tempScale, b.tempScale) << label << " cell " << i;
+        EXPECT_EQ(a.cost, b.cost) << label << " cell " << i;
+        EXPECT_EQ(a.sweeps, b.sweeps) << label << " cell " << i;
+        EXPECT_EQ(a.movesTried, b.movesTried) << label << " cell " << i;
+        EXPECT_EQ(a.exchanges, b.exchanges) << label << " cell " << i;
+      }
+    }
+  }
 }
 
 // Stress for the sanitizer configs (ASan/UBSan catch lifetime bugs, TSan the

@@ -300,17 +300,20 @@ TEST(CacheKeyTest, UnknownJobOptionIsAnError) {
   EXPECT_NE(applyJobOption(options, "sweeps", "banana"), "");
 }
 
-// An uncapped budget plans one slice per restart, so an unbounded count
-// would be an allocation bomb on a worker thread.  Parse only: no such job
-// is ever run.
+// An uncapped budget plans one slice per restart, and a serve job keeps
+// every slice's session alive at once (the rounds route), so the count is
+// bounded by what a worker can hold.  Parse only: no job at the bound is
+// ever run.
 TEST(CacheKeyTest, RestartCountIsBoundedAtParse) {
   EngineOptions options;
   EXPECT_NE(applyJobOption(options, "restarts", "18446744073709551615"), "");
-  EXPECT_NE(applyJobOption(options, "restarts", "1000001"), "");
+  EXPECT_NE(applyJobOption(options, "restarts", "1000000"), "");
+  EXPECT_NE(applyJobOption(options, "restarts", "1025"), "");
   EXPECT_EQ(options.numRestarts, EngineOptions{}.numRestarts)
       << "a rejected OPT must leave the options untouched";
-  EXPECT_EQ(applyJobOption(options, "restarts", "1000000"), "");
+  EXPECT_EQ(applyJobOption(options, "restarts", "1024"), "");
   EXPECT_EQ(options.numRestarts, kMaxRestarts);
+  EXPECT_EQ(kMaxRestarts, 1024u);
 }
 
 // An outline extent is a Coord: a value past INT64_MAX used to wrap to a

@@ -1,7 +1,7 @@
 // als_place — command-line floorplacer over the full engine/runtime stack.
 //
 // Feeds benchmark files (io/benchmark_format.h) or embedded corpus circuits
-// (io/corpus.h) through the PlacementEngine facade and the PortfolioRunner:
+// (io/corpus.h) through the PortfolioRunner and the plan executor:
 // one backend's seed-split restart portfolio, or a whole-backend race, with
 // the deterministic sweep-budget contract — a fixed (seed, sweeps,
 // restarts) configuration gives bit-identical placements at any thread
