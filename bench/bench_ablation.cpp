@@ -36,10 +36,8 @@ int main(int argc, char** argv) {
       table.addRow({std::to_string(cap), Table::fmtPercent(re.areaUsage),
                     Table::fmt(re.seconds, 3), Table::fmtPercent(rr.areaUsage),
                     Table::fmt(rr.seconds, 3)});
-      io.add({"esf-cap" + std::to_string(cap), c.name(), 0, 0, 1, re.areaUsage,
-              0.0, static_cast<double>(re.area), re.seconds});
-      io.add({"rsf-cap" + std::to_string(cap), c.name(), 0, 0, 1, rr.areaUsage,
-              0.0, static_cast<double>(rr.area), rr.seconds});
+      io.addDeterministic("esf-cap" + std::to_string(cap), c.name(), re);
+      io.addDeterministic("rsf-cap" + std::to_string(cap), c.name(), rr);
     }
     table.print(std::cout);
     std::puts("(biasynth, 65 modules; larger caps = finer frontiers = better area)\n");
@@ -63,9 +61,8 @@ int main(int argc, char** argv) {
         opt.seed = 5;
         opt.enableRepairMoves = repair;
         SeqPairPlacerResult r = placeSeqPairSA(c, opt);
-        io.add({repair ? "seqpair-repair" : "seqpair-norepair", c.name(),
-                r.sweeps, 1, 1, r.cost, static_cast<double>(r.hpwl),
-                static_cast<double>(r.area), r.seconds});
+        io.addRun("engine", repair ? "seqpair-repair" : "seqpair-norepair",
+                  c.name(), opt.maxSweeps, r);
         table.addRow({c.name(), repair ? "on" : "off",
                       Table::fmt(static_cast<double>(r.area) /
                                  static_cast<double>(c.totalModuleArea())),

@@ -1,7 +1,9 @@
 // Decode-throughput bench: the per-move packing kernels behind every SA
-// backend, measured on the embedded corpus (apte .. ami49).  Rates only:
-// the identity of every kernel and trajectory is checked by the test
-// suites (contour_test, bstar_test, seqpair_test, slicing_test).
+// backend, measured on the embedded corpus (apte .. ami49).  The identity
+// of every kernel and trajectory is checked by the test suites
+// (contour_test, bstar_test, seqpair_test, slicing_test); the exact rows
+// here pin each timed run's result so a rate is never read off a changed
+// trajectory.
 //
 // Two experiments:
 //
@@ -16,19 +18,17 @@
 //      corpus circuit; movesTried / seconds is the steady-state SA
 //      throughput including move, decode, and cost evaluation.
 //
-// JSON records (--json): `backend` is "decode-map" / "decode-flat" for the
-// kernel rows and the engine name for the end-to-end rows; `sweeps` carries
-// the decode/move count, `seconds` the elapsed time, and `cost` the
-// resulting throughput in operations per second.
+// JSON rows (--json): the decode layer's `decodes_per_s` per kernel
+// (backend "decode-map" / "decode-flat", budget = decodes) and their
+// in-process ratio `flat_over_map`; the engine layer's exact cost, hpwl,
+// area, moves and sweeps plus the timed `moves_per_s` of each backend run.
 //
 // A third experiment behind --scaling: the move loop across the size axis
 // (apte .. n300).  Per circuit it runs the flat B*-tree SA (full repack
-// per move), the slicing SA (memoised Polish evaluation) and the
-// sequence-pair SA (full LCS sweeps, cached symmetry islands).  JSON rows:
-// `backend` is flat-full / slicing-memo / seqpair-full (named apart from
-// the engine-name rows above, so bench_diff and readme_tables do not pool
-// them with other budgets); `sweeps` carries moves tried, `cost`
-// moves/sec.
+// per move), the slicing SA (memoised Polish evaluation), the sequence-pair
+// SA (full LCS sweeps, cached symmetry islands) and the HB*-tree SA
+// (stamped per-node repacks).  Its rows are the move-loop layer's, under
+// the engine names at the scaling budget.
 //
 // Flags: --json <path>, --smoke (small fixed counts for CI), --scaling.
 #include <cstdio>
@@ -40,6 +40,7 @@
 #include "bstar/bstar_tree.h"
 #include "bstar/contour.h"
 #include "bstar/flat_placer.h"
+#include "bstar/hbstar.h"
 #include "bstar/pack.h"
 #include "engine/replica_session.h"
 #include "io/corpus.h"
@@ -123,25 +124,18 @@ double movesPerSec(std::size_t moves, double seconds) {
   return seconds > 0.0 ? static_cast<double>(moves) / seconds : 0.0;
 }
 
-void addRate(BenchIo& io, const char* backend, const char* circuit,
-             std::size_t moves, double seconds) {
-  BenchRecord r;
-  r.backend = backend;
-  r.circuit = circuit;
-  r.sweeps = moves;
-  r.seconds = seconds;
-  r.cost = movesPerSec(moves, seconds);
-  io.add(r);
+std::string rateK(std::size_t moves, double seconds) {
+  return Table::fmt(movesPerSec(moves, seconds) / 1e3, 1) + "k";
 }
 
-/// --scaling: the move rates of the flat B*-tree, slicing and sequence-pair
-/// backends across the corpus size axis.
+/// --scaling: the move rates of the flat B*-tree, slicing, sequence-pair
+/// and HB*-tree backends across the corpus size axis.
 void runScaling(BenchIo& io) {
   const std::size_t sweeps = io.smoke() ? 6 : 24;
   const CorpusCircuit circuits[] = {CorpusCircuit::Apte, CorpusCircuit::Ami33,
                                     CorpusCircuit::Ami49, CorpusCircuit::N100,
                                     CorpusCircuit::N200, CorpusCircuit::N300};
-  Table t({"circuit", "blocks", "flat", "slicing", "seqpair"});
+  Table t({"circuit", "blocks", "flat", "slicing", "seqpair", "hbstar"});
   for (CorpusCircuit which : circuits) {
     const char* name = corpusName(which);
     Circuit c = loadCorpusCircuit(which);
@@ -161,20 +155,28 @@ void runScaling(BenchIo& io) {
     so.seed = 1;
     SeqPairPlacerResult sp = placeSeqPairSA(c, so);
 
+    HBPlacerOptions ho;
+    ho.maxSweeps = sweeps;
+    ho.seed = 1;
+    HBPlacerResult hb = placeHBStarSA(c, ho);
+
     t.addRow({name, std::to_string(c.moduleCount()),
-              Table::fmt(movesPerSec(flat.movesTried, flat.seconds) / 1e3, 1) + "k",
-              Table::fmt(movesPerSec(slicing.movesTried, slicing.seconds) / 1e3, 1) + "k",
-              Table::fmt(movesPerSec(sp.movesTried, sp.seconds) / 1e3, 1) + "k"});
-    addRate(io, "flat-full", name, flat.movesTried, flat.seconds);
-    addRate(io, "slicing-memo", name, slicing.movesTried, slicing.seconds);
-    addRate(io, "seqpair-full", name, sp.movesTried, sp.seconds);
+              rateK(flat.movesTried, flat.seconds),
+              rateK(slicing.movesTried, slicing.seconds),
+              rateK(sp.movesTried, sp.seconds),
+              rateK(hb.movesTried, hb.seconds)});
+    io.addRun("move-loop", "flat-bstar", name, sweeps, flat);
+    io.addRun("move-loop", "slicing", name, sweeps, slicing);
+    io.addRun("move-loop", "seqpair", name, sweeps, sp);
+    io.addRun("move-loop", "hbstar", name, sweeps, hb);
   }
   t.print(std::cout);
   std::printf("\nmoves/sec, %zu sweeps per run, single thread; flat = full "
               "B*-tree repack per move; slicing = Polish evaluation "
               "rebuilding only the changed subtrees; seqpair = both LCS "
-              "sweeps per move over cached symmetry islands; every move "
-              "reduces the whole placement's cost\n",
+              "sweeps per move over cached symmetry islands; hbstar = "
+              "repack of the perturbed HB*-tree node and its ancestors; "
+              "every move reduces the whole placement's cost\n",
               sweeps);
 }
 
@@ -184,8 +186,8 @@ int main(int argc, char** argv) {
   BenchIo io(argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--scaling") == 0) {
-      std::puts("=== move-loop scaling: flat B*-tree, slicing and seqpair "
-                "move rates, apte .. n300 ===\n");
+      std::puts("=== move-loop scaling: flat B*-tree, slicing, seqpair and "
+                "HB*-tree move rates, apte .. n300 ===\n");
       runScaling(io);
       return 0;
     }
@@ -218,20 +220,12 @@ int main(int argc, char** argv) {
                     Table::fmt(mapKernel.decodesPerSec / 1e3, 1) + "k",
                     Table::fmt(flatKernel.decodesPerSec / 1e3, 1) + "k",
                     Table::fmt(speedup, 2) + "x"});
-    BenchRecord mapRecord;
-    mapRecord.backend = "decode-map";
-    mapRecord.circuit = corpusName(which);
-    mapRecord.sweeps = decodes;
-    mapRecord.seconds = mapKernel.seconds;
-    mapRecord.cost = mapKernel.decodesPerSec;
-    io.add(mapRecord);
-    BenchRecord flatRecord;
-    flatRecord.backend = "decode-flat";
-    flatRecord.circuit = corpusName(which);
-    flatRecord.sweeps = decodes;
-    flatRecord.seconds = flatKernel.seconds;
-    flatRecord.cost = flatKernel.decodesPerSec;
-    io.add(flatRecord);
+    io.add("decode", "decodes_per_s", "decode-map", corpusName(which), decodes,
+           mapKernel.decodesPerSec);
+    io.add("decode", "decodes_per_s", "decode-flat", corpusName(which),
+           decodes, flatKernel.decodesPerSec);
+    io.add("decode", "flat_over_map", "decode-flat", corpusName(which),
+           decodes, speedup);
   }
   kernels.print(std::cout);
   std::printf("\nflat B*-tree decode kernel: %s sequences of %zu decodes; "
@@ -247,18 +241,11 @@ int main(int argc, char** argv) {
       opt.maxSweeps = sweeps;
       opt.seed = 1;
       EngineResult r = makeReplicaSession(backend, c, opt)->finish();
-      double movesPerSec =
-          r.seconds > 0.0 ? static_cast<double>(r.movesTried) / r.seconds : 0.0;
       moves.addRow({corpusName(which), std::string(backendName(backend)),
                     std::to_string(r.movesTried), Table::fmt(r.seconds, 3),
-                    Table::fmt(movesPerSec / 1e3, 1) + "k"});
-      BenchRecord record;
-      record.backend = std::string(backendName(backend));
-      record.circuit = corpusName(which);
-      record.sweeps = r.movesTried;
-      record.seconds = r.seconds;
-      record.cost = movesPerSec;
-      io.add(record);
+                    rateK(r.movesTried, r.seconds)});
+      io.addRun("engine", std::string(backendName(backend)), corpusName(which),
+                sweeps, r);
     }
   }
   moves.print(std::cout);

@@ -48,10 +48,16 @@ int main(int argc, char** argv) {
   aware.seed = 17;
   SizingResult b = runSizing(tech, specs, aware);
 
-  io.add({"sizing-electrical", "folded-cascode-ota", 0, 0, 1,
-          a.violationExtracted, 0.0, a.layout.areaUm2() * 1e6, a.seconds});
-  io.add({"sizing-layout-aware", "folded-cascode-ota", 0, 0, 1,
-          b.violationExtracted, 0.0, b.layout.areaUm2() * 1e6, b.seconds});
+  auto record = [&](const char* flow, const SizingResult& r) {
+    io.add("engine", "violation", flow, "folded-cascode-ota", iterations,
+           r.violationExtracted);
+    io.add("engine", "area", flow, "folded-cascode-ota", iterations,
+           r.layout.areaUm2() * 1e6);
+    io.add("engine", "seconds", flow, "folded-cascode-ota", iterations,
+           r.seconds);
+  };
+  record("sizing-electrical", a);
+  record("sizing-layout-aware", b);
 
   auto perfRows = [&](const char* flow, const SizingResult& r, Table& t) {
     const OtaPerformance& sized = r.perfSizing;

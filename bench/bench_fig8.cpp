@@ -61,10 +61,8 @@ int main(int argc, char** argv) {
     ++compared;
     if (hEsf <= r.h) ++dominatedCount;
   }
-  io.add({"esf", c.name(), 0, 0, 1, esf.areaUsage, 0.0,
-          static_cast<double>(esf.area), esf.seconds});
-  io.add({"rsf", c.name(), 0, 0, 1, rsf.areaUsage, 0.0,
-          static_cast<double>(rsf.area), rsf.seconds});
+  io.addDeterministic("esf", c.name(), esf);
+  io.addDeterministic("rsf", c.name(), rsf);
   std::printf("\nESF at-or-below RSF on the shared width range: %zu / %zu points\n",
               dominatedCount, compared);
   std::printf("best area: ESF %.0f um^2 (usage %.2f%%)  vs  RSF %.0f um^2 (usage %.2f%%)\n",

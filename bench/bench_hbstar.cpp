@@ -39,9 +39,7 @@ int main(int argc, char** argv) {
     io.applyBudget(opt, deadline, 3.0);
     opt.seed = 31;
     HBPlacerResult r = placeHBStarSA(c, opt);
-    io.add({"hbstar", "fig2", r.sweeps, 1, 1, r.cost,
-            static_cast<double>(r.hpwl), static_cast<double>(r.area),
-            r.seconds});
+    io.addRun("engine", "hbstar", "fig2", opt.maxSweeps, r);
     std::printf("modules=%zu  area=%.0f um^2  (module area %.0f um^2)  HPWL=%.1f um\n",
                 c.moduleCount(),
                 static_cast<double>(r.area) * 1e-6,
@@ -97,7 +95,7 @@ int main(int argc, char** argv) {
     // TOTAL, so the smoke sweep budget must scale with the restart count.
     if (io.smoke()) hOpt.maxSweeps *= hOpt.numRestarts;
     EngineResult hb = runner.run(c, EngineBackend::HBStar, hOpt);
-    io.add("hbstar", b.name, hb, hardware);
+    io.addRun("runtime", "hbstar", b.name, hOpt.maxSweeps, hb);
     table.addRow({b.name, "HB*-tree SA portfolio",
                   Table::fmt(static_cast<double>(hb.area) / modArea),
                   Table::fmt(static_cast<double>(hb.hpwl) / 1000.0, 1), "0.00", "0",
@@ -108,9 +106,7 @@ int main(int argc, char** argv) {
     io.applyBudget(fOpt, deadline, budget);
     fOpt.seed = 9;
     FlatBStarResult flat = placeFlatBStarSA(c, fOpt);
-    io.add({"flat-bstar", b.name, flat.sweeps, 1, 1, flat.cost,
-            static_cast<double>(flat.hpwl), static_cast<double>(flat.area),
-            flat.seconds});
+    io.addRun("engine", "flat-bstar", b.name, fOpt.maxSweeps, flat);
     table.addRow({b.name, "flat B*-tree SA",
                   Table::fmt(static_cast<double>(flat.area) / modArea),
                   Table::fmt(static_cast<double>(flat.hpwl) / 1000.0, 1),

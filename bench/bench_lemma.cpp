@@ -50,9 +50,10 @@ int main(int argc, char** argv) {
                 built->placement.isLegal() ? "yes" : "no",
                 verifySymmetry(built->placement, groups, built->axis2x) ? "yes" : "no");
     std::printf("\n%s\n", asciiArt(built->placement, names, 60).c_str());
-    io.add({"sf-pack", "fig1", 0, 0, 1,
-            searchSpaceReduction(7, groups), 0.0,
-            static_cast<double>(built->placement.boundingBox().area()), 0.0});
+    io.add("kernel", "sf_reduction", "sf-pack", "fig1", 0,
+           searchSpaceReduction(7, groups));
+    io.add("kernel", "area", "sf-pack", "fig1", 0,
+           static_cast<double>(built->placement.boundingBox().area()));
   }
 
   // --- the Lemma's numbers, formula vs exhaustive enumeration ---
@@ -74,8 +75,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(perGroup), clock.seconds());
     std::printf("formula exact?                     : %s\n\n",
                 formula.fitsU64() && perGroup == formula.toU64() ? "yes" : "NO");
-    io.add({"sf-enumeration", "fig1", 0, 0, 1,
-            static_cast<double>(perGroup), 0.0, 0.0, clock.seconds()});
+    io.add("kernel", "sf_codes", "sf-enumeration", "fig1", 0,
+           static_cast<double>(perGroup));
+    io.add("kernel", "seconds", "sf-enumeration", "fig1", 0, clock.seconds());
   }
 
   // --- Lemma sweep over group configurations ---

@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
                     Table::fmt(static_cast<double>(r.hpwl) / 1000.0, 1),
                     std::to_string(r.restartsRun),
                     std::to_string(r.bestRestart), Table::fmt(r.seconds, 2)});
-      io.add(std::string(backendName(outcome.backend)), label, r, hardware);
+      io.addRun("runtime", std::string(backendName(outcome.backend)), label,
+                opt.maxSweeps, r);
     };
     for (TableICircuit which : allTableICircuits()) {
       Circuit c = makeTableICircuit(which);
@@ -120,8 +121,9 @@ int main(int argc, char** argv) {
     std::printf("bit-identical across thread counts: %s\n",
                 identical ? "yes" : "NO — DETERMINISM BUG");
 
-    io.add("seqpair", c.name(), serial, 1);
-    io.add("seqpair", c.name(), parallel, hardware);
+    io.addRun("runtime", "seqpair-1-thread", c.name(), opt.maxSweeps, serial);
+    io.addRun("runtime", "seqpair-all-threads", c.name(), opt.maxSweeps,
+              parallel);
     if (!identical) return 1;
   }
 
@@ -160,10 +162,10 @@ int main(int argc, char** argv) {
                     Table::fmt(ind.cost, 4), Table::fmt(pt.result.cost, 4),
                     Table::fmt(delta, 2), std::to_string(pt.exchangesAccepted),
                     Table::fmt(ind.seconds, 2), Table::fmt(pt.result.seconds, 2)});
-      io.add("restarts-" + std::string(backendName(backend)), label, ind,
-             hardware, &restarts);
-      io.add("tempering-" + std::string(backendName(backend)), label,
-             pt.result, hardware, &tempering);
+      io.addRun("runtime", "restarts-" + std::string(backendName(backend)),
+                label, restarts.maxSweeps, ind);
+      io.addRun("runtime", "tempering-" + std::string(backendName(backend)),
+                label, tempering.maxSweeps, pt.result);
     };
     for (CorpusCircuit which : allCorpusCircuits()) {
       Circuit c = loadCorpusCircuit(which);
@@ -197,10 +199,10 @@ int main(int argc, char** argv) {
                    Table::fmt(ind.result.cost, 4),
                    std::string(backendName(pt.backend)),
                    Table::fmt(pt.result.cost, 4), std::to_string(pt.reseeds)});
-      io.add("restarts-race", corpusName(which), ind.result, hardware,
-             &restarts);
-      io.add("tempering-race", corpusName(which), pt.result, hardware,
-             &raceTempering);
+      io.addRun("runtime", "restarts-race", corpusName(which),
+                restarts.maxSweeps, ind.result);
+      io.addRun("runtime", "tempering-race", corpusName(which),
+                raceTempering.maxSweeps, pt.result);
     }
     race.print(std::cout);
   }

@@ -60,9 +60,7 @@ int main(int argc, char** argv) {
     io.applyBudget(spOpt, deadline, budget);
     spOpt.seed = 5;
     SeqPairPlacerResult sp = placeSeqPairSA(c, spOpt);
-    io.add({"seqpair", b.name, sp.sweeps, 1, 1, sp.cost,
-            static_cast<double>(sp.hpwl), static_cast<double>(sp.area),
-            sp.seconds});
+    io.addRun("engine", "seqpair", b.name, spOpt.maxSweeps, sp);
     bool spFeasible =
         sp.placement.isLegal() &&
         verifySymmetry(sp.placement, c.symmetryGroups(), sp.axis2x);
@@ -76,9 +74,7 @@ int main(int argc, char** argv) {
     io.applyBudget(absOpt, deadline, budget);
     absOpt.seed = 5;
     AbsolutePlacerResult abs = placeAbsoluteSA(c, absOpt);
-    io.add({"absolute", b.name, abs.sweeps, 1, 1, abs.cost,
-            static_cast<double>(abs.hpwl), static_cast<double>(abs.area),
-            abs.seconds});
+    io.addRun("engine", "absolute", b.name, absOpt.maxSweeps, abs);
     table.addRow({b.name, "absolute-coord SA",
                   Table::fmt(static_cast<double>(abs.area) / modArea),
                   Table::fmt(static_cast<double>(abs.hpwl) / 1000.0, 1),

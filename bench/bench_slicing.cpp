@@ -96,7 +96,8 @@ int main(int argc, char** argv) {
 
     auto usage = [&](EngineBackend backend) {
       EngineResult r = runner.run(c, backend, opt);
-      io.add(std::string(backendName(backend)), c.name(), r, hardware);
+      io.addRun("runtime", std::string(backendName(backend)), c.name(),
+                opt.maxSweeps, r);
       return static_cast<double>(r.area) / modArea;
     };
     double slicing = usage(EngineBackend::Slicing);

@@ -56,10 +56,8 @@ int main(int argc, char** argv) {
     DeterministicResult rsf = placeDeterministic(c, rsfOpt);
 
     double impPts = (rsf.areaUsage - esf.areaUsage) * 100.0;
-    io.add({"esf", name, 0, 0, 1, esf.areaUsage, 0.0,
-            static_cast<double>(esf.area), esf.seconds});
-    io.add({"rsf", name, 0, 0, 1, rsf.areaUsage, 0.0,
-            static_cast<double>(rsf.area), rsf.seconds});
+    io.addDeterministic("esf", name, esf);
+    io.addDeterministic("rsf", name, rsf);
     table.addRow({name, std::to_string(c.moduleCount()),
                   Table::fmtPercent(esf.areaUsage), Table::fmt(esf.seconds, 2),
                   Table::fmtPercent(rsf.areaUsage), Table::fmt(rsf.seconds, 2),

@@ -59,9 +59,7 @@ int main(int argc, char** argv) {
     io.applyBudget(opt, deadline, 1.5);
     opt.seed = 7;
     SeqPairPlacerResult sym = placeSeqPairSA(c, opt);
-    io.add({"seqpair", name, sym.sweeps, 1, 1, sym.cost,
-            static_cast<double>(sym.hpwl), static_cast<double>(sym.area),
-            sym.seconds});
+    io.addRun("engine", "seqpair", name, opt.maxSweeps, sym);
 
     auto [wOn, mOn] = evaluate(sym.placement, axisRadiator);
     table.addRow({name, "symmetric (S-F SA)", "on axis (self-symmetric)",
@@ -134,9 +132,10 @@ int main(int argc, char** argv) {
              Table::fmt(pairs ? sum / static_cast<double>(pairs) : 0.0, 4),
              Table::fmt(static_cast<double>(r.area) /
                         static_cast<double>(c.totalModuleArea()))});
-        io.add(std::string(backendName(backend)) +
-                   (wt == 0.0 ? "+thermal-off" : "+thermal-on"),
-               corpusName(which), r, 1, &opt);
+        io.addRun("engine",
+                  std::string(backendName(backend)) +
+                      (wt == 0.0 ? "+thermal-off" : "+thermal-on"),
+                  corpusName(which), opt.maxSweeps, r);
       }
     }
   }

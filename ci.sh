@@ -10,8 +10,8 @@
 #
 # The final stage runs every plain bench binary from the Release build in
 # its --smoke configuration (fixed sweep budgets, so deterministic) with
-# JSON records written to build/bench-smoke/ — per-PR observability for
-# perf and quality regressions.
+# JSON rows written to build/bench-smoke/, and gates them against the
+# committed BENCH_baseline.json with bench_diff.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -79,42 +79,49 @@ echo "=== alloc gate: Release steady-state zero-allocations-per-move ==="
 (cd build && ctest --output-on-failure -R '^alloc_gate_test$')
 
 echo "=== bench smoke: Release binaries, JSON to build/bench-smoke/ ==="
+# Every file in build/bench-smoke/*.json is a bench_json row array that
+# bench_diff reads at the end, so the directory starts empty.
+rm -rf build/bench-smoke
 mkdir -p build/bench-smoke
 for bench in bench_table1 bench_fig8 bench_fig10 bench_lemma bench_ablation \
              bench_thermal bench_seqpair_sa bench_hbstar bench_slicing \
-             bench_portfolio bench_decode; do
+             bench_portfolio; do
   echo "--- $bench --smoke ---"
   ./build/"$bench" --smoke --json "build/bench-smoke/$bench.json" \
     > "build/bench-smoke/$bench.out"
 done
 # bench_kernels is google-benchmark based (built only when the library is
-# present) and has its own machine-readable flag.  (min_time is passed
-# unit-less: the distro's google-benchmark predates the "0.01s" suffix
-# syntax and rejects it.)
+# present) and writes google-benchmark's own JSON, so it lands outside
+# build/bench-smoke/.  (min_time is passed unit-less: the distro's
+# google-benchmark predates the "0.01s" suffix syntax and rejects it.)
 if [ -x build/bench_kernels ]; then
   ./build/bench_kernels --benchmark_min_time=0.01 \
-    --benchmark_out=build/bench-smoke/bench_kernels.json \
-    --benchmark_out_format=json > build/bench-smoke/bench_kernels.out
+    --benchmark_out=build/bench_kernels.json \
+    --benchmark_out_format=json > build/bench_kernels.out
 fi
 
-echo "=== bench_decode --scaling: move rates up to n300 ==="
-# The size axis: runs the flat-bstar, slicing and seqpair SA on every corpus
-# circuit up to n300 and records one moves/sec row per (backend, circuit)
-# for bench_diff.  Rates only: the decode and trajectory identities are
-# checked by the test suites (seqpair_test, bstar_test, slicing_test).
-for rep in "" .r2 .r3; do
+echo "=== timed captures: bench_decode, its --scaling leg and als_place, 5x ==="
+# The tools whose timed rows bench_diff gates run five times, interleaved,
+# so each timed row has five samples:
+#   bench_decode --smoke      decode kernels (map vs flat contour) and the
+#                             engine move rate of every backend;
+#   bench_decode --scaling    the move loop of the flat B*-tree, slicing,
+#                             sequence-pair and HB*-tree backends up to n300;
+#   als_place --smoke         the corpus x backends determinism gate: every
+#                             embedded corpus circuit on all four backends,
+#                             twice and at 1 vs 8 threads, plus the thermal +
+#                             shape, tempering and --size legs; exits nonzero
+#                             on any parse error, illegal placement or
+#                             bit-level mismatch.
+for rep in 1 2 3 4 5; do
+  ./build/bench_decode --smoke --json "build/bench-smoke/bench_decode.$rep.json" \
+    > "build/bench-smoke/bench_decode.$rep.out"
   ./build/bench_decode --scaling --smoke \
-    --json "build/bench-smoke/bench_decode_scaling$rep.json" \
-    > "build/bench-smoke/bench_decode_scaling$rep.out"
+    --json "build/bench-smoke/bench_decode_scaling.$rep.json" \
+    > "build/bench-smoke/bench_decode_scaling.$rep.out"
+  ./build/als_place --smoke --json "build/bench-smoke/als_place.$rep.json" \
+    > "build/bench-smoke/als_place.$rep.out"
 done
-
-echo "=== als_place smoke: corpus x backends determinism gate ==="
-# Places every embedded corpus circuit on all four backends, twice and at
-# 1 vs 8 threads — plus the scenario legs (thermal objective + shape moves,
-# and the --size sizing-on-portfolio flow); exits nonzero on any parse
-# error, illegal placement or bit-level mismatch.
-./build/als_place --smoke --json build/bench-smoke/als_place.json \
-  > build/bench-smoke/als_place.out
 
 echo "=== als_place knob refusal: a backend refuses a knob it would drop ==="
 # Slicing has neither a symmetry penalty nor a symmetry guarantee
@@ -139,7 +146,7 @@ echo "=== als_serve smoke: daemon + replay, identity / cache / cancel ==="
 # hit rate with a >= 50x warm-over-cold speedup, and a job cancelled
 # mid-run is acknowledged within a bounded number of progress rounds with
 # the worker then completing a fresh job bit-identically.  The JSON lands
-# next to the other smoke records and feeds bench_diff coverage below.
+# next to the other smoke records and feeds bench_diff below.
 ./build/als_replay --serve-bin ./build/als_serve --check --clients 8 \
   --json build/bench-smoke/bench_serve.json \
   > build/bench-smoke/bench_serve.out
@@ -164,37 +171,18 @@ echo "=== readme_tables --check: README tables vs committed baseline ==="
 # regenerating) fails CI.  Refresh with: ./build/readme_tables
 ./build/readme_tables --check
 
-echo "=== bench_diff: throughput + quality vs committed BENCH_baseline.json ==="
-# Fails on a moves/sec regression of any backend x circuit pair against the
-# committed baseline (ROADMAP item 5).  The smoke budgets keep every pair
-# in the milliseconds range, so two extra captures are folded in —
-# bench_diff aggregates ops and seconds per pair, averaging the runs — and
-# the default tolerance here is wider than the tool's 15% default, which
-# is meant for dedicated hardware with longer budgets.  Refresh the
-# baseline on intentional perf changes or hardware moves with:
-#   ./build/bench_diff --merge BENCH_baseline.json \
-#     build/bench-smoke/bench_decode*.json build/bench-smoke/als_place*.json \
-#     build/bench-smoke/bench_serve.json
-# (the glob picks up the bench_decode_scaling captures too, so the
-# flat-bstar, slicing and seqpair move-rate rows stay covered;
-# bench_serve.json carries the serve identity/quality rows and the
-# service-level meta metrics) — then regenerate the README tables:
-# ./build/readme_tables
-for rep in 2 3; do
-  ./build/bench_decode --smoke --json "build/bench-smoke/bench_decode.r$rep.json" \
-    > /dev/null
-  ./build/als_place --smoke --json "build/bench-smoke/als_place.r$rep.json" \
-    > /dev/null
-done
-./build/bench_diff --tol "${BENCH_DIFF_TOL:-40}" \
-  --quality-tol "${BENCH_DIFF_QUALITY_TOL:-5}" BENCH_baseline.json \
-  build/bench-smoke/bench_decode.json build/bench-smoke/bench_decode.r2.json \
-  build/bench-smoke/bench_decode.r3.json \
-  build/bench-smoke/bench_decode_scaling.json \
-  build/bench-smoke/bench_decode_scaling.r2.json \
-  build/bench-smoke/bench_decode_scaling.r3.json \
-  build/bench-smoke/als_place.json build/bench-smoke/als_place.r2.json \
-  build/bench-smoke/als_place.r3.json build/bench-smoke/bench_portfolio.json \
-  build/bench-smoke/bench_serve.json
+echo "=== bench_diff: every captured row vs committed BENCH_baseline.json ==="
+# Gates each (tool, layer, metric, backend, circuit, budget) row in its own
+# better direction: exact rows (costs, counts) fail when worse by any
+# amount; timed rows fail when the best of their samples is worse than the
+# baseline median by more than the quartile spread of the baseline's own
+# samples; a timed row with one baseline sample is reported, not gated; a
+# baseline row missing from this run fails.  Refresh the baseline, on one
+# host, by merging the captures of CI runs started a few minutes apart (so
+# the spread of each timed row covers that host's run-to-run drift), then
+# regenerate the README tables:
+#   ./build/bench_diff --merge BENCH_baseline.json run1/*.json run2/*.json ...
+#   ./build/readme_tables
+./build/bench_diff BENCH_baseline.json build/bench-smoke/*.json
 
 echo "=== CI green ==="

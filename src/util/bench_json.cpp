@@ -1,41 +1,44 @@
 #include "util/bench_json.h"
 
-#include <cinttypes>
 #include <cstdio>
-#include <string_view>
+#include <cstdlib>
+#include <filesystem>
 
 namespace als {
 
 namespace {
 
-void appendEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
+struct MetricSpec {
+  std::string_view metric, unit, better;
+};
 
-void appendNumber(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
+// The metric vocabulary of every row.  Units and directions are spelled as
+// in BENCHMARK.json; the unit alone sets the gate tier (util/flat_records.h).
+constexpr MetricSpec kMetrics[] = {
+    {"cost", "objective", "lower"},
+    {"hpwl", "DBU", "lower"},
+    {"area", "DBU^2", "lower"},
+    {"area_usage", "ratio", "lower"},       // bounding box / module area
+    {"violation", "objective", "lower"},    // sizing spec violation
+    {"sf_reduction", "fraction", "higher"}, // Lemma search-space reduction
+    {"sf_codes", "count", "lower"},         // enumerated S-F sequence pairs
+    {"moves", "count", "lower"},
+    {"sweeps", "count", "lower"},
+    {"seconds", "s", "lower"},
+    {"moves_per_s", "moves/s", "higher"},
+    {"decodes_per_s", "decodes/s", "higher"},
+    {"flat_over_map", "x", "higher"},       // decode rates, one process
+    {"warm_over_cold", "x", "higher"},      // serve latencies, one run
+    {"latency_p50_ms", "ms", "lower"},
+    {"latency_p95_ms", "ms", "lower"},
+    {"latency_max_ms", "ms", "lower"},
+    {"jobs_per_s", "jobs/s", "higher"},
+};
 
 }  // namespace
 
 BenchIo::BenchIo(int argc, char** argv) {
+  if (argc > 0) tool_ = std::filesystem::path(argv[0]).filename().string();
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (arg == "--smoke") {
@@ -48,27 +51,19 @@ BenchIo::BenchIo(int argc, char** argv) {
 
 BenchIo::~BenchIo() { finish(); }
 
-void BenchIo::add(BenchRecord record) { records_.push_back(std::move(record)); }
-
-void BenchIo::add(std::string backend, std::string circuit,
-                  const EngineResult& r, std::size_t threads,
-                  const EngineOptions* opt) {
-  BenchRecord record;
-  record.backend = std::move(backend);
-  record.circuit = std::move(circuit);
-  record.sweeps = r.sweeps;
-  record.restarts = r.restartsRun;
-  record.threads = threads;
-  record.cost = r.cost;
-  record.hpwl = static_cast<double>(r.hpwl);
-  record.area = static_cast<double>(r.area);
-  record.seconds = r.seconds;
-  if (opt != nullptr) {
-    record.wlWeight = opt->wirelengthWeight;
-    record.symWeight = opt->symmetryWeight;
-    record.proxWeight = opt->proximityWeight;
+void BenchIo::add(std::string_view layer, std::string_view metric,
+                  std::string backend, std::string circuit,
+                  std::size_t budget, double value) {
+  for (const MetricSpec& spec : kMetrics) {
+    if (spec.metric != metric) continue;
+    records_.push_back({tool_, std::string(layer), std::string(metric),
+                        std::string(spec.unit), std::string(spec.better),
+                        std::move(backend), std::move(circuit), budget, value});
+    return;
   }
-  records_.push_back(std::move(record));
+  std::fprintf(stderr, "bench_json: metric '%.*s' is not in the table\n",
+               static_cast<int>(metric.size()), metric.data());
+  std::abort();
 }
 
 bool BenchIo::finish() {
@@ -77,50 +72,14 @@ bool BenchIo::finish() {
     return true;
   }
   finished_ = true;
-
-  std::string out = "[\n";
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const BenchRecord& r = records_[i];
-    out += "  {\"backend\": \"";
-    appendEscaped(out, r.backend);
-    out += "\", \"circuit\": \"";
-    appendEscaped(out, r.circuit);
-    out += "\", \"sweeps\": " + std::to_string(r.sweeps);
-    out += ", \"restarts\": " + std::to_string(r.restarts);
-    out += ", \"threads\": " + std::to_string(r.threads);
-    out += ", \"cost\": ";
-    appendNumber(out, r.cost);
-    out += ", \"hpwl\": ";
-    appendNumber(out, r.hpwl);
-    out += ", \"area\": ";
-    appendNumber(out, r.area);
-    out += ", \"seconds\": ";
-    appendNumber(out, r.seconds);
-    out += ", \"wl_weight\": ";
-    appendNumber(out, r.wlWeight);
-    out += ", \"sym_weight\": ";
-    appendNumber(out, r.symWeight);
-    out += ", \"prox_weight\": ";
-    appendNumber(out, r.proxWeight);
-    out += i + 1 < records_.size() ? "},\n" : "}\n";
-  }
-  out += "]\n";
-
-  std::FILE* f = std::fopen(jsonPath_.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_json: cannot open '%s' for writing\n",
-                 jsonPath_.c_str());
+  std::string error;
+  if (!writeFlatRecords(jsonPath_, records_, error)) {
+    std::fprintf(stderr, "bench_json: %s\n", error.c_str());
     return false;
   }
-  bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    std::fprintf(stderr, "bench_json: short write to '%s'\n", jsonPath_.c_str());
-  } else {
-    std::fprintf(stderr, "bench_json: wrote %zu record(s) to %s\n",
-                 records_.size(), jsonPath_.c_str());
-  }
-  return ok;
+  std::fprintf(stderr, "bench_json: wrote %zu row(s) to %s\n", records_.size(),
+               jsonPath_.c_str());
+  return true;
 }
 
 }  // namespace als

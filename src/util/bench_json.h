@@ -1,46 +1,29 @@
-// Machine-readable bench harness shared by the plain bench binaries.
+// Machine-readable bench harness shared by the plain bench binaries and the
+// als_place / als_replay tools.
 //
 // Every bench accepts:
-//   --json <path>  append each experiment's headline numbers as one record
-//                  and write the whole run as a JSON array to <path> (the
-//                  format of the repo's BENCH_*.json trajectory files);
+//   --json <path>  write the run's rows as one JSON array to <path> (the
+//                  format of util/flat_records.h and BENCH_baseline.json);
 //   --smoke        short deterministic configuration: wall-clock budgets
 //                  are replaced by small fixed sweep budgets so a CI smoke
 //                  run finishes in seconds and is bit-reproducible.
 //
-// Records carry the canonical keys {backend, circuit, sweeps, restarts,
-// threads, cost, hpwl, area, seconds} plus the unified objective weights
-// {wl_weight, sym_weight, prox_weight} (cost/objective.h); quantities a
-// bench does not have (e.g. sweeps of a non-SA experiment) stay zero.
+// Each row holds one quantity.  Its tool is the binary's name (argv[0]);
+// the caller names the layer, the metric, the backend, the circuit and the
+// budget, and the metric table in bench_json.cpp supplies the unit and the
+// better direction, spelled as in BENCHMARK.json.
 #pragma once
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/placement_engine.h"
 #include "util/cancel_token.h"
+#include "util/flat_records.h"
 
 namespace als {
-
-struct BenchRecord {
-  std::string backend;     ///< engine / placer / configuration name
-  std::string circuit;     ///< which input the record measures
-  std::size_t sweeps = 0;
-  std::size_t restarts = 0;
-  std::size_t threads = 0;
-  double cost = 0.0;
-  double hpwl = 0.0;       ///< DBU
-  double area = 0.0;       ///< DBU^2
-  double seconds = 0.0;
-  // Unified objective weight knobs the run was *configured* with (0 = not
-  // recorded); see cost/objective.h for the shared normalization recipe.
-  // A backend whose representation satisfies a constraint by construction
-  // ignores that knob (e.g. sym_weight on seqpair/hbstar is inert).
-  double wlWeight = 0.0;
-  double symWeight = 0.0;
-  double proxWeight = 0.0;
-};
 
 class BenchIo {
  public:
@@ -71,18 +54,45 @@ class BenchIo {
     opt.maxSweeps = smoke_ ? smokeSweeps : 0;
   }
 
-  void add(BenchRecord record);
+  /// Records one quantity.  `metric` must be in the metric table.
+  void add(std::string_view layer, std::string_view metric,
+           std::string backend, std::string circuit, std::size_t budget,
+           double value);
 
-  /// Convenience: record an engine result.  When `opt` is given, the
-  /// record also carries the objective weights the run placed with.
-  void add(std::string backend, std::string circuit, const EngineResult& r,
-           std::size_t threads = 1, const EngineOptions* opt = nullptr);
+  /// Records one annealing run (an EngineResult or a native placer's
+  /// result): exact cost, hpwl, area, moves and sweeps rows, plus a timed
+  /// moves/s row when the run carries its wall clock.
+  template <class Result>
+  void addRun(std::string_view layer, const std::string& backend,
+              const std::string& circuit, std::size_t budget,
+              const Result& r) {
+    const double moves = static_cast<double>(r.movesTried);
+    add(layer, "cost", backend, circuit, budget, r.cost);
+    add(layer, "hpwl", backend, circuit, budget, static_cast<double>(r.hpwl));
+    add(layer, "area", backend, circuit, budget, static_cast<double>(r.area));
+    add(layer, "moves", backend, circuit, budget, moves);
+    add(layer, "sweeps", backend, circuit, budget, static_cast<double>(r.sweeps));
+    if (r.seconds > 0.0) {
+      add(layer, "moves_per_s", backend, circuit, budget, moves / r.seconds);
+    }
+  }
+
+  /// Records one deterministic shape-function placement (Table I): exact
+  /// area-usage and area rows plus its timed seconds row.
+  template <class Result>
+  void addDeterministic(const std::string& backend, const std::string& circuit,
+                        const Result& r) {
+    add("engine", "area_usage", backend, circuit, 0, r.areaUsage);
+    add("engine", "area", backend, circuit, 0, static_cast<double>(r.area));
+    add("engine", "seconds", backend, circuit, 0, r.seconds);
+  }
 
   /// Writes the JSON file now (no-op without --json); returns false and
   /// prints to stderr on I/O failure.  Called by the destructor otherwise.
   bool finish();
 
  private:
+  std::string tool_;
   std::string jsonPath_;
   std::vector<BenchRecord> records_;
   bool smoke_ = false;

@@ -186,8 +186,8 @@ int runSize(BenchIo& io, EngineBackend backend, const EngineOptions& opt) {
                   Table::fmt(cand.sizing.perfExtracted.gbwHz / 1e6, 1),
                   Table::fmt(static_cast<double>(cand.placement.area) * 1e-6),
                   Table::fmt(cand.placement.cost)});
-    io.add(std::string(backendName(backend)) + "+size", tag, cand.placement,
-           threads, &popt.placement);
+    io.addRun("runtime", std::string(backendName(backend)) + "+size", tag,
+              popt.placement.maxSweeps, cand.placement);
   }
   table.print(std::cout);
   std::printf("\nwinner: candidate %zu (* above) in %.1fs total\n",
@@ -246,8 +246,8 @@ int runSmoke(BenchIo& io) {
       }
       smokeRow(table, corpusName(which), c, backend, serial,
                deterministic && legal);
-      io.add(std::string(backendName(backend)), corpusName(which), parallel, 8,
-             o);
+      io.addRun("runtime", std::string(backendName(backend)),
+                corpusName(which), o->maxSweeps, parallel);
     }
   }
 
@@ -278,8 +278,8 @@ int runSmoke(BenchIo& io) {
       }
       smokeRow(table, std::string(corpusName(which)) + "+tsh", c, backend,
                parallel, deterministic && legal);
-      io.add(std::string(backendName(backend)) + "+thermal", corpusName(which),
-             parallel, 8, &sopt);
+      io.addRun("runtime", std::string(backendName(backend)) + "+thermal",
+                corpusName(which), sopt.maxSweeps, parallel);
     }
   }
 
@@ -324,8 +324,8 @@ int runSmoke(BenchIo& io) {
       }
       smokeRow(table, std::string(corpusName(which)) + "+pt", c, backend,
                parallel, deterministic && degenerates && legal);
-      io.add(std::string(backendName(backend)) + "+pt", corpusName(which),
-             parallel, 8, &topt);
+      io.addRun("runtime", std::string(backendName(backend)) + "+pt",
+                corpusName(which), topt.maxSweeps, parallel);
     }
   }
 
@@ -513,7 +513,7 @@ int main(int argc, char** argv) {
                   Table::fmt(static_cast<double>(result.hpwl) / 1000.0, 1),
                   std::to_string(result.bestRestart),
                   Table::fmt(result.seconds, 2)});
-    io.add(winner, circuit.name(), result, threads, &opt);
+    io.addRun("runtime", winner, circuit.name(), opt.maxSweeps, result);
     if (art) {
       std::cout << asciiArt(result.placement, circuit.moduleNames()) << "\n";
     }

@@ -38,14 +38,14 @@
 // never served, the store honors its size cap, and deadline-expired jobs
 // report `deadline` within one progress round.
 //
-// Results go to stdout and, with --json, as bench_json records next to the
-// other bench-smoke captures: per-circuit quality rows (deterministic
-// cost/hpwl/area under the "serve-<backend>" name; seconds deliberately 0,
-// so the throughput gate treats them as presence+quality only) and
-// "serve-meta" rows whose `seconds` field carries the measured metric
-// (latency percentiles, jobs/sec, hit rate, warm speedup, cancel ack
-// rounds; cost 0 keeps them out of the quality gate — wall-clock metrics
-// are machine facts, not regressions).
+// Results go to stdout and, with --json, as bench_json rows next to the
+// other bench-smoke captures: the serve layer's exact cost, hpwl, area,
+// moves and sweeps of each identity circuit under the "serve-<backend>"
+// name (a served payload carries no wall clock, so no rate row), and the
+// timed rows of the throughput and warm/cold phases under "serve-meta":
+// latency percentiles in ms, jobs/s, and the warm-over-cold speedup.  The
+// hit rate and the cancel acknowledgement depend on timing; --check
+// asserts them and they stay on stdout.
 //
 //   als_replay --serve-bin ./build/als_serve --check --clients 8
 //              [--json build/bench-smoke/bench_serve.json]
@@ -1007,15 +1007,13 @@ int main(int argc, char** argv) {
       fail("oracle: " + identityJobs[i].name() +
            " served result differs from in-process PortfolioRunner");
     }
-    // Quality rows for bench_diff: deterministic cost/hpwl/area under the
-    // serve name.  seconds stays 0 — latency is a machine fact, recorded in
-    // the serve-meta rows instead, so the throughput gate sees these as
-    // presence+quality only.
+    // Exact rows for bench_diff, one seed per circuit.
     if (i % identitySeeds == 0) {
       EngineBackend rb;
       EngineResult r;
       if (parseResultText(a.payload, rb, r).empty()) {
-        io.add("serve-" + backendStr, identityJobs[i].circuit, r, 1);
+        io.addRun("serve", "serve-" + backendStr, identityJobs[i].circuit,
+                  sweeps, r);
       }
     }
   }
@@ -1182,20 +1180,15 @@ int main(int argc, char** argv) {
   }
 
   // --- meta records + teardown ----------------------------------------------
-  auto meta = [&](const char* name, double value) {
-    BenchRecord r;
-    r.backend = "serve-meta";
-    r.circuit = name;
-    r.seconds = value;  // metric value; cost/sweeps stay 0 (presence-only)
-    io.add(std::move(r));
-  };
-  meta("latency-p50", p50);
-  meta("latency-p95", p95);
-  meta("latency-max", pmax);
-  meta("throughput-jps", jps);
-  meta("hit-rate", hitRate);
-  meta("warm-cold-speedup", speedup);
-  meta("cancel-ack-rounds", static_cast<double>(ackRounds));
+  for (const auto& [metric, value] :
+       {std::pair<const char*, double>{"latency_p50_ms", p50 * 1e3},
+        {"latency_p95_ms", p95 * 1e3},
+        {"latency_max_ms", pmax * 1e3},
+        {"jobs_per_s", jps}}) {
+    io.add("serve", metric, "serve-meta", "throughput", jobs, value);
+  }
+  io.add("serve", "warm_over_cold", "serve-meta", warmCircuit, warmSweeps,
+         speedup);
 
   if (daemonPid > 0) {
     stopDaemon(control, daemonPid, "");

@@ -1,238 +1,147 @@
-// bench_diff — throughput- and quality-regression gate over bench_json
-// record files (ROADMAP item 5 seed).
+// bench_diff — regression gate over bench record files (util/flat_records.h).
 //
 // Compares a committed baseline (BENCH_baseline.json at the repo root)
-// against freshly captured --smoke records along two axes:
+// against freshly captured --smoke rows, key by key: (tool, layer, metric,
+// backend, circuit, budget).  Rows sharing a key are repeated samples, and
+// each key is gated in its own better direction by its tier:
 //
-//   throughput  sweeps/seconds of the aggregated records of a pair — the
-//               bench_decode rows carry decode/move counts in `sweeps`,
-//               the als_place smoke rows carry SA sweep counts; both
-//               divide by their wall clock into an operations-per-second
-//               rate.  FAILs when a backend x circuit pair lost more than
-//               --tol percent.
-//   quality     the best (minimum) `cost` of a pair's records.  The smoke
-//               budgets are fixed sweep counts, so baseline and current
-//               run at EQUAL budget and a deterministic engine makes the
-//               comparison exact; a pair whose best cost worsened by more
-//               than --quality-tol percent FAILs.  Pairs where either side
-//               has no cost-bearing record (cost 0 throughout — pure
-//               timing or metric rows) are skipped.
+//   exact  pure functions of circuit, options, seed and budget (costs,
+//          counts, area usage): the current median FAILs when it is worse
+//          than the baseline median by any amount.
+//   tight  timing ratios measured inside one process, and
+//   loose  absolute rates and latencies: the current run's best sample
+//          FAILs when it is worse than the baseline median by more than
+//          the quartile spread (q3 - q1, as alsbench/steady.py reads it)
+//          of the baseline's own samples of that key.  A timed key with
+//          one sample on either side (no spread, or no best of several)
+//          is reported, not gated.
 //
-// Pairs without timing (seconds or sweeps of 0, e.g. a pure determinism
-// row) are compared for presence only, so the gate also catches silently
-// dropped coverage.
+// The current side of a timed key is read at its best sample: interference
+// from other load on the host only ever slows a run, so the best capture
+// is the one that shows what the code can still do.
+//
+// A baseline key missing from the current run FAILs (lost coverage); a
+// current key the baseline lacks is counted as new.
 //
 //   bench_diff BENCH_baseline.json current.json [more.json ...]
-//              [--tol 15] [--quality-tol 5] [--min-seconds 0.05]
-//   bench_diff --merge BENCH_baseline.json decode.json place.json
+//   bench_diff --merge BENCH_baseline.json capture.json [more.json ...]
+//
+// --merge writes every input's rows into one file, keeping one copy of an
+// exact row that repeats with the same value; that is how
+// BENCH_baseline.json is captured from k runs of each timed tool.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
-#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/flat_records.h"
 
 namespace {
 
-using als::FlatRecord;
+using namespace als;
 
-bool loadRecords(const char* path, std::vector<FlatRecord>* out,
-                 std::string* raw = nullptr) {
-  std::string error;
-  if (!als::loadFlatRecords(path, *out, error, raw)) {
-    std::fprintf(stderr, "bench_diff: %s\n", error.c_str());
-    return false;
+bool load(char** first, char** last, std::vector<BenchRecord>* rows) {
+  for (; first != last; ++first) {
+    std::string error;
+    if (!loadFlatRecords(*first, *rows, error)) {
+      std::fprintf(stderr, "bench_diff: %s\n", error.c_str());
+      return false;
+    }
   }
   return true;
 }
 
-/// Aggregate of one backend x circuit pair: total operations (the records'
-/// `sweeps`) over total wall clock, and the best cost any record achieved.
-/// Summing ops/seconds first keeps the merge of bench_decode and als_place
-/// rows for the same pair well-defined; taking the min cost makes the
-/// quality number independent of how many captures were folded in.
-struct PairStats {
-  double ops = 0.0;
-  double seconds = 0.0;
-  double bestCost = std::numeric_limits<double>::infinity();
-  std::size_t records = 0;
-
-  bool timed() const { return ops > 0.0 && seconds > 0.0; }
-  double opsPerSec() const { return timed() ? ops / seconds : 0.0; }
-  bool costed() const {
-    return bestCost < std::numeric_limits<double>::infinity();
-  }
-};
-
-std::map<std::string, PairStats> aggregate(const std::vector<FlatRecord>& recs) {
-  std::map<std::string, PairStats> out;
-  for (const FlatRecord& r : recs) {
-    auto backend = r.strings.find("backend");
-    auto circuit = r.strings.find("circuit");
-    if (backend == r.strings.end() || circuit == r.strings.end()) continue;
-    PairStats& s = out[backend->second + " x " + circuit->second];
-    s.ops += r.number("sweeps");
-    s.seconds += r.number("seconds");
-    double cost = r.number("cost");
-    if (cost > 0.0 && cost < s.bestCost) s.bestCost = cost;
-    ++s.records;
-  }
-  return out;
-}
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: bench_diff <baseline.json> <current.json> [more.json ...] "
-               "[--tol <pct>] [--quality-tol <pct>] [--min-seconds <s>]\n"
-               "       bench_diff --merge <out.json> <in.json> [more.json ...]\n"
-               "--tol gates ops/sec (default 15), --quality-tol gates the best "
-               "cost at the shared smoke budget (default 5; deterministic "
-               "engines make this exact); pairs whose aggregated wall clock is "
-               "under --min-seconds (default 0.05) on either side are throughput-"
-               "compared for presence only: a rate measured over a few "
-               "milliseconds is timer noise, not signal\n");
-  return 2;
-}
-
-/// --merge: concatenate record arrays verbatim into one file (how
-/// BENCH_baseline.json is captured from the per-tool --json outputs —
-/// including the quality-bearing serve rows from als_replay).
 int merge(int argc, char** argv) {
-  if (argc < 4) return usage();
-  std::vector<FlatRecord> all;
-  std::vector<std::string> raws;
-  for (int i = 3; i < argc; ++i) {
-    std::vector<FlatRecord> recs;
-    std::string raw;
-    if (!loadRecords(argv[i], &recs, &raw)) return 2;
-    raws.push_back(std::move(raw));
-    for (auto& r : recs) all.push_back(std::move(r));
+  std::vector<BenchRecord> all, kept;
+  if (!load(argv + 3, argv + argc, &all)) return 2;
+  std::set<std::pair<std::string, double>> exact;
+  for (BenchRecord& row : all) {
+    if (tierOf(row) != Tier::Exact ||
+        exact.emplace(rowKey(row), row.value).second) {
+      kept.push_back(std::move(row));
+    }
   }
-  std::string out = "[\n";
-  bool first = true;
-  for (const std::string& raw : raws) {
-    // Re-emit each input's record lines between its outermost brackets; the
-    // writer's one-record-per-line format makes this splice exact.
-    std::size_t lo = raw.find('['), hi = raw.rfind(']');
-    if (lo == std::string::npos || hi == std::string::npos || hi <= lo) continue;
-    std::string body = raw.substr(lo + 1, hi - lo - 1);
-    std::size_t a = body.find_first_not_of(" \t\n");
-    std::size_t b = body.find_last_not_of(" \t\n");
-    if (a == std::string::npos) continue;
-    if (!first) out += ",\n";
-    first = false;
-    out += "  " + body.substr(a, b - a + 1);
-  }
-  out += "\n]\n";
-  std::FILE* f = std::fopen(argv[2], "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_diff: cannot open '%s' for writing\n", argv[2]);
+  std::string error;
+  if (!writeFlatRecords(argv[2], kept, error)) {
+    std::fprintf(stderr, "bench_diff: %s\n", error.c_str());
     return 2;
   }
-  bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) return 2;
-  std::printf("bench_diff: merged %zu record(s) into %s\n", all.size(), argv[2]);
+  std::printf("bench_diff: merged %zu row(s) into %s\n", kept.size(), argv[2]);
   return 0;
 }
 
-bool parsePct(const char* s, double* out, double hi) {
-  char* end = nullptr;
-  double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || !(v >= 0.0) || v >= hi) return false;
-  *out = v;
-  return true;
+/// Share by which `now` is worse than `base` (negative = better).
+double worse(const BenchRecord& row, double base, double now) {
+  const double delta = base != 0.0 ? (now - base) / std::abs(base)
+                                   : (now > base) - (now < base);
+  return row.better == "lower" ? delta : -delta;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--merge") == 0) return merge(argc, argv);
-
-  double tolPct = 15.0;
-  double qualityTolPct = 5.0;
-  double minSeconds = 0.05;
-  const char* baselinePath = nullptr;
-  std::vector<const char*> currentPaths;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tol") == 0) {
-      if (i + 1 >= argc || !parsePct(argv[++i], &tolPct, 100.0)) return usage();
-    } else if (std::strcmp(argv[i], "--quality-tol") == 0) {
-      // Quality tolerance may exceed 100%: cost is an absolute objective
-      // value, not a rate, and a knowingly-noisy scenario may want slack.
-      if (i + 1 >= argc || !parsePct(argv[++i], &qualityTolPct, 1e6)) {
-        return usage();
-      }
-    } else if (std::strcmp(argv[i], "--min-seconds") == 0) {
-      if (i + 1 >= argc || !parsePct(argv[++i], &minSeconds, 1e9)) {
-        return usage();
-      }
-    } else if (baselinePath == nullptr) {
-      baselinePath = argv[i];
-    } else {
-      currentPaths.push_back(argv[i]);
-    }
+  if (argc >= 4 && std::strcmp(argv[1], "--merge") == 0) return merge(argc, argv);
+  if (argc < 3 || argv[1][0] == '-') {
+    std::fprintf(stderr,
+                 "usage: bench_diff <baseline.json> <current.json> [more.json ...]\n"
+                 "       bench_diff --merge <out.json> <in.json> [more.json ...]\n");
+    return 2;
   }
-  if (baselinePath == nullptr || currentPaths.empty()) return usage();
-
-  std::vector<FlatRecord> baseRecs, currRecs;
-  if (!loadRecords(baselinePath, &baseRecs)) return 2;
-  for (const char* path : currentPaths) {
-    if (!loadRecords(path, &currRecs)) return 2;
+  std::vector<BenchRecord> baseRows, currRows;
+  if (!load(argv + 1, argv + 2, &baseRows) ||
+      !load(argv + 2, argv + argc, &currRows)) {
+    return 2;
   }
-  std::map<std::string, PairStats> base = aggregate(baseRecs);
-  std::map<std::string, PairStats> curr = aggregate(currRecs);
+  const auto base = groupRows(baseRows);
+  const auto curr = groupRows(currRows);
 
   int failures = 0;
-  std::size_t compared = 0, presenceOnly = 0, qualityCompared = 0;
+  std::size_t exact = 0, spread = 0, reported = 0;
   for (const auto& [key, b] : base) {
     auto it = curr.find(key);
     if (it == curr.end()) {
-      std::fprintf(stderr, "bench_diff: FAIL %s: present in baseline, missing "
-                           "from current run (coverage regression)\n",
-                   key.c_str());
+      std::fprintf(stderr, "bench_diff: FAIL %s: in the baseline, missing "
+                           "from the current run\n", key.c_str());
       ++failures;
       continue;
     }
-    const PairStats& c = it->second;
-
-    // Quality: best cost at the shared smoke budget.  Only meaningful when
-    // both sides carry cost-bearing records.
-    if (b.costed() && c.costed()) {
-      ++qualityCompared;
-      double ceiling = b.bestCost * (1.0 + qualityTolPct / 100.0);
-      if (c.bestCost > ceiling) {
-        std::fprintf(stderr,
-                     "bench_diff: FAIL %s: best cost %.6g vs baseline %.6g "
-                     "(+%.2f%%, quality tolerance %.1f%%)\n",
-                     key.c_str(), c.bestCost, b.bestCost,
-                     100.0 * (c.bestCost / b.bestCost - 1.0), qualityTolPct);
-        ++failures;
-      }
-    }
-
-    if (!b.timed() || !c.timed() || b.seconds < minSeconds ||
-        c.seconds < minSeconds) {
-      ++presenceOnly;
+    const Tier tier = tierOf(b.row);
+    const std::vector<double>& samples = it->second.values;
+    const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+    const double was = b.median();
+    const double now = tier == Tier::Exact         ? it->second.median()
+                       : b.row.better == "higher" ? *hi
+                                                  : *lo;
+    const double change = worse(b.row, was, now);
+    const double bound = was != 0.0 ? b.quartileSpread() / std::abs(was) : 0.0;
+    if (tier != Tier::Exact && (b.values.size() < 2 || samples.size() < 2)) {
+      ++reported;
+      std::printf("bench_diff: report %s: %.6g vs %.6g %s (%+.1f%% worse), "
+                  "%zu vs %zu sample(s)\n",
+                  key.c_str(), now, was, b.row.unit.c_str(), 100.0 * change,
+                  samples.size(), b.values.size());
       continue;
     }
-    ++compared;
-    double floor = b.opsPerSec() * (1.0 - tolPct / 100.0);
-    if (c.opsPerSec() < floor) {
+    ++(tier == Tier::Exact ? exact : spread);
+    if (tier == Tier::Exact ? change > 0.0 : change > bound) {
       std::fprintf(stderr,
-                   "bench_diff: FAIL %s: %.0f ops/s vs baseline %.0f ops/s "
-                   "(-%.1f%%, tolerance %.0f%%)\n",
-                   key.c_str(), c.opsPerSec(), b.opsPerSec(),
-                   100.0 * (1.0 - c.opsPerSec() / b.opsPerSec()), tolPct);
+                   "bench_diff: FAIL %s: %.17g vs baseline %.17g %s (%s, %.4f%% "
+                   "worse; bound %.4f%% from %zu baseline sample(s))\n",
+                   key.c_str(), now, was, b.row.unit.c_str(), tierName(tier),
+                   100.0 * change, 100.0 * bound, b.values.size());
       ++failures;
     }
   }
-  std::printf("bench_diff: %zu pair(s) compared at %.0f%% tolerance, %zu "
-              "quality-compared at %.1f%%, %zu presence-only, %d failure(s)\n",
-              compared, tolPct, qualityCompared, qualityTolPct, presenceOnly,
-              failures);
+  std::size_t fresh = 0;
+  for (const auto& entry : curr) fresh += base.count(entry.first) == 0;
+  std::printf("bench_diff: %zu exact key(s) gated at zero, %zu timed key(s) "
+              "gated by their baseline spread, %zu timed key(s) with one "
+              "sample on a side reported, not gated, %zu new key(s), %d "
+              "failure(s)\n",
+              exact, spread, reported, fresh, failures);
   return failures == 0 ? 0 : 1;
 }

@@ -9,15 +9,15 @@
 //   ...generated markdown table...
 //   <!-- END readme_tables:<name> -->
 //
-// Two tables are generated from the baseline's aggregated ops/sec rates
-// (sum of `sweeps` over sum of `seconds` per backend x circuit pair, the
-// same aggregation bench_diff gates):
+// Two tables are generated from the medians of the baseline's bench_decode
+// rows (the samples bench_diff gates):
 //
-//   decode    map-contour vs flat-contour packing rate per MCNC circuit
-//             (the `decode-map` / `decode-flat` rows)
-//   scaling   end-to-end move rate of the flat B*-tree, slicing and
-//             sequence-pair backends up to n300 (the `flat-full`/
-//             `slicing-memo`/`seqpair-full` rows)
+//   decode    map-contour vs flat-contour decode rate per MCNC circuit and
+//             their in-process ratio (the decode layer's `decodes_per_s`
+//             and `flat_over_map` rows)
+//   scaling   move rate of the flat B*-tree, slicing, sequence-pair and
+//             HB*-tree move loops up to n300 (the move-loop layer's
+//             `moves_per_s` rows)
 //
 // Default mode rewrites README.md in place; --check (the CI leg) exits
 // nonzero if the committed tables differ from what the baseline says,
@@ -27,6 +27,8 @@
 //   readme_tables [--baseline BENCH_baseline.json] [--readme README.md]
 //                 [--check]
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,35 +50,27 @@ int usage() {
   return 2;
 }
 
-/// ops/sec of one backend x circuit pair, aggregated like bench_diff.
-struct Rate {
-  double ops = 0.0;
-  double seconds = 0.0;
-  double perSec() const { return seconds > 0.0 ? ops / seconds : 0.0; }
+/// Median of every bench_decode row, keyed "layer metric backend circuit";
+/// a missing row reads 0.
+struct Medians {
+  std::map<std::string, double> rows;
+
+  explicit Medians(const std::vector<BenchRecord>& records) {
+    for (const auto& [key, s] : groupRows(records)) {
+      if (s.row.tool != "bench_decode") continue;
+      rows[s.row.layer + " " + s.row.metric + " " + s.row.backend + " " +
+           s.row.circuit] = s.median();
+    }
+  }
+  double at(const std::string& series, const std::string& circuit) const {
+    auto it = rows.find(series + " " + circuit);
+    return it == rows.end() ? 0.0 : it->second;
+  }
 };
 
-std::map<std::string, Rate> rates(const std::vector<FlatRecord>& recs) {
-  std::map<std::string, Rate> out;
-  for (const FlatRecord& r : recs) {
-    auto backend = r.strings.find("backend");
-    auto circuit = r.strings.find("circuit");
-    if (backend == r.strings.end() || circuit == r.strings.end()) continue;
-    Rate& rate = out[backend->second + " x " + circuit->second];
-    rate.ops += r.number("sweeps");
-    rate.seconds += r.number("seconds");
-  }
-  return out;
-}
-
-std::string fmtK(double perSec, int decimals) {
+std::string fmt(double v, int decimals, const char* suffix) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.*fk", decimals, perSec / 1e3);
-  return buf;
-}
-
-std::string fmtX(double ratio, int decimals) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.*fx", decimals, ratio);
+  std::snprintf(buf, sizeof buf, "%.*f%s", decimals, v, suffix);
   return buf;
 }
 
@@ -87,41 +81,39 @@ std::size_t blockCount(const std::string& circuit) {
 }
 
 /// | circuit | blocks | map contour | flat contour | speedup |
-std::string decodeTable(const std::map<std::string, Rate>& pairs) {
+std::string decodeTable(const Medians& m) {
   std::string out =
       "| circuit | blocks | map contour | flat contour | speedup |\n"
       "|---|---|---|---|---|\n";
   for (const char* circuit : {"apte", "xerox", "hp", "ami33", "ami49"}) {
-    auto mapIt = pairs.find("decode-map x " + std::string(circuit));
-    auto flatIt = pairs.find("decode-flat x " + std::string(circuit));
-    if (mapIt == pairs.end() || flatIt == pairs.end()) continue;
-    double mapRate = mapIt->second.perSec();
-    double flatRate = flatIt->second.perSec();
+    double mapRate = m.at("decode decodes_per_s decode-map", circuit);
+    double flatRate = m.at("decode decodes_per_s decode-flat", circuit);
+    if (mapRate == 0.0 || flatRate == 0.0) continue;
     out += "| " + std::string(circuit) + " | " +
-           std::to_string(blockCount(circuit)) + " | " + fmtK(mapRate, 0) +
-           "/s | " + fmtK(flatRate, 0) + "/s | " +
-           fmtX(mapRate > 0.0 ? flatRate / mapRate : 0.0, 1) + " |\n";
+           std::to_string(blockCount(circuit)) + " | " +
+           fmt(mapRate / 1e3, 0, "k/s") + " | " + fmt(flatRate / 1e3, 0, "k/s") +
+           " | " + fmt(m.at("decode flat_over_map decode-flat", circuit), 1, "x") +
+           " |\n";
   }
   return out;
 }
 
-/// | circuit | blocks | flat | slicing | seqpair |
-std::string scalingTable(const std::map<std::string, Rate>& pairs) {
+/// | circuit | blocks | flat | slicing | seqpair | hbstar |
+std::string scalingTable(const Medians& m) {
   std::string out =
-      "| circuit | blocks | flat | slicing | seqpair |\n"
-      "|---|---|---|---|---|\n";
+      "| circuit | blocks | flat | slicing | seqpair | hbstar |\n"
+      "|---|---|---|---|---|---|\n";
   for (const char* circuit :
        {"apte", "ami33", "ami49", "n100", "n200", "n300"}) {
-    auto cell = [&](const char* backend) {
-      auto it = pairs.find(std::string(backend) + " x " + circuit);
-      return it == pairs.end() ? 0.0 : it->second.perSec();
-    };
-    double flat = cell("flat-full"), slicing = cell("slicing-memo");
-    double seqpair = cell("seqpair-full");
-    if (flat == 0.0 && seqpair == 0.0) continue;
-    out += "| " + std::string(circuit) + " | " +
-           std::to_string(blockCount(circuit)) + " | " + fmtK(flat, 1) +
-           " | " + fmtK(slicing, 1) + " | " + fmtK(seqpair, 1) + " |\n";
+    std::string row = "| " + std::string(circuit) + " | " +
+                      std::to_string(blockCount(circuit)) + " |";
+    double any = 0.0;
+    for (const char* backend : {"flat-bstar", "slicing", "seqpair", "hbstar"}) {
+      double rate = m.at(std::string("move-loop moves_per_s ") + backend, circuit);
+      row += " " + fmt(rate / 1e3, 1, "k") + " |";
+      any += rate;
+    }
+    if (any > 0.0) out += row + "\n";
   }
   return out;
 }
@@ -160,30 +152,26 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<FlatRecord> recs;
+  std::vector<BenchRecord> recs;
   std::string error;
   if (!loadFlatRecords(baselinePath, recs, error)) {
     std::fprintf(stderr, "readme_tables: %s\n", error.c_str());
     return 2;
   }
-  std::map<std::string, Rate> pairs = rates(recs);
+  const Medians medians(recs);
 
-  std::FILE* f = std::fopen(readmePath.c_str(), "r");
-  if (f == nullptr) {
+  std::ifstream in(readmePath);
+  if (!in) {
     std::fprintf(stderr, "readme_tables: cannot open '%s'\n",
                  readmePath.c_str());
     return 2;
   }
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-  std::fclose(f);
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
 
   std::string updated = text;
   for (const auto& [name, table] :
-       {std::pair<std::string, std::string>{"decode", decodeTable(pairs)},
-        {"scaling", scalingTable(pairs)}}) {
+       {std::pair<std::string, std::string>{"decode", decodeTable(medians)},
+        {"scaling", scalingTable(medians)}}) {
     if (!splice(updated, name, table)) {
       std::fprintf(stderr,
                    "readme_tables: %s: fenced block 'readme_tables:%s' "
@@ -205,17 +193,9 @@ int main(int argc, char** argv) {
                  readmePath.c_str(), baselinePath.c_str());
     return 1;
   }
-  std::FILE* out = std::fopen(readmePath.c_str(), "w");
-  if (out == nullptr) {
+  std::ofstream out(readmePath, std::ios::trunc);
+  if (!(out << updated) || !out.flush()) {
     std::fprintf(stderr, "readme_tables: cannot write '%s'\n",
-                 readmePath.c_str());
-    return 2;
-  }
-  bool ok = std::fwrite(updated.data(), 1, updated.size(), out) ==
-            updated.size();
-  ok = std::fclose(out) == 0 && ok;
-  if (!ok) {
-    std::fprintf(stderr, "readme_tables: short write to '%s'\n",
                  readmePath.c_str());
     return 2;
   }
