@@ -28,9 +28,18 @@
 // per move), the slicing SA (memoised Polish evaluation), the sequence-pair
 // SA (full LCS sweeps, cached symmetry islands) and the HB*-tree SA
 // (stamped per-node repacks).  Its rows are the move-loop layer's, under
-// the engine names at the scaling budget.
+// the engine names at the scaling budget, plus:
+//   * the slicing evaluator's exact work counts (`curves_rebuilt`,
+//     `slots_placed`, read from a caller-owned scratch), so a change that
+//     re-walks the whole tree fails on a count, not on a noisy rate;
+//   * `slicing_over_flat`, the median time ratio of the slicing and flat
+//     B*-tree move loops timed alternately, run by run, in this process:
+//     host phases move both sides of a pair alike, so the ratio spreads
+//     less than either raw rate.
 //
 // Flags: --json <path>, --smoke (small fixed counts for CI), --scaling.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -128,6 +137,10 @@ std::string rateK(std::size_t moves, double seconds) {
   return Table::fmt(movesPerSec(moves, seconds) / 1e3, 1) + "k";
 }
 
+/// Alternating slicing / flat B*-tree run pairs behind each
+/// `slicing_over_flat` row (odd, so the median is one pair's ratio).
+constexpr std::size_t kRatioPairs = 9;
+
 /// --scaling: the move rates of the flat B*-tree, slicing, sequence-pair
 /// and HB*-tree backends across the corpus size axis.
 void runScaling(BenchIo& io) {
@@ -135,20 +148,40 @@ void runScaling(BenchIo& io) {
   const CorpusCircuit circuits[] = {CorpusCircuit::Apte, CorpusCircuit::Ami33,
                                     CorpusCircuit::Ami49, CorpusCircuit::N100,
                                     CorpusCircuit::N200, CorpusCircuit::N300};
-  Table t({"circuit", "blocks", "flat", "slicing", "seqpair", "hbstar"});
+  Table t({"circuit", "blocks", "flat", "slicing", "seqpair", "hbstar",
+           "slicing/flat", "curves/move", "placed/move"});
   for (CorpusCircuit which : circuits) {
     const char* name = corpusName(which);
     Circuit c = loadCorpusCircuit(which);
 
+    // The flat and slicing move loops alternate, run by run; the first
+    // pair's runs give the raw rows.  Every run of one backend follows
+    // the same trajectory, so only the clock differs between them.
     FlatBStarOptions fo;
     fo.maxSweeps = sweeps;
     fo.seed = 1;
-    FlatBStarResult flat = placeFlatBStarSA(c, fo);
-
     SlicingPlacerOptions slo;
     slo.maxSweeps = sweeps;
     slo.seed = 1;
-    SlicingPlacerResult slicing = placeSlicingSA(c, slo);
+    FlatBStarResult flat;
+    SlicingPlacerResult slicing;
+    std::uint64_t curvesRebuilt = 0, slotsPlaced = 0;
+    std::vector<double> ratios;
+    for (std::size_t pair = 0; pair < kRatioPairs; ++pair) {
+      FlatBStarResult f = placeFlatBStarSA(c, fo);
+      SlicingScratch scratch;
+      slo.scratch = &scratch;
+      SlicingPlacerResult sl = placeSlicingSA(c, slo);
+      ratios.push_back(sl.seconds / f.seconds);
+      if (pair == 0) {
+        flat = f;
+        slicing = sl;
+        curvesRebuilt = scratch.curvesRebuilt;
+        slotsPlaced = scratch.slotsPlaced;
+      }
+    }
+    std::sort(ratios.begin(), ratios.end());
+    const double slicingOverFlat = ratios[ratios.size() / 2];
 
     SeqPairPlacerOptions so;
     so.maxSweeps = sweeps;
@@ -164,9 +197,20 @@ void runScaling(BenchIo& io) {
               rateK(flat.movesTried, flat.seconds),
               rateK(slicing.movesTried, slicing.seconds),
               rateK(sp.movesTried, sp.seconds),
-              rateK(hb.movesTried, hb.seconds)});
+              rateK(hb.movesTried, hb.seconds),
+              Table::fmt(slicingOverFlat, 2) + "x",
+              Table::fmt(static_cast<double>(curvesRebuilt) /
+                             static_cast<double>(slicing.movesTried), 1),
+              Table::fmt(static_cast<double>(slotsPlaced) /
+                             static_cast<double>(slicing.movesTried), 1)});
     io.addRun("move-loop", "flat-bstar", name, sweeps, flat);
     io.addRun("move-loop", "slicing", name, sweeps, slicing);
+    io.add("move-loop", "curves_rebuilt", "slicing", name, sweeps,
+           static_cast<double>(curvesRebuilt));
+    io.add("move-loop", "slots_placed", "slicing", name, sweeps,
+           static_cast<double>(slotsPlaced));
+    io.add("move-loop", "slicing_over_flat", "slicing", name, sweeps,
+           slicingOverFlat);
     io.addRun("move-loop", "seqpair", name, sweeps, sp);
     io.addRun("move-loop", "hbstar", name, sweeps, hb);
   }
@@ -176,8 +220,11 @@ void runScaling(BenchIo& io) {
               "rebuilding only the changed subtrees; seqpair = both LCS "
               "sweeps per move over cached symmetry islands; hbstar = "
               "repack of the perturbed HB*-tree node and its ancestors; "
-              "every move reduces the whole placement's cost\n",
-              sweeps);
+              "every move reduces the whole placement's cost; slicing/flat = "
+              "median time ratio of %zu alternating slicing and flat runs; "
+              "curves/move and placed/move = slicing curves rebuilt and "
+              "slots placed per move\n",
+              sweeps, kRatioPairs);
 }
 
 }  // namespace

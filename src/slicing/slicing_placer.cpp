@@ -48,9 +48,8 @@ const Placement* SlicingBackend::decode(const State& s) {
       h[m] = shape.h;
     }
   }
-  evaluatePolishInto(s.expr, w, h, rotatable, options.shapeCap, scr.eval,
-                     scr.result);
-  return &scr.result.placement;
+  return &evaluatePolish(s.expr, w, h, rotatable, options.shapeCap, scr)
+              .placement;
 }
 
 void SlicingBackend::move(State& s, Rng& rng) const {

@@ -20,11 +20,9 @@
 namespace als {
 
 /// Reusable decode buffers of one slicing SA run (optional; see
-/// bstar/flat_placer.h for the sharing contract).
-struct SlicingScratch {
-  PolishEvalScratch eval;
-  SlicedResult result;  ///< decoded placement of the current candidate
-};
+/// bstar/flat_placer.h for the sharing contract): the evaluator's scratch,
+/// whose `result` holds the decoded placement of the current candidate.
+using SlicingScratch = PolishEvalScratch;
 
 struct SlicingPlacerOptions {
   double wirelengthWeight = 0.25;
@@ -75,7 +73,7 @@ struct SlicingBackend {
   State initialState() const;
   /// Applies the state's chosen realizations to the dim buffers, then
   /// derives the best-area realization of the slicing tree; the pointer
-  /// aliases scr.result.placement.
+  /// aliases scr.result.placement, which the evaluator updates in place.
   const Placement* decode(const State& s);
   void move(State& s, Rng& rng) const;
   Result finish(AnnealResult<State> annealed);

@@ -28,6 +28,9 @@ constexpr MetricSpec kMetrics[] = {
     {"moves_per_s", "moves/s", "higher"},
     {"decodes_per_s", "decodes/s", "higher"},
     {"flat_over_map", "x", "higher"},       // decode rates, one process
+    {"slicing_over_flat", "x", "lower"},    // move-loop times, one process
+    {"curves_rebuilt", "count", "lower"},   // slicing evaluator work
+    {"slots_placed", "count", "lower"},     // slicing evaluator work
     {"warm_over_cold", "x", "higher"},      // serve latencies, one run
     {"latency_p50_ms", "ms", "lower"},
     {"latency_p95_ms", "ms", "lower"},

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,12 +26,17 @@ TEST(PolishExpr, InitialIsValid) {
 TEST(PolishExpr, ValidityRejectsBadExpressions) {
   PolishExpr good = PolishExpr::initial(3);
   EXPECT_TRUE(good.isValid());
-  // Craft invalid sequences through the string round-trip is not exposed;
-  // instead check the validator on hand-built expressions via initial +
-  // tampering is not possible from outside — rely on the property that
-  // perturb never leaves the valid set (below).
+  EXPECT_EQ(PolishExpr::fromElements(good.elements(), 3), good);
   PolishExpr empty;
   EXPECT_TRUE(empty.isValid());
+  constexpr std::int32_t V = PolishExpr::kOpV, H = PolishExpr::kOpH;
+  using Elems = std::vector<std::int32_t>;
+  EXPECT_FALSE(PolishExpr::fromElements(Elems{0, V, 1}, 2).isValid());     // ballot
+  EXPECT_FALSE(PolishExpr::fromElements(Elems{0, 1, 2, V, V}, 3).isValid());  // normal
+  EXPECT_FALSE(PolishExpr::fromElements(Elems{0, 0, V}, 2).isValid());     // reuse
+  EXPECT_FALSE(PolishExpr::fromElements(Elems{0, 2, V}, 2).isValid());     // range
+  EXPECT_FALSE(PolishExpr::fromElements(Elems{0, 1}, 2).isValid());        // count
+  EXPECT_TRUE(PolishExpr::fromElements(Elems{0, 1, 2, V, H}, 3).isValid());
 }
 
 TEST(PolishExpr, PerturbationsStayValid) {
@@ -39,6 +46,33 @@ TEST(PolishExpr, PerturbationsStayValid) {
     e.perturb(rng);
     ASSERT_TRUE(e.isValid()) << "step " << step << ": " << e.toString();
   }
+}
+
+// The M3 move tests a swap from the operator count before it and the
+// operator's new neighbour, not by re-validating the whole expression.
+TEST(PolishExpr, LocalM3CheckMatchesIsValid) {
+  Rng rng(41);
+  std::size_t checked = 0, valid = 0;
+  for (std::size_t n = 2; n <= 64; ++n) {
+    PolishExpr e = PolishExpr::initial(n);
+    for (int round = 0; round < 12; ++round) {
+      for (std::size_t k = rng.index(4 * n); k > 0; --k) e.perturb(rng);
+      const std::vector<std::int32_t>& elems = e.elements();
+      for (std::size_t i = 0; i + 1 < elems.size(); ++i) {
+        if ((elems[i] >= 0) == (elems[i + 1] >= 0)) continue;
+        std::vector<std::int32_t> swapped = elems;
+        std::swap(swapped[i], swapped[i + 1]);
+        const bool want = PolishExpr::fromElements(swapped, n).isValid();
+        ASSERT_EQ(e.operandOperatorSwapIsValid(i), want)
+            << "n=" << n << " i=" << i << ": " << e.toString();
+        ++checked;
+        valid += want;
+      }
+    }
+  }
+  // Both answers occur often.
+  EXPECT_GT(valid, checked / 10);
+  EXPECT_LT(valid, checked - checked / 10);
 }
 
 TEST(PolishExpr, ToStringRendering) {
@@ -124,10 +158,11 @@ std::vector<detail::PolishShape> rootCurve(const PolishExpr& e,
   PolishEvalScratch scratch;
   SlicedResult out;
   evaluatePolishInto(e, w, h, rot, 32, scratch, out);
-  return scratch.nodes[e.elements().size() - 1].shapes;
+  auto curve = scratch.curve(e.elements().size() - 1);
+  return {curve.begin(), curve.end()};
 }
 
-void expectCurve(const std::vector<detail::PolishShape>& got,
+void expectCurve(std::span<const detail::PolishShape> got,
                  const std::vector<detail::PolishShape>& want,
                  const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
@@ -166,7 +201,7 @@ TEST(EvaluatePolish, MergeHandlesEqualHeightAndWidthTies) {
   PolishEvalScratch scratch;
   SlicedResult out;
   evaluatePolishInto(hx, w3, h3, rot3, 32, scratch, out);
-  expectCurve(scratch.nodes[2].shapes, {{3, 20, 0, 0}, {10, 5, 1, 1}},
+  expectCurve(scratch.curve(2), {{3, 20, 0, 0}, {10, 5, 1, 1}},
               "H, equal widths");
   SlicedResult ref = test_util::referenceEvaluatePolish(hx, w3, h3, rot3, 32);
   EXPECT_EQ(out.placement.rects(), ref.placement.rects());
@@ -209,15 +244,9 @@ TEST(EvaluatePolish, MemoisedMatchesFreshAndReference) {
   SlicedResult got;
   Rng rng(29);
   std::size_t cappedDiffs = 0;
-  auto step = [&](Instance& in, std::size_t cap, const std::string& label) {
-    if (rng.index(8) == 0) {
-      std::size_t m = rng.index(in.w.size());
-      auto [w, h] = in.shapes[m][rng.index(3)];
-      in.w[m] = w;
-      in.h[m] = h;
-    } else {
-      in.expr.perturb(rng);
-    }
+  // Evaluates `in` on the warm scratch and checks it against a fresh
+  // scratch and the cross-product reference.
+  auto check = [&](const Instance& in, std::size_t cap, const std::string& label) {
     evaluatePolishInto(in.expr, in.w, in.h, in.rot, cap, warm, got);
     PolishEvalScratch cold;
     SlicedResult fresh;
@@ -233,8 +262,8 @@ TEST(EvaluatePolish, MemoisedMatchesFreshAndReference) {
     // The whole root curve, not only its min-area shape: a stale subtree
     // anywhere shows up here even when the chosen shape survives it.
     const std::size_t root = in.expr.elements().size() - 1;
-    const auto& warmCurve = warm.nodes[root].shapes;
-    const auto& coldCurve = cold.nodes[root].shapes;
+    const auto warmCurve = warm.curve(root);
+    const auto coldCurve = cold.curve(root);
     ASSERT_EQ(warmCurve.size(), coldCurve.size()) << label;
     for (std::size_t k = 0; k < warmCurve.size(); ++k) {
       ASSERT_EQ(warmCurve[k].w, coldCurve[k].w) << label << " shape " << k;
@@ -243,6 +272,19 @@ TEST(EvaluatePolish, MemoisedMatchesFreshAndReference) {
     if (got.area() != evaluatePolish(in.expr, in.w, in.h, in.rot, 0).area()) {
       ++cappedDiffs;
     }
+  };
+  auto redimension = [&](Instance& in, std::size_t m) {
+    auto [w, h] = in.shapes[m][rng.index(3)];
+    in.w[m] = w;
+    in.h[m] = h;
+  };
+  auto step = [&](Instance& in, std::size_t cap, const std::string& label) {
+    if (rng.index(8) == 0) {
+      redimension(in, rng.index(in.w.size()));
+    } else {
+      in.expr.perturb(rng);
+    }
+    check(in, cap, label);
   };
   // ~7/8 of the steps are Wong-Liu moves: over 2000 of them at n120.
   for (int i = 0; i < 2400; ++i) {
@@ -267,6 +309,106 @@ TEST(EvaluatePolish, MemoisedMatchesFreshAndReference) {
   for (int i = 0; i < 50; ++i) {
     step(big, 3, "n120 flipped rotation, step " + std::to_string(i));
     if (HasFatalFailure()) return;
+  }
+  // The evaluator restarts its curve pass at the first changed slot, so
+  // the next cases aim at its edges.  A change at slot 0 alone: the first
+  // leaf re-dimensioned, or its rotatability flipped.
+  const auto moduleAt = [](const Instance& in, std::size_t slot) {
+    return static_cast<std::size_t>(in.expr.elements()[slot]);
+  };
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t m = moduleAt(big, 0);
+    if (i % 2 == 0) {
+      redimension(big, m);
+    } else {
+      big.rot[m] = !big.rot[m];
+    }
+    check(big, 3, "slot 0 leaf, step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+    big.expr.perturb(rng);
+    check(big, 3, "after slot 0, step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  // A change at the root alone: its cut flipped, where the slot before it
+  // is an operand (so the flip keeps the expression normalized).
+  int rootFlips = 0;
+  for (int i = 0; i < 400 && rootFlips < 40; ++i) {
+    std::vector<std::int32_t> elems = big.expr.elements();
+    if (elems[elems.size() - 2] >= 0) {
+      std::int32_t& op = elems.back();
+      op = op == PolishExpr::kOpV ? PolishExpr::kOpH : PolishExpr::kOpV;
+      big.expr = PolishExpr::fromElements(std::move(elems), big.w.size());
+      ASSERT_TRUE(big.expr.isValid());
+      check(big, 3, "root flip " + std::to_string(rootFlips++));
+      if (HasFatalFailure()) return;
+    }
+    big.expr.perturb(rng);
+    check(big, 3, "before a root flip, step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(rootFlips, 40);
+  // A move together with a leaf re-dimensioned, or flipped, in the prefix
+  // the move left unchanged: the first changed slot is the leaf's.
+  int prefixLeaves = 0;
+  for (int i = 0; i < 400; ++i) {
+    const std::vector<std::int32_t> before = big.expr.elements();
+    big.expr.perturb(rng);
+    const std::vector<std::int32_t>& after = big.expr.elements();
+    const std::size_t first = static_cast<std::size_t>(
+        std::mismatch(before.begin(), before.end(), after.begin()).first -
+        before.begin());
+    std::size_t slot = first == 0 ? 0 : rng.index(first);
+    while (slot > 0 && after[slot] < 0) --slot;  // slot 0 is an operand
+    if (slot < first) ++prefixLeaves;
+    const std::size_t m = moduleAt(big, slot);
+    if (i % 2 == 0) {
+      redimension(big, m);
+    } else {
+      big.rot[m] = !big.rot[m];
+    }
+    check(big, i < 200 ? 3 : 32, "prefix leaf, step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(prefixLeaves, 300);
+  // Two circuits with equal module counts and other footprints, on one
+  // scratch in turn, over one expression stream and over two.
+  Instance twin = makeInstance(120);
+  for (int i = 0; i < 200; ++i) {
+    if (i < 100) {
+      big.expr.perturb(rng);
+      twin.expr = big.expr;
+    } else {
+      step(big, 32, "twin, own stream, n120 step " + std::to_string(i));
+      if (HasFatalFailure()) return;
+      twin.expr.perturb(rng);
+    }
+    check(big, 32, "twin, n120 step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+    check(twin, 32, "twin, other footprints, step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+  // The same expression twice: the second call rebuilds and places
+  // nothing, and returns the same result.
+  for (int i = 0; i < 20; ++i) {
+    step(big, 32, "repeat, step " + std::to_string(i));
+    if (HasFatalFailure()) return;
+    const SlicedResult first = got;
+    warm.curvesRebuilt = 0;
+    warm.slotsPlaced = 0;
+    check(big, 32, "repeat, again " + std::to_string(i));
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(warm.curvesRebuilt, 0u) << "repeat " << i;
+    EXPECT_EQ(warm.slotsPlaced, 0u) << "repeat " << i;
+    EXPECT_EQ(got.placement.rects(), first.placement.rects());
+    // An empty expression in between empties the scratch's placement, not
+    // its curves.
+    if (i % 5 == 4) {
+      evaluatePolishInto(PolishExpr{}, {}, {}, {}, 32, warm, got);
+      ASSERT_TRUE(got.placement.empty());
+      ASSERT_EQ(got.area(), 0);
+      check(big, 32, "after an empty expression, " + std::to_string(i));
+      if (HasFatalFailure()) return;
+    }
   }
   // The caps are live inputs: on some steps a capped evaluation picks
   // another shape than the uncapped one.
@@ -299,6 +441,31 @@ TEST(EvaluatePolish, MemoForgetsSlotsPastAShorterExpression) {
   EXPECT_EQ(got.height, ref.height);
 }
 
+// Thinning a curve to the cap keeps evenly spaced shapes plus the min-area
+// one, which may sort on either side of the middle pick it replaces: many
+// small circuits of long thin rotatable blocks (long curves) under caps
+// 2..12, each against the cross-product reference.
+TEST(EvaluatePolish, CapThinningMatchesReference) {
+  Rng rng(53);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n = 4 + rng.index(20);
+    std::vector<Coord> w, h;
+    for (std::size_t m = 0; m < n; ++m) {
+      w.push_back(1 + static_cast<Coord>(rng.index(40)));
+      h.push_back(1 + static_cast<Coord>(rng.index(6)));
+    }
+    const std::vector<bool> rot(n, true);
+    PolishExpr e = PolishExpr::initial(n);
+    for (std::size_t k = rng.index(60); k > 0; --k) e.perturb(rng);
+    const std::size_t cap = 2 + rng.index(11);
+    const SlicedResult got = evaluatePolish(e, w, h, rot, cap);
+    const SlicedResult ref = test_util::referenceEvaluatePolish(e, w, h, rot, cap);
+    ASSERT_EQ(got.placement.rects(), ref.placement.rects()) << "trial " << trial;
+    ASSERT_EQ(got.width, ref.width) << "trial " << trial;
+    ASSERT_EQ(got.height, ref.height) << "trial " << trial;
+  }
+}
+
 // A cap of one keeps each subtree's min-area shape alone (it used to divide
 // by zero while thinning the curve).
 TEST(EvaluatePolish, ShapeCapOneKeepsMinAreaShape) {
@@ -317,7 +484,7 @@ TEST(EvaluatePolish, ShapeCapOneKeepsMinAreaShape) {
   for (int step = 0; step < 200; ++step) {
     e.perturb(rng);
     evaluatePolishInto(e, w, h, rot, 1, scratch, r);
-    ASSERT_EQ(scratch.nodes[e.elements().size() - 1].shapes.size(), 1u);
+    ASSERT_EQ(scratch.curve(e.elements().size() - 1).size(), 1u);
     SlicedResult ref = test_util::referenceEvaluatePolish(e, w, h, rot, 1);
     ASSERT_EQ(r.placement.rects(), ref.placement.rects()) << "step " << step;
     ASSERT_EQ(r.area(), ref.area()) << "step " << step;

@@ -17,7 +17,8 @@
 //             and `flat_over_map` rows)
 //   scaling   move rate of the flat B*-tree, slicing, sequence-pair and
 //             HB*-tree move loops up to n300 (the move-loop layer's
-//             `moves_per_s` rows)
+//             `moves_per_s` rows), and the slicing over flat B*-tree time
+//             ratio of runs alternated in one process (`slicing_over_flat`)
 //
 // Default mode rewrites README.md in place; --check (the CI leg) exits
 // nonzero if the committed tables differ from what the baseline says,
@@ -98,11 +99,12 @@ std::string decodeTable(const Medians& m) {
   return out;
 }
 
-/// | circuit | blocks | flat | slicing | seqpair | hbstar |
+/// | circuit | blocks | flat | slicing | seqpair | hbstar | slicing time / flat |
 std::string scalingTable(const Medians& m) {
   std::string out =
-      "| circuit | blocks | flat | slicing | seqpair | hbstar |\n"
-      "|---|---|---|---|---|---|\n";
+      "| circuit | blocks | flat | slicing | seqpair | hbstar | "
+      "slicing time / flat |\n"
+      "|---|---|---|---|---|---|---|\n";
   for (const char* circuit :
        {"apte", "ami33", "ami49", "n100", "n200", "n300"}) {
     std::string row = "| " + std::string(circuit) + " | " +
@@ -113,6 +115,8 @@ std::string scalingTable(const Medians& m) {
       row += " " + fmt(rate / 1e3, 1, "k") + " |";
       any += rate;
     }
+    row += " " + fmt(m.at("move-loop slicing_over_flat slicing", circuit), 2, "x") +
+           " |";
     if (any > 0.0) out += row + "\n";
   }
   return out;
