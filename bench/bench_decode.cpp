@@ -21,7 +21,8 @@
 // JSON rows (--json): the decode layer's `decodes_per_s` per kernel
 // (backend "decode-map" / "decode-flat", budget = decodes) and their
 // in-process ratio `flat_over_map`; the engine layer's exact cost, hpwl,
-// area, moves and sweeps plus the timed `moves_per_s` of each backend run.
+// area, moves, accepted moves and sweeps plus the timed `moves_per_s` of
+// each backend run.
 //
 // A third experiment behind --scaling: the move loop across the size axis
 // (apte .. n300).  Per circuit it runs the flat B*-tree SA (full repack

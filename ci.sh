@@ -22,6 +22,13 @@ cmake -B build -S .
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
+echo "=== alsbench harness: build the frozen benchmark against this library ==="
+# alsbench/ is frozen and calls the library by name (grep -oh 'als::[A-Za-z_:]*'
+# alsbench/*).  Building it here catches a library rename that breaks the
+# harness, which otherwise shows only as a failed benchmark run.
+cmake -S alsbench -B build/alsbench
+cmake --build build/alsbench -j "$JOBS"
+
 echo "=== examples: run every Release example binary ==="
 # The walkthroughs in examples/ are the only non-test callers of several
 # one-shot placer and sizing entry points; each must run to completion

@@ -67,13 +67,32 @@ struct AnnealOptions {
   const CancelToken* cancel = nullptr;
 };
 
-template <class State>
-struct AnnealResult {
-  State best;
-  double bestCost = 0.0;
+/// The work counters of an annealing schedule, a pure function of (problem,
+/// options, seed); the base of every run record (anneal/run_record.h).
+struct RunCounters {
   std::size_t movesTried = 0;
+  /// Moves that passed the Metropolis test.  A zero delta always passes, so
+  /// a move that left the state unchanged counts as accepted.
   std::size_t movesAccepted = 0;
   std::size_t sweeps = 0;  ///< temperature steps actually executed
+
+  RunCounters& operator+=(const RunCounters& other) {
+    movesTried += other.movesTried;
+    movesAccepted += other.movesAccepted;
+    sweeps += other.sweeps;
+    return *this;
+  }
+  bool operator==(const RunCounters&) const = default;
+
+  /// The counters block of a derived record, compared or assigned whole.
+  RunCounters& counters() { return *this; }
+  const RunCounters& counters() const { return *this; }
+};
+
+template <class State>
+struct AnnealResult : RunCounters {
+  State best;
+  double bestCost = 0.0;
   double seconds = 0.0;
 };
 
@@ -237,11 +256,11 @@ class AnnealDriver {
         init_(init),
         // The first merge adopts the first run's best (which starts at
         // init); each run evaluates its own start state.
-        best_{init, std::numeric_limits<double>::infinity(), 0, 0, 0, 0.0},
+        best_{{}, init, std::numeric_limits<double>::infinity()},
         cur_(init),
         moveBuf_(init),
         probe_(init),
-        runResult_{init, 0.0, 0, 0, 0, 0.0},
+        runResult_{{}, init},
         seed_(options.seed),
         sweepCapped_(options.maxSweeps > 0),
         restarts_(restarts) {
@@ -366,9 +385,7 @@ class AnnealDriver {
     curCost_ = cost_(cur_);
     runResult_.best = cur_;
     runResult_.bestCost = curCost_;
-    runResult_.movesTried = 0;
-    runResult_.movesAccepted = 0;
-    runResult_.sweeps = 0;
+    runResult_.counters() = {};
 
     // Calibrate t0 so that `initialAcceptance` of sampled uphill moves
     // pass: a 50-move random walk that accepts everything and records the
@@ -396,9 +413,7 @@ class AnnealDriver {
   }
 
   void mergeRun() {
-    best_.movesTried += runResult_.movesTried;
-    best_.movesAccepted += runResult_.movesAccepted;
-    best_.sweeps += runResult_.sweeps;
+    best_ += runResult_;
     if (runResult_.bestCost < best_.bestCost) {
       best_.best = runResult_.best;
       best_.bestCost = runResult_.bestCost;

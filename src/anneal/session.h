@@ -14,14 +14,14 @@
 //
 // A policy `Backend` provides
 //
-//   using Options, Result, State;               // native option/result structs
+//   using Options, Result, State;               // native structs; Result is a RunRecord
 //   Backend(const Circuit&, const Options&);    // objective, scratch, move data
 //   const Circuit& circuit;
 //   CostModel model;                            // costs every decoded state
 //   State initialState();
 //   const Placement* decode(const State&);      // aliases the policy's scratch
 //   void move(State&, Rng&);                    // in-place perturbation
-//   Result finish(AnnealResult<State>);         // native result assembly
+//   Result finish(State best);                  // placement + extras only
 //   void reseed(State&, const Placement&);      // optional (see below)
 //
 // `reseed` is the cross-backend seeding seam: it rewrites a state from a
@@ -36,8 +36,10 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 
 #include "anneal/annealer.h"
+#include "anneal/run_record.h"
 #include "geom/placement.h"
 #include "netlist/circuit.h"
 #include "util/rng.h"
@@ -101,8 +103,14 @@ class AnnealSession {
   }
 
   /// Finalizes (running any leftover budget first) and assembles the
-  /// backend's native result.
-  Result finish() { return backend_.finish(driver_.finalize()); }
+  /// backend's native result: the backend decodes the best state and fills
+  /// its extras, and the one `stampRunRecord` fills the rest.
+  Result finish() {
+    AnnealResult<State> annealed = driver_.finalize();
+    Result result = backend_.finish(std::move(annealed.best));
+    stampRunRecord(result, annealed, backend_.circuit);
+    return result;
+  }
 
  private:
   struct Decode {

@@ -88,18 +88,12 @@ void FlatBStarBackend::reseed(State& s, const Placement& placement) {
   }
 }
 
-FlatBStarResult FlatBStarBackend::finish(AnnealResult<State> annealed) {
+FlatBStarResult FlatBStarBackend::finish(State best) {
   FlatBStarResult result;
-  result.placement = *decode(annealed.best);
+  result.placement = *decode(best);
   CostBreakdown breakdown = model.evaluateBreakdown(result.placement);
-  result.area = breakdown.area;
-  result.hpwl = breakdown.hpwl;
   result.symDeviation = breakdown.symDeviation;
   result.proximityViolations = breakdown.proximityViolations;
-  result.cost = annealed.bestCost;
-  result.movesTried = annealed.movesTried;
-  result.sweeps = annealed.sweeps;
-  result.seconds = annealed.seconds;
   return result;
 }
 

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "anneal/annealer.h"
+#include "anneal/run_record.h"
 #include "bstar/bstar_tree.h"
 #include "bstar/from_placement.h"
 #include "bstar/pack.h"
@@ -48,16 +48,9 @@ struct FlatBStarOptions {
   const CancelToken* cancel = nullptr;
 };
 
-struct FlatBStarResult {
-  Placement placement;
-  Coord area = 0;
-  Coord hpwl = 0;
+struct FlatBStarResult : RunRecord {
   Coord symDeviation = 0;    ///< residual mirror deviation (DBU; 0 = exact)
   int proximityViolations = 0;  ///< disconnected proximity groups
-  double cost = 0.0;
-  std::size_t movesTried = 0;
-  std::size_t sweeps = 0;    ///< SA temperature steps executed
-  double seconds = 0.0;
 };
 
 /// Stateless and re-entrant (engine/placement_engine.h thread-safety
@@ -88,7 +81,7 @@ struct FlatBStarBackend {
   /// dimensions.  Every state is feasible for this penalty-based backend,
   /// so any right-sized placement is adopted.
   void reseed(State& s, const Placement& placement);
-  Result finish(AnnealResult<State> annealed);
+  Result finish(State best);
 
   const Circuit& circuit;
   Options options;

@@ -375,17 +375,11 @@ const Placement* HBStarBackend::decode(const State& s) {
   return &scr.packed.placement;
 }
 
-HBPlacerResult HBStarBackend::finish(AnnealResult<State> annealed) {
+HBPlacerResult HBStarBackend::finish(State best) {
   HBPlacerResult result;
-  annealed.best.packInto(scr.pack, scr.packed);
+  best.packInto(scr.pack, scr.packed);
   result.placement = scr.packed.placement;
   result.axis2x = scr.packed.axis2x;
-  result.area = result.placement.boundingBox().area();
-  result.hpwl = totalHpwl(result.placement, circuit.netPins());
-  result.cost = annealed.bestCost;
-  result.movesTried = annealed.movesTried;
-  result.sweeps = annealed.sweeps;
-  result.seconds = annealed.seconds;
   return result;
 }
 

@@ -27,7 +27,7 @@
 #include <optional>
 #include <vector>
 
-#include "anneal/annealer.h"
+#include "anneal/run_record.h"
 #include "bstar/asf.h"
 #include "bstar/bstar_tree.h"
 #include "bstar/pack.h"
@@ -169,15 +169,8 @@ struct HBPlacerOptions {
   const CancelToken* cancel = nullptr;
 };
 
-struct HBPlacerResult {
-  Placement placement;
+struct HBPlacerResult : RunRecord {
   std::vector<Coord> axis2x;  ///< per circuit symmetry group
-  Coord area = 0;
-  Coord hpwl = 0;
-  double cost = 0.0;
-  std::size_t movesTried = 0;
-  std::size_t sweeps = 0;     ///< SA temperature steps executed
-  double seconds = 0.0;
 };
 
 /// Hierarchical SA placement; all hierarchy constraints hold by construction
@@ -209,7 +202,7 @@ struct HBStarBackend {
   /// scr.packed.placement.
   const Placement* decode(const State& s);
   void move(State& s, Rng& rng) const { s.perturb(rng); }
-  Result finish(AnnealResult<State> annealed);
+  Result finish(State best);
 
   const Circuit& circuit;
   Options options;

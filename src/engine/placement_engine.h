@@ -32,6 +32,7 @@
 #include <span>
 #include <string_view>
 
+#include "anneal/run_record.h"
 #include "geom/placement.h"
 #include "netlist/circuit.h"
 #include "util/cancel_token.h"
@@ -119,17 +120,9 @@ struct EngineOptions {
   const CancelToken* cancel = nullptr;
 };
 
-struct EngineResult {
-  Placement placement;
-  Coord area = 0;
-  Coord hpwl = 0;
-  double cost = 0.0;
-  std::size_t movesTried = 0;  ///< aggregate over all restarts
-  std::size_t sweeps = 0;      ///< SA temperature steps executed (aggregate)
-  double seconds = 0.0;        ///< wall clock of the whole run
-
-  // Per-restart accounting, filled by the runtime layer; a single session
-  // reports itself as one restart.
+/// The winning restart's run record, counters and seconds summed over all
+/// restarts, plus the restart accounting (a session reports one restart).
+struct EngineResult : RunRecord {
   std::size_t restartsRun = 1;   ///< restarts actually executed
   std::size_t bestRestart = 0;   ///< schedule index of the winning restart
   std::uint64_t bestSeed = 0;    ///< seed the winning restart annealed with

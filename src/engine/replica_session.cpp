@@ -74,17 +74,8 @@ class TypedReplica final : public ReplicaSession {
   }
 
   EngineResult finish() override {
-    auto r = session_.finish();
     EngineResult result;
-    result.placement = std::move(r.placement);
-    result.area = r.area;
-    result.hpwl = r.hpwl;
-    result.cost = r.cost;
-    result.movesTried = r.movesTried;
-    result.sweeps = r.sweeps;
-    result.seconds = r.seconds;
-    result.restartsRun = 1;
-    result.bestRestart = 0;
+    static_cast<RunRecord&>(result) = session_.finish();
     result.bestSeed = seed_;
     return result;
   }

@@ -56,10 +56,10 @@ class ReplicaSession {
   /// without one rect per module.
   virtual bool reseedFromPlacement(const Placement& placement) = 0;
 
-  /// Finalizes (running any leftover budget first) and assembles the result
-  /// from the backend's native one; `bestSeed` is the
-  /// session's constructing seed, `restartsRun`/`bestRestart` report one
-  /// restart (the runner overwrites the aggregate fields).
+  /// Finalizes (running any leftover budget first) and returns the run
+  /// record of the backend's native result (its extras dropped); `bestSeed`
+  /// is the session's constructing seed, `restartsRun`/`bestRestart` report
+  /// one restart (the runner overwrites the aggregate fields).
   virtual EngineResult finish() = 0;
 };
 

@@ -183,6 +183,8 @@ void writeResultText(EngineBackend backend, const EngineResult& result,
   appendSigned(out, result.hpwl);
   out += "\nMoves ";
   appendUnsigned(out, result.movesTried);
+  out += "\nAccepted ";
+  appendUnsigned(out, result.movesAccepted);
   out += "\nSweeps ";
   appendUnsigned(out, result.sweeps);
   out += "\nRestarts ";
@@ -231,32 +233,30 @@ std::string parseResultText(std::string_view text, EngineBackend& backend,
   if (nextToken(line) != "Backend" || !parseBackendName(nextToken(line), backend))
     return scanError(scanner, "expected Backend <name>");
 
-  auto field = [&](const char* keyword, auto& out) {
+  // One "<keyword> <n>" line; `keyword` names the last one tried.
+  const char* keyword = nullptr;
+  auto field = [&](const char* name, auto& out) {
     line = scanner.next();
-    return nextToken(line) == keyword && parseNumber(nextToken(line), out) &&
+    keyword = name;
+    return nextToken(line) == name && parseNumber(nextToken(line), out) &&
            line.empty();
   };
-  double cost = 0.0;
   {
     line = scanner.next();
-    if (nextToken(line) != "Cost" || !parseDouble(nextToken(line), cost) ||
-        !line.empty())
+    if (nextToken(line) != "Cost" ||
+        !parseDouble(nextToken(line), result.cost) || !line.empty())
       return scanError(scanner, "expected Cost <value>");
   }
-  std::int64_t area = 0, hpwl = 0;
-  std::uint64_t moves = 0, sweeps = 0, restarts = 0, bestRestart = 0,
-                bestSeed = 0, numRects = 0;
-  if (!field("Area", area)) return scanError(scanner, "expected Area <n>");
-  if (!field("Hpwl", hpwl)) return scanError(scanner, "expected Hpwl <n>");
-  if (!field("Moves", moves)) return scanError(scanner, "expected Moves <n>");
-  if (!field("Sweeps", sweeps))
-    return scanError(scanner, "expected Sweeps <n>");
-  if (!field("Restarts", restarts))
-    return scanError(scanner, "expected Restarts <n>");
-  if (!field("BestRestart", bestRestart))
-    return scanError(scanner, "expected BestRestart <n>");
-  if (!field("BestSeed", bestSeed))
-    return scanError(scanner, "expected BestSeed <n>");
+  if (!field("Area", result.area) || !field("Hpwl", result.hpwl) ||
+      !field("Moves", result.movesTried) ||
+      !field("Accepted", result.movesAccepted) ||
+      !field("Sweeps", result.sweeps) ||
+      !field("Restarts", result.restartsRun) ||
+      !field("BestRestart", result.bestRestart) ||
+      !field("BestSeed", result.bestSeed))
+    return scanError(scanner,
+                     (std::string("expected ") + keyword + " <n>").c_str());
+  std::uint64_t numRects = 0;
   if (!field("NumRects", numRects) || numRects > kMaxCount)
     return scanError(scanner, "expected NumRects <n>");
   // Each Rect line costs at least "Rect 0 0 1 1\n" bytes; a count the text
@@ -309,14 +309,6 @@ std::string parseResultText(std::string_view text, EngineBackend& backend,
   if (!scanner.next().empty())
     return scanError(scanner, "unexpected trailing content");
 
-  result.cost = cost;
-  result.area = area;
-  result.hpwl = hpwl;
-  result.movesTried = moves;
-  result.sweeps = sweeps;
-  result.restartsRun = restarts;
-  result.bestRestart = bestRestart;
-  result.bestSeed = bestSeed;
   result.seconds = 0.0;
   return {};
 }

@@ -163,6 +163,7 @@ bool parseBackendName(std::string_view name, EngineBackend& backend);
 //   Area <int64>
 //   Hpwl <int64>
 //   Moves <n>
+//   Accepted <n>
 //   Sweeps <n>
 //   Restarts <n>
 //   BestRestart <n>

@@ -98,9 +98,8 @@ class PlanRun {
       });
     }
     for (std::size_t i = 0; i < total_; ++i) {
+      out_.cells[i].counters() = results_[i];
       out_.cells[i].cost = results_[i].cost;
-      out_.cells[i].sweeps = results_[i].sweeps;
-      out_.cells[i].movesTried = results_[i].movesTried;
     }
     out_.results.reserve(groups_);
     for (std::size_t g = 0; g < groups_; ++g) {
@@ -289,16 +288,14 @@ std::size_t raceWinner(std::span<const EngineResult> results) {
 
 EngineResult reducePortfolioSlices(std::vector<EngineResult>&& slices) {
   const std::size_t winner = raceWinner(slices);
-  std::size_t movesTried = 0, sweeps = 0;
+  RunCounters counters;
   double seconds = 0.0;
   for (const EngineResult& slice : slices) {
-    movesTried += slice.movesTried;
-    sweeps += slice.sweeps;
+    counters += slice;
     seconds += slice.seconds;
   }
   EngineResult result = std::move(slices[winner]);
-  result.movesTried = movesTried;
-  result.sweeps = sweeps;
+  result.counters() = counters;
   result.seconds = seconds;
   result.restartsRun = slices.size();
   result.bestRestart = winner;  // slice position == schedule index

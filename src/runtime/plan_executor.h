@@ -110,7 +110,7 @@ EngineOptions sliceEngineOptions(const EngineOptions& base,
 std::size_t raceWinner(std::span<const EngineResult> results);
 
 /// Collapses one group's slices (in schedule order) into the aggregate
-/// result: `raceWinner`'s placement, summed moves/sweeps/seconds,
+/// result: `raceWinner`'s placement, summed counters and seconds,
 /// `bestRestart` = winner's schedule index.  Scanning in schedule order over
 /// an index-addressed array keeps the choice independent of which thread
 /// finished first (callers overwrite `seconds` with their wall clock).
@@ -161,13 +161,12 @@ struct TemperingScratch {
   std::vector<std::unique_ptr<PlaceScratch>> replicas;
 };
 
-/// Per-cell accounting of one plan.
-struct TemperingReplica {
+/// Per-cell accounting of one plan: the cell's run counters plus its place
+/// on the ladder.
+struct TemperingReplica : RunCounters {
   std::uint64_t seed = 0;    ///< slice seed (portfolio schedule)
   double tempScale = 1.0;    ///< ladder rung: t0 multiplier (1.0 off-ladder)
   double cost = 0.0;         ///< final best cost of this cell
-  std::size_t sweeps = 0;    ///< SA temperature steps executed
-  std::size_t movesTried = 0;
   std::size_t exchanges = 0; ///< accepted swaps this cell took part in
   std::size_t reseeds = 0;   ///< cross-backend seeds adopted
 };

@@ -62,7 +62,7 @@ class PortfolioRunner {
   explicit PortfolioRunner(ThreadPool* pool) : pool_(pool) {}
 
   /// Runs the restart portfolio of one backend; `result.placement` is the
-  /// winning slice's placement, moves/sweeps aggregate over all slices,
+  /// winning slice's placement, counters aggregate over all slices,
   /// `seconds` is the portfolio's wall clock.  Throws std::invalid_argument
   /// on a refused knob (engine/knobs.h).
   EngineResult run(const Circuit& circuit, EngineBackend backend,

@@ -42,7 +42,7 @@
 namespace als {
 
 /// Aggregate outcome; `result` follows the portfolio conventions
-/// (winning replica's placement, summed moves/sweeps, wall-clock seconds,
+/// (winning replica's placement, summed counters, wall-clock seconds,
 /// restartsRun = replica count, bestRestart = winning schedule index).
 struct TemperingOutcome {
   EngineResult result;

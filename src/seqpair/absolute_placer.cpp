@@ -126,15 +126,10 @@ AbsolutePlacerResult placeAbsoluteSA(const Circuit& circuit,
   AbsolutePlacerResult result;
   result.placement = Placement(annealed.best.rects);
   result.placement.normalize();
-  result.area = result.placement.boundingBox().area();
-  result.hpwl = totalHpwl(result.placement, nets);
   result.overlapArea = pairwiseOverlapArea(annealed.best.rects);
   result.symViolation = symmetryDeviation(annealed.best.rects, groups);
   result.feasible = result.overlapArea == 0 && result.symViolation == 0;
-  result.cost = annealed.bestCost;
-  result.movesTried = annealed.movesTried;
-  result.sweeps = annealed.sweeps;
-  result.seconds = annealed.seconds;
+  stampRunRecord(result, annealed, circuit);
   return result;
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "anneal/run_record.h"
 #include "geom/placement.h"
 #include "netlist/circuit.h"
 #include "util/cancel_token.h"
@@ -29,17 +30,10 @@ struct AbsolutePlacerOptions {
   const CancelToken* cancel = nullptr;  ///< checked per sweep (may be null)
 };
 
-struct AbsolutePlacerResult {
-  Placement placement;
-  Coord area = 0;          ///< bounding-box area
-  Coord hpwl = 0;
+struct AbsolutePlacerResult : RunRecord {
   Coord overlapArea = 0;   ///< residual pairwise overlap (0 when legal)
   Coord symViolation = 0;  ///< residual mirror deviation in DBU (0 = exact)
   bool feasible = false;   ///< overlap-free AND exactly symmetric
-  double cost = 0.0;
-  std::size_t movesTried = 0;
-  std::size_t sweeps = 0;  ///< SA temperature steps executed
-  double seconds = 0.0;
 };
 
 AbsolutePlacerResult placeAbsoluteSA(const Circuit& circuit,

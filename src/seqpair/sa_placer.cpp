@@ -90,28 +90,22 @@ void SeqPairBackend::reseed(State& s, const Placement& placement) {
   makeSymmetricFeasibleInPlace(s.sp, merged, symScratch);
 }
 
-SeqPairPlacerResult SeqPairBackend::finish(AnnealResult<State> annealed) {
+SeqPairPlacerResult SeqPairBackend::finish(State best) {
   const std::size_t n = circuit.moduleCount();
   SeqPairPlacerResult result;
   scr.w.resize(n);
   scr.h.resize(n);
   for (std::size_t m = 0; m < n; ++m) {
     const Module& mod = circuit.module(m);
-    scr.w[m] = annealed.best.rotated[m] ? mod.h : mod.w;
-    scr.h[m] = annealed.best.rotated[m] ? mod.w : mod.h;
+    scr.w[m] = best.rotated[m] ? mod.h : mod.w;
+    scr.h[m] = best.rotated[m] ? mod.w : mod.h;
   }
-  auto built = buildSymmetricPlacement(annealed.best.sp, scr.w, scr.h, groups);
+  auto built = buildSymmetricPlacement(best.sp, scr.w, scr.h, groups);
   if (built) {
     result.placement = std::move(built->placement);
     result.axis2x = std::move(built->axis2x);
   }
-  result.code = std::move(annealed.best.sp);
-  result.area = result.placement.boundingBox().area();
-  result.hpwl = totalHpwl(result.placement, circuit.netPins());
-  result.cost = annealed.bestCost;
-  result.movesTried = annealed.movesTried;
-  result.sweeps = annealed.sweeps;
-  result.seconds = annealed.seconds;
+  result.code = std::move(best.sp);
   return result;
 }
 

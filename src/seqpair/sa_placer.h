@@ -9,7 +9,7 @@
 #include <span>
 #include <vector>
 
-#include "anneal/annealer.h"
+#include "anneal/run_record.h"
 #include "cost/cost_model.h"
 #include "netlist/circuit.h"
 #include "seqpair/from_placement.h"
@@ -55,16 +55,9 @@ struct SeqPairPlacerOptions {
   const CancelToken* cancel = nullptr;
 };
 
-struct SeqPairPlacerResult {
-  Placement placement;
+struct SeqPairPlacerResult : RunRecord {
   std::vector<Coord> axis2x;  ///< per-group doubled symmetry axis
   SequencePair code;          ///< best encoding found
-  Coord area = 0;
-  Coord hpwl = 0;
-  double cost = 0.0;
-  std::size_t movesTried = 0;
-  std::size_t sweeps = 0;  ///< SA temperature steps executed
-  double seconds = 0.0;
 };
 
 /// Places `circuit` honoring all its symmetry groups exactly.
@@ -92,7 +85,7 @@ struct SeqPairBackend {
   /// rotations recovered from the rect dimensions (mirror partners forced
   /// consistent), then the symmetric-feasible invariant re-established.
   void reseed(State& s, const Placement& placement);
-  Result finish(AnnealResult<State> annealed);
+  Result finish(State best);
 
   const Circuit& circuit;
   std::span<const SymmetryGroup> groups;

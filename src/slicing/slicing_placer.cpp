@@ -62,20 +62,13 @@ void SlicingBackend::move(State& s, Rng& rng) const {
   s.expr.perturb(rng);
 }
 
-SlicingPlacerResult SlicingBackend::finish(AnnealResult<State> annealed) {
+SlicingPlacerResult SlicingBackend::finish(State best) {
   // Re-decode the winner through the shared scratch: the state was already
   // evaluated during the loop, so the warm buffers cover it allocation-free
   // (a fresh local scratch would allocate a best-state-dependent amount,
   // breaking the steady-state zero-alloc contract).
   SlicingPlacerResult result;
-  decode(annealed.best);
-  result.placement = scr.result.placement;
-  result.area = scr.result.area();
-  result.hpwl = totalHpwl(result.placement, circuit.netPins());
-  result.cost = annealed.bestCost;
-  result.movesTried = annealed.movesTried;
-  result.sweeps = annealed.sweeps;
-  result.seconds = annealed.seconds;
+  result.placement = *decode(best);
   return result;
 }
 

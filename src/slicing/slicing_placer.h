@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "anneal/annealer.h"
+#include "anneal/run_record.h"
 #include "cost/cost_model.h"
 #include "geom/placement.h"
 #include "netlist/circuit.h"
@@ -38,15 +38,8 @@ struct SlicingPlacerOptions {
   const CancelToken* cancel = nullptr;
 };
 
-struct SlicingPlacerResult {
-  Placement placement;
-  Coord area = 0;
-  Coord hpwl = 0;
-  double cost = 0.0;
-  std::size_t movesTried = 0;
-  std::size_t sweeps = 0;  ///< SA temperature steps executed
-  double seconds = 0.0;
-};
+/// The run record alone: slicing has no extras.
+struct SlicingPlacerResult : RunRecord {};
 
 /// Stateless and re-entrant (engine/placement_engine.h thread-safety
 /// contract): reads `circuit` only, owns its RNG via `options.seed`.
@@ -76,7 +69,7 @@ struct SlicingBackend {
   /// aliases scr.result.placement, which the evaluator updates in place.
   const Placement* decode(const State& s);
   void move(State& s, Rng& rng) const;
-  Result finish(AnnealResult<State> annealed);
+  Result finish(State best);
 
   const Circuit& circuit;
   Options options;

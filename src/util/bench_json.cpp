@@ -23,6 +23,7 @@ constexpr MetricSpec kMetrics[] = {
     {"sf_reduction", "fraction", "higher"}, // Lemma search-space reduction
     {"sf_codes", "count", "lower"},         // enumerated S-F sequence pairs
     {"moves", "count", "lower"},
+    {"moves_accepted", "count", "lower"},
     {"sweeps", "count", "lower"},
     {"seconds", "s", "lower"},
     {"moves_per_s", "moves/s", "higher"},

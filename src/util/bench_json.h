@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "anneal/run_record.h"
 #include "engine/placement_engine.h"
 #include "util/cancel_token.h"
 #include "util/flat_records.h"
@@ -60,17 +61,18 @@ class BenchIo {
            double value);
 
   /// Records one annealing run (an EngineResult or a native placer's
-  /// result): exact cost, hpwl, area, moves and sweeps rows, plus a timed
-  /// moves/s row when the run carries its wall clock.
-  template <class Result>
+  /// result): exact cost, hpwl, area, moves, moves_accepted and sweeps
+  /// rows, plus a timed moves/s row when the run carries its wall clock.
   void addRun(std::string_view layer, const std::string& backend,
               const std::string& circuit, std::size_t budget,
-              const Result& r) {
+              const RunRecord& r) {
     const double moves = static_cast<double>(r.movesTried);
     add(layer, "cost", backend, circuit, budget, r.cost);
     add(layer, "hpwl", backend, circuit, budget, static_cast<double>(r.hpwl));
     add(layer, "area", backend, circuit, budget, static_cast<double>(r.area));
     add(layer, "moves", backend, circuit, budget, moves);
+    add(layer, "moves_accepted", backend, circuit, budget,
+        static_cast<double>(r.movesAccepted));
     add(layer, "sweeps", backend, circuit, budget, static_cast<double>(r.sweeps));
     if (r.seconds > 0.0) {
       add(layer, "moves_per_s", backend, circuit, budget, moves / r.seconds);

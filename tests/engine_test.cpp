@@ -20,6 +20,7 @@
 #include "runtime/portfolio.h"
 #include "seqpair/sa_placer.h"
 #include "slicing/slicing_placer.h"
+#include "test_util.h"
 
 namespace als {
 namespace {
@@ -63,14 +64,7 @@ TEST(EngineRun, SameSeedGivesBitIdenticalPlacements) {
     const std::string_view name = backendName(backend);
     EngineResult a = PortfolioRunner().run(c, backend, opt);
     EngineResult b = PortfolioRunner().run(c, backend, opt);
-    EXPECT_EQ(a.area, b.area) << name;
-    EXPECT_EQ(a.hpwl, b.hpwl) << name;
-    EXPECT_EQ(a.movesTried, b.movesTried) << name;
-    EXPECT_EQ(a.sweeps, b.sweeps) << name;
-    ASSERT_EQ(a.placement.size(), b.placement.size()) << name;
-    for (std::size_t m = 0; m < a.placement.size(); ++m) {
-      EXPECT_EQ(a.placement[m], b.placement[m]) << name << " module " << m;
-    }
+    test_util::expectSameRun(a, b, name);
   }
 }
 
@@ -89,42 +83,20 @@ NativeOptions nativeKnobs(const EngineOptions& opt) {
 }
 
 /// The backend's one-shot place function called directly, its native result
-/// reduced to the fields EngineResult carries.
-EngineResult placeDirect(EngineBackend backend, const Circuit& c,
-                         const EngineOptions& opt) {
-  auto reduce = [](auto native) {
-    EngineResult r;
-    r.placement = std::move(native.placement);
-    r.area = native.area;
-    r.hpwl = native.hpwl;
-    r.cost = native.cost;
-    r.movesTried = native.movesTried;
-    r.sweeps = native.sweeps;
-    return r;
-  };
+/// sliced to the run record every result shares.
+RunRecord placeDirect(EngineBackend backend, const Circuit& c,
+                      const EngineOptions& opt) {
   switch (backend) {
     case EngineBackend::FlatBStar:
-      return reduce(placeFlatBStarSA(c, nativeKnobs<FlatBStarOptions>(opt)));
+      return placeFlatBStarSA(c, nativeKnobs<FlatBStarOptions>(opt));
     case EngineBackend::SeqPair:
-      return reduce(placeSeqPairSA(c, nativeKnobs<SeqPairPlacerOptions>(opt)));
+      return placeSeqPairSA(c, nativeKnobs<SeqPairPlacerOptions>(opt));
     case EngineBackend::Slicing:
-      return reduce(placeSlicingSA(c, nativeKnobs<SlicingPlacerOptions>(opt)));
+      return placeSlicingSA(c, nativeKnobs<SlicingPlacerOptions>(opt));
     case EngineBackend::HBStar:
-      return reduce(placeHBStarSA(c, nativeKnobs<HBPlacerOptions>(opt)));
+      return placeHBStarSA(c, nativeKnobs<HBPlacerOptions>(opt));
   }
   return {};
-}
-
-void expectSameRun(const EngineResult& a, const EngineResult& b) {
-  EXPECT_EQ(a.area, b.area);
-  EXPECT_EQ(a.hpwl, b.hpwl);
-  EXPECT_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.movesTried, b.movesTried);
-  EXPECT_EQ(a.sweeps, b.sweeps);
-  ASSERT_EQ(a.placement.size(), b.placement.size());
-  for (std::size_t m = 0; m < a.placement.size(); ++m) {
-    EXPECT_EQ(a.placement[m], b.placement[m]) << "module " << m;
-  }
 }
 
 TEST(EngineRun, OneRestartMatchesDirectBackendCall) {
@@ -139,8 +111,8 @@ TEST(EngineRun, OneRestartMatchesDirectBackendCall) {
   opt.coolingFactor = 0.95;
   for (EngineBackend backend : allBackends()) {
     SCOPED_TRACE(backendName(backend));
-    expectSameRun(PortfolioRunner().run(c, backend, opt),
-                  placeDirect(backend, c, opt));
+    test_util::expectSameRun(PortfolioRunner().run(c, backend, opt),
+                             placeDirect(backend, c, opt));
   }
 }
 
@@ -165,8 +137,7 @@ TEST(ReplicaSessionContract, RoundsThenFinishMatchFinishAtOnce) {
     }
     EXPECT_EQ(swept, 37u);
     EngineResult rounds = session->finish();
-    expectSameRun(rounds, atOnce);
-    EXPECT_EQ(rounds.bestSeed, atOnce.bestSeed);
+    test_util::expectSameRun(rounds, atOnce);
   }
 }
 

@@ -403,23 +403,29 @@ TEST(ResultTextFuzz, HostileCountsAndHeadersFailCleanly) {
       // Astronomically large NumRects must be rejected before any
       // allocation is sized from it.
       "ALSRESULT 1\nBackend seqpair\nCost 1\nArea 1\nHpwl 1\nMoves 1\n"
-      "Sweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\n"
+      "Accepted 1\nSweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\n"
       "NumRects 99999999999999999999\n",
       "ALSRESULT 1\nBackend seqpair\nCost 1\nArea 1\nHpwl 1\nMoves 1\n"
-      "Sweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\nNumRects 1000000\n",
+      "Accepted 1\nSweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\n"
+      "NumRects 1000000\n",
       "ALSRESULT 1\nBackend seqpair\nCost nan\nArea 1\nHpwl 1\nMoves 1\n"
-      "Sweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\nNumRects 0\nEND\n",
+      "Accepted 1\nSweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\n"
+      "NumRects 0\nEND\n",
       // Structurally complete but unsealed / badly sealed payloads.
       "ALSRESULT 1\nBackend seqpair\nCost 1\nArea 1\nHpwl 1\nMoves 1\n"
-      "Sweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\nNumRects 0\nEND\n",
+      "Accepted 1\nSweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\n"
+      "NumRects 0\nEND\n",
       "ALSRESULT 1\nBackend seqpair\nCost 1\nArea 1\nHpwl 1\nMoves 1\n"
-      "Sweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\nNumRects 0\nEND\n"
+      "Accepted 1\nSweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\n"
+      "NumRects 0\nEND\n"
       "Checksum zzzzzzzzzzzzzzzz\n",
       "ALSRESULT 1\nBackend seqpair\nCost 1\nArea 1\nHpwl 1\nMoves 1\n"
-      "Sweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\nNumRects 0\nEND\n"
+      "Accepted 1\nSweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\n"
+      "NumRects 0\nEND\n"
       "Checksum 0123456789abcdef\n",
       "ALSRESULT 1\nBackend seqpair\nCost 1\nArea 1\nHpwl 1\nMoves 1\n"
-      "Sweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\nNumRects 1\n"
+      "Accepted 1\nSweeps 1\nRestarts 1\nBestRestart 0\nBestSeed 1\n"
+      "NumRects 1\n"
       "Rect 0 0 -5 -5\nEND\nChecksum 0123456789abcdef\n",
   };
   for (const char* text : hostile) {
@@ -434,10 +440,11 @@ TEST(ResultTextFuzz, RandomTokenSoupFailsCleanly) {
   // a message, not a crash or runaway allocation.
   const char* words[] = {"ALSRESULT", "Backend", "seqpair",  "flat-bstar",
                          "Cost",      "Area",    "Hpwl",     "Moves",
-                         "Sweeps",    "Restarts", "BestRestart", "BestSeed",
-                         "NumRects",  "Rect",    "END",      "Checksum",
-                         "1",         "0",       "-7",       "1e300",
-                         "0123456789abcdef",     "deadbeef", "nan"};
+                         "Accepted",  "Sweeps",  "Restarts", "BestRestart",
+                         "BestSeed",  "NumRects", "Rect",    "END",
+                         "Checksum",  "1",       "0",        "-7",
+                         "1e300",     "0123456789abcdef",    "deadbeef",
+                         "nan"};
   Rng rng(313);
   for (int round = 0; round < 300; ++round) {
     std::string text;

@@ -1,7 +1,8 @@
 // Golden regression for the embedded corpus: the deterministic annealing
 // contract says a fixed (seed, maxSweeps) run is bit-identical on any
-// machine, so the exact (cost, hpwl, area) of each backend on two corpus
-// circuits can be pinned.  A future refactor that silently changes any
+// machine, so the exact (cost, hpwl, area) and work counters (moves tried,
+// moves accepted, sweeps) of each backend on four corpus circuits can be
+// pinned.  A future refactor that silently changes any
 // placer's arithmetic, move mix, RNG consumption order or packing shifts
 // these numbers and fails here — on purpose.  If a change is *intended* to
 // alter results (a new move class, a different cooling default), re-pin the
@@ -25,6 +26,7 @@ struct Golden {
   double cost;
   Coord hpwl;
   Coord area;
+  RunCounters counters;  ///< movesTried, movesAccepted, sweeps
 };
 
 void expectGolden(CorpusCircuit which, const EngineOptions& opt,
@@ -37,6 +39,7 @@ void expectGolden(CorpusCircuit which, const EngineOptions& opt,
     EXPECT_EQ(r.cost, g.cost) << label;
     EXPECT_EQ(r.hpwl, g.hpwl) << label;
     EXPECT_EQ(r.area, g.area) << label;
+    EXPECT_EQ(r.counters(), g.counters) << label;
     // The pinned placements also satisfy the shared invariants; the
     // penalty/ILAC baselines (flat-bstar, slicing) do not guarantee
     // symmetry, the structural placers keep it exactly.
@@ -59,20 +62,28 @@ EngineOptions goldenOptions() {
 
 TEST(IoGolden, ApteAllBackends) {
   const Golden goldens[] = {
-      {EngineBackend::FlatBStar, 304247020766.79346, 2490000, 117952000000},
-      {EngineBackend::SeqPair, 239077145691.72638, 1698500, 112000000000},
-      {EngineBackend::Slicing, 245265026059.52325, 1680000, 119572000000},
-      {EngineBackend::HBStar, 243499189136.43295, 1851500, 104975000000},
+      {EngineBackend::FlatBStar, 304247020766.79346, 2490000, 117952000000,
+       {5760, 4537, 64}},
+      {EngineBackend::SeqPair, 239077145691.72638, 1698500, 112000000000,
+       {5760, 5112, 64}},
+      {EngineBackend::Slicing, 245265026059.52325, 1680000, 119572000000,
+       {5760, 4593, 64}},
+      {EngineBackend::HBStar, 243499189136.43295, 1851500, 104975000000,
+       {5760, 5092, 64}},
   };
   expectGolden(CorpusCircuit::Apte, goldenOptions(), goldens);
 }
 
 TEST(IoGolden, Ami33AllBackends) {
   const Golden goldens[] = {
-      {EngineBackend::FlatBStar, 312696920599.0874, 4592500, 69125000000},
-      {EngineBackend::SeqPair, 204340758655.71295, 3286500, 54280000000},
-      {EngineBackend::Slicing, 221105313164.31833, 3664000, 53808000000},
-      {EngineBackend::HBStar, 182182163592.08167, 2674000, 60088000000},
+      {EngineBackend::FlatBStar, 312696920599.0874, 4592500, 69125000000,
+       {21120, 15950, 64}},
+      {EngineBackend::SeqPair, 204340758655.71295, 3286500, 54280000000,
+       {21120, 17925, 64}},
+      {EngineBackend::Slicing, 221105313164.31833, 3664000, 53808000000,
+       {21120, 18203, 64}},
+      {EngineBackend::HBStar, 182182163592.08167, 2674000, 60088000000,
+       {21120, 18914, 64}},
   };
   expectGolden(CorpusCircuit::Ami33, goldenOptions(), goldens);
 }
@@ -89,10 +100,14 @@ TEST(IoGolden, N100HotPathBackends) {
   opt.maxSweeps = 12;
   opt.seed = 1;
   const Golden goldens[] = {
-      {EngineBackend::FlatBStar, 10699245148267.648, 73960500, 919020000000},
-      {EngineBackend::SeqPair, 7388909403629.7334, 56907500, 742248000000},
-      {EngineBackend::Slicing, 8402325757149.3379, 67243500, 548444000000},
-      {EngineBackend::HBStar, 7002488155699.8115, 55152000, 560865000000},
+      {EngineBackend::FlatBStar, 10699245148267.648, 73960500, 919020000000,
+       {12000, 10788, 12}},
+      {EngineBackend::SeqPair, 7388909403629.7334, 56907500, 742248000000,
+       {12000, 11663, 12}},
+      {EngineBackend::Slicing, 8402325757149.3379, 67243500, 548444000000,
+       {12000, 10855, 12}},
+      {EngineBackend::HBStar, 7002488155699.8115, 55152000, 560865000000,
+       {12000, 11259, 12}},
   };
   expectGolden(CorpusCircuit::N100, opt, goldens);
 }
@@ -109,10 +124,14 @@ TEST(IoGolden, N200DecodeStrategyPins) {
   opt.maxSweeps = 4;
   opt.seed = 1;
   const Golden goldens[] = {
-      {EngineBackend::FlatBStar, 45139235960736.594, 231704500, 1139644000000},
-      {EngineBackend::SeqPair, 29275212982325.242, 177167500, 1229781000000},
-      {EngineBackend::Slicing, 53556019252661.961, 322155000, 2559216000000},
-      {EngineBackend::HBStar, 31676037011039.969, 192510500, 1201824000000},
+      {EngineBackend::FlatBStar, 45139235960736.594, 231704500, 1139644000000,
+       {8000, 7521, 4}},
+      {EngineBackend::SeqPair, 29275212982325.242, 177167500, 1229781000000,
+       {8000, 7842, 4}},
+      {EngineBackend::Slicing, 53556019252661.961, 322155000, 2559216000000,
+       {8000, 7604, 4}},
+      {EngineBackend::HBStar, 31676037011039.969, 192510500, 1201824000000,
+       {8000, 7588, 4}},
   };
   expectGolden(CorpusCircuit::N200, opt, goldens);
 }
@@ -127,11 +146,7 @@ TEST(IoGolden, PinnedConfigurationIsBitStable) {
     const std::string_view name = backendName(backend);
     EngineResult a = PortfolioRunner().run(c, backend, opt);
     EngineResult b = PortfolioRunner().run(c, backend, opt);
-    EXPECT_EQ(a.cost, b.cost) << name;
-    ASSERT_EQ(a.placement.size(), b.placement.size()) << name;
-    for (std::size_t m = 0; m < a.placement.size(); ++m) {
-      EXPECT_EQ(a.placement[m], b.placement[m]) << name;
-    }
+    test_util::expectSameRun(a, b, name);
   }
 }
 

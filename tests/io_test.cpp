@@ -407,14 +407,7 @@ void expectRoundTrip(const Circuit& original) {
     const EngineOptions honoured = test_util::honouredBy(backend, opt);
     EngineResult a = PortfolioRunner().run(original, backend, honoured);
     EngineResult b = PortfolioRunner().run(parsed.circuit, backend, honoured);
-    EXPECT_EQ(a.cost, b.cost) << name;
-    EXPECT_EQ(a.area, b.area) << name;
-    EXPECT_EQ(a.hpwl, b.hpwl) << name;
-    EXPECT_EQ(a.movesTried, b.movesTried) << name;
-    ASSERT_EQ(a.placement.size(), b.placement.size()) << name;
-    for (std::size_t m = 0; m < a.placement.size(); ++m) {
-      EXPECT_EQ(a.placement[m], b.placement[m]) << name << " module " << m;
-    }
+    test_util::expectSameRun(a, b, name);
   }
 }
 

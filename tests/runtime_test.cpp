@@ -25,25 +25,10 @@
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "test_util.h"
 
 namespace als {
 namespace {
-
-void expectBitIdentical(const EngineResult& a, const EngineResult& b,
-                        std::string_view label) {
-  EXPECT_EQ(a.cost, b.cost) << label;
-  EXPECT_EQ(a.area, b.area) << label;
-  EXPECT_EQ(a.hpwl, b.hpwl) << label;
-  EXPECT_EQ(a.movesTried, b.movesTried) << label;
-  EXPECT_EQ(a.sweeps, b.sweeps) << label;
-  EXPECT_EQ(a.restartsRun, b.restartsRun) << label;
-  EXPECT_EQ(a.bestRestart, b.bestRestart) << label;
-  EXPECT_EQ(a.bestSeed, b.bestSeed) << label;
-  ASSERT_EQ(a.placement.size(), b.placement.size()) << label;
-  for (std::size_t m = 0; m < a.placement.size(); ++m) {
-    EXPECT_EQ(a.placement[m], b.placement[m]) << label << " module " << m;
-  }
-}
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -222,7 +207,7 @@ TEST(Portfolio, ThreadCountDoesNotChangeAnyBackendsResult) {
     EngineResult serial = runner.run(c, backend, opt);
     opt.numThreads = 8;
     EngineResult parallel = runner.run(c, backend, opt);
-    expectBitIdentical(serial, parallel, backendName(backend));
+    test_util::expectSameRun(serial, parallel, backendName(backend));
     EXPECT_EQ(serial.restartsRun, 4u) << backendName(backend);
     // Slice budgets are exhausted exactly, so aggregates hit the total.
     EXPECT_EQ(serial.sweeps, 120u) << backendName(backend);
@@ -244,7 +229,7 @@ TEST(Portfolio, SingleRestartMatchesAPlainEngineCall) {
     EngineResult direct = makeReplicaSession(backend, c, opt)->finish();
     EngineResult portfolio = runner.run(c, backend, opt);
     // seconds is wall clock and may differ; everything else is identical.
-    expectBitIdentical(direct, portfolio, backendName(backend));
+    test_util::expectSameRun(direct, portfolio, backendName(backend));
   }
 }
 
@@ -260,7 +245,7 @@ TEST(Portfolio, RaceIsThreadCountInvariantAndOrderedByCostSeedBackend) {
   opt.numThreads = 8;
   PortfolioRunner::RaceOutcome parallel = runner.race(c, allBackends(), opt);
   EXPECT_EQ(serial.backend, parallel.backend);
-  expectBitIdentical(serial.result, parallel.result, "race");
+  test_util::expectSameRun(serial.result, parallel.result, "race");
   // The winner is the (cost, seed, backend) minimum of the per-backend runs.
   EngineResult winner = runner.run(c, serial.backend, opt);
   EXPECT_EQ(winner.cost, serial.result.cost);
@@ -282,7 +267,7 @@ TEST(Portfolio, SharedPoolModeMatchesPoolPerRun) {
   PortfolioRunner perRun;
   EngineResult a = shared.run(c, EngineBackend::SeqPair, opt);
   EngineResult b = perRun.run(c, EngineBackend::SeqPair, opt);
-  expectBitIdentical(a, b, "shared pool");
+  test_util::expectSameRun(a, b, "shared pool");
 }
 
 TEST(BatchPlacer, MatchesPerCircuitPortfolios) {
@@ -302,8 +287,8 @@ TEST(BatchPlacer, MatchesPerCircuitPortfolios) {
   PortfolioRunner runner;
   for (std::size_t i = 0; i < circuits.size(); ++i) {
     EngineResult expected = runner.run(circuits[i], EngineBackend::SeqPair, opt);
-    expectBitIdentical(expected, results[i],
-                       "batch circuit " + std::to_string(i));
+    test_util::expectSameRun(expected, results[i],
+                             "batch circuit " + std::to_string(i));
   }
 }
 
@@ -334,9 +319,10 @@ TEST(BatchPlacer, TemperingMatchesPerCircuitTemperingRuns) {
       TemperingOutcome expected =
           tempering.run(circuits[i], EngineBackend::SeqPair, opt);
       EXPECT_GT(expected.exchangesAccepted, 0u) << "circuit " << i;
-      expectBitIdentical(expected.result, results[i],
-                         "tempering batch circuit " + std::to_string(i) +
-                             " at " + std::to_string(threads) + " threads");
+      test_util::expectSameRun(
+          expected.result, results[i],
+          "tempering batch circuit " + std::to_string(i) + " at " +
+              std::to_string(threads) + " threads");
     }
   }
 }
@@ -353,8 +339,7 @@ void expectSameReplicas(const TemperingOutcome& a, const TemperingOutcome& b,
     EXPECT_EQ(ra.seed, rb.seed) << label << " replica " << i;
     EXPECT_EQ(ra.tempScale, rb.tempScale) << label << " replica " << i;
     EXPECT_EQ(ra.cost, rb.cost) << label << " replica " << i;
-    EXPECT_EQ(ra.sweeps, rb.sweeps) << label << " replica " << i;
-    EXPECT_EQ(ra.movesTried, rb.movesTried) << label << " replica " << i;
+    EXPECT_EQ(ra.counters(), rb.counters()) << label << " replica " << i;
     EXPECT_EQ(ra.exchanges, rb.exchanges) << label << " replica " << i;
     EXPECT_EQ(ra.reseeds, rb.reseeds) << label << " replica " << i;
   }
@@ -381,8 +366,8 @@ TEST(Tempering, ThreadCountDoesNotChangeAnyBackendsResult) {
     TemperingOutcome two = runner.run(c, backend, opt);
     opt.numThreads = 8;
     TemperingOutcome eight = runner.run(c, backend, opt);
-    expectBitIdentical(serial.result, two.result, backendName(backend));
-    expectBitIdentical(serial.result, eight.result, backendName(backend));
+    test_util::expectSameRun(serial.result, two.result, backendName(backend));
+    test_util::expectSameRun(serial.result, eight.result, backendName(backend));
     expectSameReplicas(serial, two, backendName(backend));
     expectSameReplicas(serial, eight, backendName(backend));
     EXPECT_EQ(serial.result.restartsRun, 4u) << backendName(backend);
@@ -415,7 +400,7 @@ TEST(Tempering, SingleReplicaMatchesAPlainEngineCall) {
   for (EngineBackend backend : allBackends()) {
     EngineResult direct = makeReplicaSession(backend, c, plain)->finish();
     TemperingOutcome tempered = runner.run(c, backend, opt);
-    expectBitIdentical(direct, tempered.result, backendName(backend));
+    test_util::expectSameRun(direct, tempered.result, backendName(backend));
   }
 }
 
@@ -441,15 +426,15 @@ TEST(Tempering, DisabledExchangeDegeneratesToIndependentRestarts) {
     for (EngineBackend backend : allBackends()) {
       TemperingOutcome t = tempering.run(c, backend, opt);
       EngineResult p = portfolio.run(c, backend, plain);
-      expectBitIdentical(t.result, p,
-                         std::string(corpusName(which)) + "/" +
-                             std::string(backendName(backend)));
+      test_util::expectSameRun(t.result, p,
+                               std::string(corpusName(which)) + "/" +
+                                   std::string(backendName(backend)));
       EXPECT_EQ(t.exchangesAccepted, 0u);
       EXPECT_EQ(t.reseeds, 0u);
       // options.tempering routes PortfolioRunner through the same path.
       EngineResult routed = portfolio.run(c, backend, opt);
-      expectBitIdentical(t.result, routed,
-                         std::string(corpusName(which)) + " routed");
+      test_util::expectSameRun(t.result, routed,
+                               std::string(corpusName(which)) + " routed");
     }
   }
   // GSRC scale, cheap budget: the degeneration must hold where the
@@ -462,8 +447,8 @@ TEST(Tempering, DisabledExchangeDegeneratesToIndependentRestarts) {
        {EngineBackend::FlatBStar, EngineBackend::SeqPair}) {
     TemperingOutcome t = tempering.run(n100, backend, opt);
     EngineResult p = portfolio.run(n100, backend, plain);
-    expectBitIdentical(t.result, p,
-                       "n100/" + std::string(backendName(backend)));
+    test_util::expectSameRun(t.result, p,
+                             "n100/" + std::string(backendName(backend)));
   }
 }
 
@@ -538,7 +523,7 @@ TEST(Tempering, RaceWithCrossSeedingIsThreadCountInvariant) {
   opt.numThreads = 8;
   TemperingOutcome parallel = runner.race(c, allBackends(), opt);
   EXPECT_EQ(serial.backend, parallel.backend);
-  expectBitIdentical(serial.result, parallel.result, "tempering race");
+  test_util::expectSameRun(serial.result, parallel.result, "tempering race");
   expectSameReplicas(serial, parallel, "tempering race");
   // The coupling is real on this configuration: ladders swap and lagging
   // backends adopt the leader's placement through the converters.
@@ -547,7 +532,7 @@ TEST(Tempering, RaceWithCrossSeedingIsThreadCountInvariant) {
   PortfolioRunner routed;
   PortfolioRunner::RaceOutcome viaPortfolio = routed.race(c, allBackends(), opt);
   EXPECT_EQ(viaPortfolio.backend, serial.backend);
-  expectBitIdentical(viaPortfolio.result, serial.result, "routed race");
+  test_util::expectSameRun(viaPortfolio.result, serial.result, "routed race");
 }
 
 // The per-cell bank is the executor's one scratch seam, and a cell without
@@ -584,7 +569,7 @@ TEST(PlanExecutor, WarmBankAndSessionOwnedBuffersGiveIdenticalCells) {
           nullptr, {.circuits = {&c, 1}, .backends = backends, .options = opt});
       ASSERT_EQ(banked.results.size(), 1u) << label;
       ASSERT_EQ(owned.results.size(), 1u) << label;
-      expectBitIdentical(banked.results[0], owned.results[0], label);
+      test_util::expectSameRun(banked.results[0], owned.results[0], label);
       EXPECT_EQ(banked.rounds, owned.rounds) << label;
       EXPECT_EQ(banked.exchangesAccepted, owned.exchangesAccepted) << label;
       EXPECT_EQ(banked.rounds > 0, ladder) << label;
@@ -595,8 +580,7 @@ TEST(PlanExecutor, WarmBankAndSessionOwnedBuffersGiveIdenticalCells) {
         EXPECT_EQ(a.seed, b.seed) << label << " cell " << i;
         EXPECT_EQ(a.tempScale, b.tempScale) << label << " cell " << i;
         EXPECT_EQ(a.cost, b.cost) << label << " cell " << i;
-        EXPECT_EQ(a.sweeps, b.sweeps) << label << " cell " << i;
-        EXPECT_EQ(a.movesTried, b.movesTried) << label << " cell " << i;
+        EXPECT_EQ(a.counters(), b.counters()) << label << " cell " << i;
         EXPECT_EQ(a.exchanges, b.exchanges) << label << " cell " << i;
       }
     }
@@ -624,7 +608,7 @@ TEST(Runtime, StressUnderSanitizers) {
   PortfolioRunner::RaceOutcome a = runner.race(c, allBackends(), opt);
   PortfolioRunner::RaceOutcome b = runner.race(c, allBackends(), opt);
   EXPECT_EQ(a.backend, b.backend);
-  expectBitIdentical(a.result, b.result, "stress race");
+  test_util::expectSameRun(a.result, b.result, "stress race");
 }
 
 }  // namespace

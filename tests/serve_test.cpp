@@ -36,25 +36,10 @@
 #include "runtime/portfolio.h"
 #include "runtime/result_cache.h"
 #include "util/fault_injection.h"
+#include "test_util.h"
 
 namespace als {
 namespace {
-
-void expectBitIdentical(const EngineResult& a, const EngineResult& b,
-                        std::string_view label) {
-  EXPECT_EQ(a.cost, b.cost) << label;
-  EXPECT_EQ(a.area, b.area) << label;
-  EXPECT_EQ(a.hpwl, b.hpwl) << label;
-  EXPECT_EQ(a.movesTried, b.movesTried) << label;
-  EXPECT_EQ(a.sweeps, b.sweeps) << label;
-  EXPECT_EQ(a.restartsRun, b.restartsRun) << label;
-  EXPECT_EQ(a.bestRestart, b.bestRestart) << label;
-  EXPECT_EQ(a.bestSeed, b.bestSeed) << label;
-  ASSERT_EQ(a.placement.size(), b.placement.size()) << label;
-  for (std::size_t m = 0; m < a.placement.size(); ++m) {
-    EXPECT_EQ(a.placement[m], b.placement[m]) << label << " module " << m;
-  }
-}
 
 /// Blocking submit helper: runs one job to completion and returns a deep
 /// copy of its outcome (JobOutcome::result is only valid during onDone).
@@ -346,7 +331,7 @@ TEST(ResultTextTest, RoundTripsBitIdentically) {
   EngineResult parsed;
   ASSERT_EQ(parseResultText(wire, backend, parsed), "");
   EXPECT_EQ(backend, EngineBackend::SeqPair);
-  expectBitIdentical(parsed, computed, "ALSRESULT round trip");
+  test_util::expectSameRun(parsed, computed, "ALSRESULT round trip");
   // seconds is deliberately not identity: it round-trips as 0.
   EXPECT_EQ(parsed.seconds, 0.0);
 
@@ -354,6 +339,16 @@ TEST(ResultTextTest, RoundTripsBitIdentically) {
   EXPECT_NE(parseResultText("ALSRESULT 1\nBackend seqpair\n", backend,
                             mangled),
             "");
+  // A text without the Accepted line (a store entry written before the
+  // counter was carried) fails to parse, so the cache quarantines and
+  // recomputes it instead of serving a zero count.
+  const std::size_t at = wire.find("Accepted ");
+  ASSERT_NE(at, std::string::npos);
+  const std::string withoutAccepted =
+      wire.substr(0, at) + wire.substr(wire.find('\n', at) + 1);
+  EXPECT_NE(parseResultText(withoutAccepted, backend, mangled).find(
+                "expected Accepted"),
+            std::string::npos);
 }
 
 // -------------------------------------------------------- wire codec -------
@@ -628,14 +623,15 @@ TEST(ServeEngineTest, CacheHitIsBitIdenticalToRecompute) {
   EXPECT_FALSE(cold.cacheHit);
   // The serve compute path (per-slice sessions advanced in rounds, shared
   // reduction) must agree bit-for-bit with the plain portfolio runner.
-  expectBitIdentical(cold.result, oracle(text, EngineBackend::SeqPair, options),
-                     "serve compute vs PortfolioRunner");
+  test_util::expectSameRun(cold.result,
+                           oracle(text, EngineBackend::SeqPair, options),
+                           "serve compute vs PortfolioRunner");
 
   CompletedJob warm = runJob(engine, text, EngineBackend::SeqPair, options);
   ASSERT_EQ(warm.error, "");
   EXPECT_TRUE(warm.cacheHit);
   EXPECT_EQ(warm.key, cold.key);
-  expectBitIdentical(warm.result, cold.result, "cache hit vs recompute");
+  test_util::expectSameRun(warm.result, cold.result, "cache hit vs recompute");
 
   ServeStats stats = engine.stats();
   EXPECT_EQ(stats.submitted, 2u);
@@ -664,11 +660,11 @@ TEST(ServeEngineTest, TemperingJobsAreDeterministicAndCacheable) {
   CompletedJob second = runJob(engine, text, EngineBackend::SeqPair, options);
   ASSERT_EQ(second.error, "");
   EXPECT_FALSE(second.cacheHit) << "clear() must force recomputation";
-  expectBitIdentical(second.result, first.result,
-                     "tempering recompute on warm scratch");
+  test_util::expectSameRun(second.result, first.result,
+                           "tempering recompute on warm scratch");
   CompletedJob hit = runJob(engine, text, EngineBackend::SeqPair, options);
   EXPECT_TRUE(hit.cacheHit);
-  expectBitIdentical(hit.result, first.result, "tempering cache hit");
+  test_util::expectSameRun(hit.result, first.result, "tempering cache hit");
 }
 
 // Serve rounds are the progress interval unless a ladder's exchange interval
@@ -696,10 +692,10 @@ TEST(ServeEngineTest, TemperingJobsMatchThePortfolioOracle) {
     ASSERT_EQ(job.error, "");
     EXPECT_FALSE(job.cacheHit);
     EXPECT_GT(progressEvents, 0u) << "exchange interval " << interval;
-    expectBitIdentical(job.result,
-                       oracle(text, EngineBackend::SeqPair, options),
-                       "tempering job, exchange interval " +
-                           std::to_string(interval));
+    test_util::expectSameRun(job.result,
+                             oracle(text, EngineBackend::SeqPair, options),
+                             "tempering job, exchange interval " +
+                                 std::to_string(interval));
   }
 }
 
@@ -724,7 +720,7 @@ TEST(ServeEngineTest, CrossSeedDoesNotSplitTheCache) {
   ASSERT_EQ(second.error, "");
   EXPECT_EQ(second.key, first.key);
   EXPECT_TRUE(second.cacheHit);
-  expectBitIdentical(second.result, first.result, "cross 0 vs default");
+  test_util::expectSameRun(second.result, first.result, "cross 0 vs default");
 }
 
 // A knob the backend refuses is an error at submit: nothing is queued or
@@ -819,9 +815,9 @@ TEST(ServeEngineTest, CancelMidRoundLeavesWorkerBitIdenticallyReusable) {
   CompletedJob fresh = runJob(engine, text, EngineBackend::SeqPair, freshOpts);
   ASSERT_EQ(fresh.error, "");
   EXPECT_FALSE(fresh.cacheHit);
-  expectBitIdentical(fresh.result,
-                     oracle(text, EngineBackend::SeqPair, freshOpts),
-                     "post-cancel worker vs fresh process");
+  test_util::expectSameRun(fresh.result,
+                           oracle(text, EngineBackend::SeqPair, freshOpts),
+                           "post-cancel worker vs fresh process");
   EXPECT_EQ(engine.stats().cancelled, 1u);
 }
 
@@ -904,7 +900,7 @@ TEST(ServeEngineTest, DiskStoreSurvivesEngineRestartAndClears) {
   ASSERT_EQ(warm.error, "");
   EXPECT_TRUE(warm.cacheHit)
       << "a restarted daemon must serve its predecessor's results";
-  expectBitIdentical(warm.result, firstLife, "disk-promoted hit");
+  test_util::expectSameRun(warm.result, firstLife, "disk-promoted hit");
 
   engine.cache().clear();
   CompletedJob recomputed =
@@ -912,7 +908,8 @@ TEST(ServeEngineTest, DiskStoreSurvivesEngineRestartAndClears) {
   ASSERT_EQ(recomputed.error, "");
   EXPECT_FALSE(recomputed.cacheHit)
       << "clear() must drop the disk entries too, not just the memory map";
-  expectBitIdentical(recomputed.result, firstLife, "recompute after clear");
+  test_util::expectSameRun(recomputed.result, firstLife,
+                           "recompute after clear");
   std::filesystem::remove_all(dir);
 }
 
@@ -935,7 +932,7 @@ TEST(ResultCacheTest, FetchReusesCallerStorageAndMissesLeaveItUntouched) {
   EXPECT_EQ(cache.size(), 1u);
   ASSERT_TRUE(cache.fetch(key, backend, result));
   EXPECT_EQ(backend, EngineBackend::SeqPair);
-  expectBitIdentical(result, computed, "memory fetch");
+  test_util::expectSameRun(result, computed, "memory fetch");
   EXPECT_EQ(result.seconds, 0.0) << "seconds is not part of a result's "
                                     "identity and is not stored";
 
@@ -955,6 +952,7 @@ EngineResult fakeResult(std::uint64_t tag) {
   r.area = 400 + static_cast<Coord>(tag);
   r.hpwl = 70 + static_cast<Coord>(tag);
   r.movesTried = 10 * static_cast<std::size_t>(tag);
+  r.movesAccepted = 7 * static_cast<std::size_t>(tag);
   r.sweeps = 4;
   r.restartsRun = 1;
   r.bestRestart = 0;
@@ -1009,7 +1007,7 @@ TEST(ResultTextTest, ChecksumTrailerRejectsTruncationFlipsAndTrailingBytes) {
   EngineBackend backend = EngineBackend::FlatBStar;
   EngineResult parsed;
   ASSERT_EQ(parseResultText(wire, backend, parsed), "");
-  expectBitIdentical(parsed, fakeResult(5), "synthetic round trip");
+  test_util::expectSameRun(parsed, fakeResult(5), "synthetic round trip");
 
   // Every proper prefix must fail: truncation — the torn-write case — can
   // never be mistaken for a complete result.
@@ -1066,7 +1064,7 @@ TEST(ResultCacheTest, ScrubQuarantinesDamageRemovesTmpAndKeepsSurvivors) {
   EXPECT_FALSE(second.fetch(k4, backend, out))
       << "a valid payload under the wrong key must not be served";
   ASSERT_TRUE(second.fetch(k3, backend, out));
-  expectBitIdentical(out, fakeResult(3), "intact survivor");
+  test_util::expectSameRun(out, fakeResult(3), "intact survivor");
   EXPECT_EQ(countFiles(dir, ".corrupt"), 3u)
       << "quarantined files are kept for forensics";
   EXPECT_EQ(countFiles(dir, ".tmp"), 0u);
@@ -1091,7 +1089,7 @@ TEST(ResultCacheTest, FetchQuarantinesCorruptionFoundAfterStartup) {
   // The quarantined name is burned: a subsequent store + fetch works.
   cache.store(key, EngineBackend::SeqPair, fakeResult(7));
   ASSERT_TRUE(cache.fetch(key, backend, out));
-  expectBitIdentical(out, fakeResult(7), "store after quarantine");
+  test_util::expectSameRun(out, fakeResult(7), "store after quarantine");
   std::filesystem::remove_all(dir);
 }
 
@@ -1154,7 +1152,7 @@ TEST(ResultCacheTest, UnusableDirectoryDegradesToMemoryOnly) {
   EngineResult out;
   ASSERT_TRUE(cache.fetch(key, backend, out))
       << "degraded mode must still serve from memory";
-  expectBitIdentical(out, fakeResult(1), "memory-only fetch");
+  test_util::expectSameRun(out, fakeResult(1), "memory-only fetch");
   std::filesystem::remove(blocker);
 }
 
@@ -1179,7 +1177,7 @@ TEST(ResultCacheTest, RepeatedWriteFailuresDegradeToMemoryOnly) {
   EngineBackend backend = EngineBackend::SeqPair;
   EngineResult out;
   ASSERT_TRUE(cache.fetch(k1, backend, out));
-  expectBitIdentical(out, fakeResult(1), "fetch through a dead disk");
+  test_util::expectSameRun(out, fakeResult(1), "fetch through a dead disk");
   std::filesystem::remove_all(dir);
 }
 
@@ -1286,11 +1284,11 @@ TEST(ServeEngineTest, RecoversFromDamagedStoreByQuarantineAndRecompute) {
   CompletedJob a = runJob(engine, text, EngineBackend::SeqPair, optA);
   ASSERT_EQ(a.error, "");
   EXPECT_FALSE(a.cacheHit) << "a quarantined entry must never be served";
-  expectBitIdentical(a.result, resultA, "recompute after corruption");
+  test_util::expectSameRun(a.result, resultA, "recompute after corruption");
   CompletedJob b = runJob(engine, text, EngineBackend::SeqPair, optB);
   ASSERT_EQ(b.error, "");
   EXPECT_TRUE(b.cacheHit) << "corruption of one entry must not poison others";
-  expectBitIdentical(b.result, resultB, "intact neighbor still served");
+  test_util::expectSameRun(b.result, resultB, "intact neighbor still served");
   std::filesystem::remove_all(dir);
 }
 
@@ -1351,9 +1349,9 @@ TEST(ServeEngineTest, OutOfRangeWallDeadlineIsNoDeadline) {
   EXPECT_FALSE(out.cacheHit);
   EXPECT_EQ(out.result.sweeps, 64u);
   EXPECT_EQ(engine.cache().size(), 1u) << "a complete run is cached";
-  expectBitIdentical(out.result,
-                     oracle(text, EngineBackend::SeqPair, options),
-                     "huge deadline vs no deadline");
+  test_util::expectSameRun(out.result,
+                           oracle(text, EngineBackend::SeqPair, options),
+                           "huge deadline vs no deadline");
   CompletedJob again = runJob(engine, text, EngineBackend::SeqPair, options,
                               hugeDeadline);
   EXPECT_TRUE(again.cacheHit);
@@ -1383,8 +1381,8 @@ TEST(ServeEngineTest, SweepDeadlineIsDeterministicAndBeatenByCacheHits) {
   EXPECT_FALSE(second.cacheHit);
   // Sweep deadlines fire at round boundaries, a sweep-counted (not timed)
   // event — the best-so-far snapshot is as deterministic as a full run.
-  expectBitIdentical(second.result, first.result,
-                     "sweep-deadlined snapshot determinism");
+  test_util::expectSameRun(second.result, first.result,
+                           "sweep-deadlined snapshot determinism");
 
   // Tempering jobs run through the same round hook: their rounds stay the
   // exchange interval (8 sweeps), the deadline fires at the first barrier
@@ -1416,8 +1414,8 @@ TEST(ServeEngineTest, SweepDeadlineIsDeterministicAndBeatenByCacheHits) {
   ASSERT_EQ(temperedB.error, "");
   EXPECT_TRUE(temperedB.deadlineExpired);
   EXPECT_FALSE(temperedB.cacheHit);
-  expectBitIdentical(temperedB.result, temperedA.result,
-                     "sweep-deadlined tempering snapshot determinism");
+  test_util::expectSameRun(temperedB.result, temperedA.result,
+                           "sweep-deadlined tempering snapshot determinism");
   ASSERT_FALSE(eventsA.empty()) << "tempering jobs must stream PROGRESS";
   EXPECT_EQ(eventsA, eventsB);
   EXPECT_EQ(eventsA.front().round, 1u);
@@ -1437,7 +1435,7 @@ TEST(ServeEngineTest, SweepDeadlineIsDeterministicAndBeatenByCacheHits) {
   ASSERT_EQ(hit.error, "");
   EXPECT_TRUE(hit.cacheHit);
   EXPECT_FALSE(hit.deadlineExpired);
-  expectBitIdentical(hit.result, cold.result, "hit beats deadline");
+  test_util::expectSameRun(hit.result, cold.result, "hit beats deadline");
 }
 
 TEST(ServeEngineTest, StatsSurfaceCacheHealthCounters) {

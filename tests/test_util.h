@@ -9,6 +9,10 @@
 // structural placers; the penalty-based flat B*-tree baseline is checked
 // with a finite tolerance or skipped via kNoSymmetryCheck).
 //
+// It holds the one run-identity check (`expectSameRun`) behind every
+// "same run" contract of the suites: same seed, 1 vs N threads, warm bank
+// vs owned buffers, cache hit vs recompute and the result codec round trip.
+//
 // It also holds two decode oracles written straight from their definitions:
 // the O(n^2) sequence-pair packing reference the library's Fenwick LCS
 // packer is checked against, and the cross-product Polish-expression
@@ -23,18 +27,53 @@
 #include <cstdlib>
 #include <iterator>
 #include <limits>
+#include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "anneal/run_record.h"
 #include "engine/knobs.h"
+#include "engine/placement_engine.h"
 #include "geom/placement.h"
 #include "netlist/circuit.h"
 #include "seqpair/sequence_pair.h"
 #include "slicing/polish.h"
 
 namespace als {
+
+/// How gtest prints a counters block (found by argument-dependent lookup).
+inline void PrintTo(const RunCounters& c, std::ostream* os) {
+  *os << "{movesTried " << c.movesTried << ", movesAccepted "
+      << c.movesAccepted << ", sweeps " << c.sweeps << "}";
+}
+
 namespace test_util {
+
+/// The same run, bit for bit: the placement rect by rect, area, hpwl, cost
+/// and the counters.  `seconds` is wall clock and never part of identity.
+inline void expectSameRun(const RunRecord& a, const RunRecord& b,
+                          std::string_view label = {}) {
+  EXPECT_EQ(a.cost, b.cost) << label;
+  EXPECT_EQ(a.area, b.area) << label;
+  EXPECT_EQ(a.hpwl, b.hpwl) << label;
+  EXPECT_EQ(a.counters(), b.counters()) << label;
+  ASSERT_EQ(a.placement.size(), b.placement.size()) << label;
+  for (std::size_t m = 0; m < a.placement.size(); ++m) {
+    EXPECT_EQ(a.placement[m], b.placement[m]) << label << " module " << m;
+  }
+}
+
+/// The same, plus the restart accounting of an engine result.
+inline void expectSameRun(const EngineResult& a, const EngineResult& b,
+                          std::string_view label = {}) {
+  expectSameRun(static_cast<const RunRecord&>(a),
+                static_cast<const RunRecord&>(b), label);
+  EXPECT_EQ(a.restartsRun, b.restartsRun) << label;
+  EXPECT_EQ(a.bestRestart, b.bestRestart) << label;
+  EXPECT_EQ(a.bestSeed, b.bestSeed) << label;
+}
 
 /// Pass as `symTolerance` to skip the symmetry check entirely (for the
 /// penalty-based placers whose residual deviation is unbounded).

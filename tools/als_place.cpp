@@ -96,7 +96,7 @@ int usage(const char* argv0) {
 
 bool identicalResults(const EngineResult& a, const EngineResult& b) {
   if (a.cost != b.cost || a.area != b.area || a.hpwl != b.hpwl ||
-      a.movesTried != b.movesTried || a.sweeps != b.sweeps ||
+      a.counters() != b.counters() ||
       a.restartsRun != b.restartsRun || a.bestRestart != b.bestRestart ||
       a.bestSeed != b.bestSeed || a.placement.size() != b.placement.size()) {
     return false;

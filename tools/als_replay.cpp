@@ -40,12 +40,12 @@
 //
 // Results go to stdout and, with --json, as bench_json rows next to the
 // other bench-smoke captures: the serve layer's exact cost, hpwl, area,
-// moves and sweeps of each identity circuit under the "serve-<backend>"
-// name (a served payload carries no wall clock, so no rate row), and the
-// timed rows of the throughput and warm/cold phases under "serve-meta":
-// latency percentiles in ms, jobs/s, and the warm-over-cold speedup.  The
-// hit rate and the cancel acknowledgement depend on timing; --check
-// asserts them and they stay on stdout.
+// moves, accepted moves and sweeps of each identity circuit under the
+// "serve-<backend>" name (a served payload carries no wall clock, so no
+// rate row), and the timed rows of the throughput and warm/cold phases
+// under "serve-meta": latency percentiles in ms, jobs/s, and the
+// warm-over-cold speedup.  The hit rate and the cancel acknowledgement
+// depend on timing; --check asserts them and they stay on stdout.
 //
 //   als_replay --serve-bin ./build/als_serve --check --clients 8
 //              [--json build/bench-smoke/bench_serve.json]
