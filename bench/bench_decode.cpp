@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "anneal/session.h"
 #include "bstar/bstar_tree.h"
 #include "bstar/contour.h"
 #include "bstar/flat_placer.h"
@@ -171,8 +172,8 @@ void runScaling(BenchIo& io) {
     for (std::size_t pair = 0; pair < kRatioPairs; ++pair) {
       FlatBStarResult f = placeFlatBStarSA(c, fo);
       SlicingScratch scratch;
-      slo.scratch = &scratch;
-      SlicingPlacerResult sl = placeSlicingSA(c, slo);
+      SlicingPlacerResult sl =
+          AnnealSession<SlicingBackend>(c, slo, 1.0, &scratch).finish();
       ratios.push_back(sl.seconds / f.seconds);
       if (pair == 0) {
         flat = f;

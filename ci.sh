@@ -129,6 +129,12 @@ for rep in 1 2 3 4 5; do
   ./build/als_place --smoke --json "build/bench-smoke/als_place.$rep.json" \
     > "build/bench-smoke/als_place.$rep.out"
 done
+# The als_place stdout carries no timing, so the five captures — five
+# processes, five address layouts — must be byte-identical: a result that
+# hangs on an address or on stale scratch contents differs here.
+for rep in 2 3 4 5; do
+  cmp build/bench-smoke/als_place.1.out "build/bench-smoke/als_place.$rep.out"
+done
 
 echo "=== als_place knob refusal: a backend refuses a knob it would drop ==="
 # Slicing has neither a symmetry penalty nor a symmetry guarantee

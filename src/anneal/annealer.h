@@ -54,11 +54,14 @@
 
 namespace als {
 
+/// Target uphill acceptance at t0: the calibration walk sets t0 so that
+/// this share of its uphill moves would pass.
+inline constexpr double kInitialAcceptance = 0.9;
+
 struct AnnealOptions {
   double coolingFactor = 0.96;    ///< geometric alpha per temperature step
   std::size_t movesPerTemp = 0;   ///< 0 = auto (scaled by a problem-size hint)
   std::size_t sizeHint = 16;      ///< problem size used when movesPerTemp == 0
-  double initialAcceptance = 0.9; ///< target uphill acceptance at t0
   double freezeRatio = 1e-4;      ///< stop when t < t0 * freezeRatio
   std::size_t maxSweeps = 256;    ///< primary budget: temperature steps (0 = uncapped)
   std::uint64_t seed = 42;
@@ -137,10 +140,10 @@ constexpr std::size_t splitSweepBudget(std::size_t totalSweeps,
   return totalSweeps / numRestarts + (index < totalSweeps % numRestarts);
 }
 
-/// The auto-scaling rule behind `movesPerTemp == 0`.  Drivers that split one
-/// run into several restarts must resolve the auto value ONCE per run (not
-/// per restart) and pass the resolved value down, so every slice anneals on
-/// the schedule the equivalent sequential run would have used.
+/// The auto-scaling rule behind `movesPerTemp == 0`.  It reads only the
+/// problem size, so every slice of a split run (each session resolves it
+/// from its circuit's module count) anneals on the schedule the equivalent
+/// sequential run would have used.
 constexpr std::size_t resolveMovesPerTemp(std::size_t movesPerTemp,
                                           std::size_t sizeHint) {
   return movesPerTemp ? movesPerTemp : 10 * sizeHint;
@@ -387,7 +390,7 @@ class AnnealDriver {
     runResult_.bestCost = curCost_;
     runResult_.counters() = {};
 
-    // Calibrate t0 so that `initialAcceptance` of sampled uphill moves
+    // Calibrate t0 so that `kInitialAcceptance` of sampled uphill moves
     // pass: a 50-move random walk that accepts everything and records the
     // uphill deltas.
     double upSum = 0.0;
@@ -405,7 +408,7 @@ class AnnealDriver {
                [] {});
     double meanUp = upCount ? upSum / static_cast<double>(upCount) : 1.0;
     if (meanUp <= 0.0) meanUp = 1.0;
-    t_ = -meanUp / std::log(options_.initialAcceptance);
+    t_ = -meanUp / std::log(kInitialAcceptance);
     t_ *= tempScale_;
     tFreeze_ = t_ * options_.freezeRatio;
 

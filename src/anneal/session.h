@@ -3,23 +3,27 @@
 // Every placer of the library is the same simulated-annealing walk over a
 // topological code: the sequence pair (Section II), the flat and
 // hierarchical B*-trees (Section III) and the slicing baseline differ only
-// in their state, its decode, its move, and whether a foreign placement can
-// be adopted.  A backend states just those as a policy; `AnnealSession`
-// writes the session around it once: it owns the policy and the
-// `AnnealDriver`, maps the native options to `AnnealOptions`, and
-// implements the round-granular API the runtime layer drives (advance,
-// exchange, reseed, finish).  A session run to completion in one go IS the
-// backend's one-shot place function, bit for bit — `placeXxxSA(c, o)` is
-// `AnnealSession<XxxBackend>(c, o).finish()`.
+// in their encoding: its state, decode, move, and whether a foreign
+// placement can be adopted.  A backend states just those as a policy;
+// `AnnealSession` writes the session around it once: it owns the policy,
+// the `AnnealDriver` and the fallback decode scratch, maps the native
+// options to `AnnealOptions`, and implements the round-granular API the
+// runtime layer drives (advance, exchange, reseed, finish).  A session run
+// to completion in one go IS the backend's one-shot place function, bit
+// for bit — `placeXxxSA(c, o)` is `AnnealSession<XxxBackend>(c, o).finish()`.
+// What the encodings share lives in one place each: how a module is
+// realized (`Module::footprint` / `Module::choiceOf`, netlist/module.h),
+// the shape move (`redrawShape`, netlist/circuit.h) and who owns the
+// decode buffers (here).
 //
 // A policy `Backend` provides
 //
-//   using Options, Result, State;               // native structs; Result is a RunRecord
-//   Backend(const Circuit&, const Options&);    // objective, scratch, move data
+//   using Options, Result, State, Scratch;  // native; Result is a RunRecord
+//   Backend(const Circuit&, const Options&, Scratch&);  // objective, moves
 //   const Circuit& circuit;
 //   CostModel model;                            // costs every decoded state
 //   State initialState();
-//   const Placement* decode(const State&);      // aliases the policy's scratch
+//   const Placement* decode(const State&);      // aliases the Scratch
 //   void move(State&, Rng&);                    // in-place perturbation
 //   Result finish(State best);                  // placement + extras only
 //   void reseed(State&, const Placement&);      // optional (see below)
@@ -29,10 +33,14 @@
 // cannot express a general placement) never adopts one.
 //
 // `tempScale` multiplies the calibrated t0 of every internal restart (1.0 =
-// the sequential schedule, exactly).  The session is neither copyable nor
-// movable, because the policy's decoder aliases the policy's own scratch;
-// it may move between threads across calls but is never called
-// concurrently (the plan executor advances sessions in fork-join rounds).
+// the sequential schedule, exactly).  `scratch`, when given, lends the
+// policy warm decode buffers (engine/place_scratch.h: it must outlive the
+// session and serve no other live session); without one the policy decodes
+// into the session's own.  Results are identical either way.  The session
+// is neither copyable nor movable, because the policy's decoder aliases
+// its scratch; it may move between threads across calls but is never
+// called concurrently (the plan executor advances sessions in fork-join
+// rounds).
 #pragma once
 
 #include <cstddef>
@@ -52,10 +60,11 @@ class AnnealSession {
   using Options = typename Backend::Options;
   using Result = typename Backend::Result;
   using State = typename Backend::State;
+  using Scratch = typename Backend::Scratch;
 
   AnnealSession(const Circuit& circuit, const Options& options,
-                double tempScale = 1.0)
-      : backend_(circuit, options),
+                double tempScale = 1.0, Scratch* scratch = nullptr)
+      : backend_(circuit, options, scratch ? *scratch : ownScratch_),
         driver_(backend_.initialState(),
                 Cost{backend_.model, Decode{&backend_}}, Move{&backend_},
                 annealOptionsOf(options, circuit.moduleCount()), tempScale) {}
@@ -126,7 +135,8 @@ class AnnealSession {
   using Cost = detail::DecodedCost<decltype(Backend::model), Decode>;
   using Driver = detail::AnnealDriver<State, Cost, Move>;
 
-  Backend backend_;  ///< before driver_, whose cost and move point at it
+  Scratch ownScratch_;  ///< the decode buffers when none is lent
+  Backend backend_;     ///< before driver_, whose cost and move point at it
   Driver driver_;
 };
 

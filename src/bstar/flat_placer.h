@@ -23,10 +23,8 @@
 
 namespace als {
 
-/// Reusable decode buffers of one flat B*-tree SA run.  Optional: a run
-/// without one builds its own.  A scratch may be reused across sequential
-/// runs and circuits (the runtime layer keeps one per bank cell) but
-/// never by two concurrent runs; its contents never influence results.
+/// Reusable decode buffers of one flat B*-tree SA run (the session lends
+/// them; see engine/place_scratch.h for the sharing contract).
 struct FlatBStarScratch {
   BStarPackScratch pack;
   std::vector<Coord> w, h;   ///< orientation-resolved footprints
@@ -43,7 +41,6 @@ struct FlatBStarOptions {
   std::uint64_t seed = 11;
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;
-  FlatBStarScratch* scratch = nullptr;  ///< optional caller-owned buffers
   /// Cooperative cancellation, checked per sweep (anneal/annealer.h).
   const CancelToken* cancel = nullptr;
 };
@@ -64,32 +61,32 @@ FlatBStarResult placeFlatBStarSA(const Circuit& circuit,
 struct FlatBStarBackend {
   using Options = FlatBStarOptions;
   using Result = FlatBStarResult;
+  using Scratch = FlatBStarScratch;
   struct State {
     BStarTree tree;
     std::vector<bool> rotated;
     std::vector<std::uint8_t> shapeIdx;  ///< index into Module::shapes (0 = footprint)
   };
 
-  FlatBStarBackend(const Circuit& circuit, const Options& options);
+  FlatBStarBackend(const Circuit& circuit, const Options& options,
+                   Scratch& scratch);
 
   State initialState() const;
   /// Dims + full pack into the scratch; the pointer aliases scr.placement.
   const Placement* decode(const State& s);
   void move(State& s, Rng& rng) const;
   /// The B*-tree reconstruction of `placement` (bstar/from_placement.h),
-  /// with orientations and shape choices recovered from the rect
-  /// dimensions.  Every state is feasible for this penalty-based backend,
-  /// so any right-sized placement is adopted.
+  /// with each module's choice read back from its rect
+  /// (`Module::choiceOf`).  Every state is feasible for this penalty-based
+  /// backend, so any right-sized placement is adopted.
   void reseed(State& s, const Placement& placement);
   Result finish(State best);
 
   const Circuit& circuit;
   Options options;
   CostModel model;
-  std::vector<ModuleId> shapy;  ///< modules with a shape curve
-  bool shapeMoves = false;
-  FlatBStarScratch localScratch;
-  FlatBStarScratch& scr;
+  std::vector<ModuleId> shapy;  ///< shape move candidates (shapeMoveModules)
+  Scratch& scr;
   BStarFromPlacementScratch reseedScratch;  ///< warm after the first reseed
 };
 

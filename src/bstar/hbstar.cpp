@@ -24,34 +24,11 @@ std::uint64_t nextStamp() {
 
 void HBPackScratch::bind(const Circuit& circuit) {
   const HierTree& h = circuit.hierarchy();
-  // The cached common-centroid macros are pure functions of (CC node ids,
-  // their unit module ids, unit footprints).  Staleness detection compares
-  // that exact input — never the circuit's address, which a later circuit
-  // can legitimately reuse.  The comparison is a flat integer scan, so a
-  // warm steady-state bind stays allocation-free.
-  sigScratch_.clear();
-  sigScratch_.push_back(static_cast<Coord>(h.nodeCount()));
-  for (HierNodeId id = 0; id < h.nodeCount(); ++id) {
-    const HierNode& n = h.node(id);
-    if (n.isLeaf() || n.children.empty() ||
-        n.constraint != GroupConstraint::CommonCentroid) {
-      continue;
-    }
-    sigScratch_.push_back(static_cast<Coord>(id));
-    sigScratch_.push_back(static_cast<Coord>(n.children.size()));
-    for (HierNodeId child : n.children) {
-      assert(h.node(child).isLeaf());
-      ModuleId m = *h.node(child).module;
-      sigScratch_.push_back(static_cast<Coord>(m));
-      sigScratch_.push_back(circuit.module(m).w);
-      sigScratch_.push_back(circuit.module(m).h);
-    }
-  }
-  if (node.size() == h.nodeCount() && sigScratch_ == signature_) return;
-  signature_ = sigScratch_;
-  node.clear();  // drop stale per-node state from a previous circuit
+  // Buffers of an earlier binding stay allocated: no state of this circuit
+  // can carry their stamps (stamps are process-unique), so each repacks
+  // before it is read.
   node.resize(h.nodeCount());
-  // Common-centroid node macros are cached once per binding so the
+  // Common-centroid node macros are built once per binding so the
   // per-move pack skips both the grid construction and its profiles
   // (their unit leaves never rotate or perturb).
   for (HierNodeId id = 0; id < h.nodeCount(); ++id) {
@@ -63,12 +40,14 @@ void HBPackScratch::bind(const Circuit& circuit) {
     std::vector<ModuleId> units;
     Coord unitW = 0, unitH = 0;
     for (HierNodeId child : n.children) {
+      assert(h.node(child).isLeaf());
       ModuleId m = *h.node(child).module;
       units.push_back(m);
       unitW = std::max(unitW, circuit.module(m).w);
       unitH = std::max(unitH, circuit.module(m).h);
     }
     node[id].macro = commonCentroidGrid(units, unitW, unitH);
+    node[id].axes.clear();  // a grid carries no axis; drop an earlier one
   }
 }
 
@@ -159,10 +138,8 @@ void HBState::enableShapeMoves(double prob) {
 
 void HBState::perturb(Rng& rng) {
   if (shapeMoveProb_ > 0.0 && rng.uniform() < shapeMoveProb_) {
-    ModuleId m = freeShapy_[rng.index(freeShapy_.size())];
-    shapeIdx_[m] = static_cast<std::uint8_t>(
-        rng.index(circuit_->module(m).shapes.size()));
-    stamp_[leafNodeOf_[m]] = nextStamp();
+    stamp_[leafNodeOf_[redrawShape(*circuit_, freeShapy_, shapeIdx_, rng)]] =
+        nextStamp();
     return;
   }
   bool rotate = !freeRotatable_.empty() && rng.uniform() < 0.15;
@@ -193,15 +170,8 @@ bool HBState::packNodeInto(HierNodeId id, bool needProfiles,
     if (buf.stamp == stamp_[id]) return false;  // cached footprint is current
     buf.axes.clear();
     ModuleId m = *node.module;
-    const Module& mod = c.module(m);
-    Coord bw = mod.w, bh = mod.h;
-    if (std::uint8_t si = shapeIdx_[m]; si != 0) {
-      bw = mod.shapes[si].w;
-      bh = mod.shapes[si].h;
-    }
-    Coord w = rotated_[m] ? bh : bw;
-    Coord hh = rotated_[m] ? bw : bh;
-    buf.macro.assignFromModule(m, w, hh);
+    const ModuleShape f = c.module(m).footprint(shapeIdx_[m], rotated_[m]);
+    buf.macro.assignFromModule(m, f.w, f.h);
     buf.stamp = stamp_[id];
     return true;
   }
@@ -312,6 +282,7 @@ bool HBState::packNodeInto(HierNodeId id, bool needProfiles,
 
 HBState::Packed HBState::pack() const {
   HBPackScratch scratch;
+  scratch.bind(*circuit_);
   Packed out;
   packInto(scratch, out);
   return out;
@@ -319,7 +290,6 @@ HBState::Packed HBState::pack() const {
 
 void HBState::packInto(HBPackScratch& scratch, Packed& out) const {
   const Circuit& c = *circuit_;
-  scratch.bind(c);
   const HierNodeId root = c.hierarchy().root();
   packNodeInto(root, /*needProfiles=*/false, scratch);
   const HBPackScratch::NodeBuf& top = scratch.node[root];
@@ -340,6 +310,7 @@ void HBState::packInto(HBPackScratch& scratch, Packed& out) const {
   if (!inOracle) {
     inOracle = true;
     HBPackScratch oracleScratch;
+    oracleScratch.bind(c);
     Packed oracle;
     packInto(oracleScratch, oracle);
     inOracle = false;
@@ -354,7 +325,8 @@ void HBState::packInto(HBPackScratch& scratch, Packed& out) const {
 #endif
 }
 
-HBStarBackend::HBStarBackend(const Circuit& c, const Options& o)
+HBStarBackend::HBStarBackend(const Circuit& c, const Options& o,
+                             Scratch& scratch)
     : circuit(c),
       options(o),
       // Hierarchy constraints hold by construction in every packed state,
@@ -362,7 +334,9 @@ HBStarBackend::HBStarBackend(const Circuit& c, const Options& o)
       // wirelength plus, when weighted, thermal pair mismatch.
       model(c, makeObjective(c, {.wirelength = o.wirelengthWeight,
                                  .thermal = o.thermalWeight})),
-      scr(o.scratch ? *o.scratch : localScratch) {}
+      scr(scratch) {
+  scr.pack.bind(c);
+}
 
 HBState HBStarBackend::initialState() const {
   HBState init(circuit);

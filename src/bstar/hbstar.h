@@ -40,10 +40,11 @@
 namespace als {
 
 /// Reusable buffers of one HB*-tree pack (the hierarchical decode runs once
-/// per SA move and must not allocate when warm).  A scratch binds lazily to
-/// a circuit: common-centroid node macros are pure functions of the circuit
-/// and are cached at bind time; everything else is overwritten per pack.
-/// Not shareable between concurrent packs; contents never influence results.
+/// per SA move and must not allocate when warm).  A scratch is bound to a
+/// circuit once per session (`bind`): common-centroid node macros are pure
+/// functions of the circuit and are built then; everything else is
+/// overwritten per pack.  Not shareable between concurrent packs; contents
+/// never influence results.
 struct HBPackScratch {
   /// Per-hierarchy-node persistent result buffers.
   struct NodeBuf {
@@ -70,15 +71,12 @@ struct HBPackScratch {
   std::vector<HierNodeId> dfsStack;
   std::vector<Coord> profileCuts;
 
-  /// Re-binds to `circuit` when needed (sizes the node buffers, caches the
-  /// common-centroid macros).  Staleness is detected by comparing the exact
-  /// cache inputs (an O(CC units) integer scan, allocation-free when warm),
-  /// never by circuit address — addresses can be reused across circuits.
+  /// Binds to `circuit`: sizes the node buffers (keeping an earlier
+  /// binding's allocations, which no state of `circuit` can match by
+  /// stamp) and builds the common-centroid macros.  Every pack must run on
+  /// a scratch bound to its state's circuit; `HBStarBackend` binds its
+  /// scratch once, at construction.
   void bind(const Circuit& circuit);
-
- private:
-  std::vector<Coord> signature_;   ///< cache inputs of the current binding
-  std::vector<Coord> sigScratch_;  ///< rebuilt per bind for comparison
 };
 
 /// Perturbable encoding of the whole hierarchical floorplan.
@@ -112,11 +110,13 @@ class HBState {
   Packed pack() const;
 
   /// Scratch-reuse variant (identical results): the per-move decode of
-  /// placeHBStarSA.  `out` is fully overwritten.  Node-local repack: a
-  /// hierarchy node whose encoding stamp matches the scratch's cached pack
-  /// (and whose children all matched) reuses its macro verbatim, so a move
-  /// re-packs only the perturbed node and its ancestors — bit-identical to
-  /// a cold pack (debug builds assert it against a full-pack oracle).
+  /// placeHBStarSA, on a scratch bound to this state's circuit
+  /// (`HBPackScratch::bind`).  `out` is fully overwritten.  Node-local
+  /// repack: a hierarchy node whose encoding stamp matches the scratch's
+  /// cached pack (and whose children all matched) reuses its macro
+  /// verbatim, so a move re-packs only the perturbed node and its ancestors
+  /// — bit-identical to a cold pack (debug builds assert it against a
+  /// full-pack oracle).
   void packInto(HBPackScratch& scratch, Packed& out) const;
 
   const Circuit& circuit() const { return *circuit_; }
@@ -149,8 +149,8 @@ class HBState {
   std::vector<HierNodeId> leafNodeOf_;     // module -> its leaf hierarchy node
 };
 
-/// Reusable decode buffers of one HB*-tree SA run (optional; see
-/// bstar/flat_placer.h for the sharing contract).
+/// Reusable decode buffers of one HB*-tree SA run (lent by the session;
+/// see engine/place_scratch.h for the sharing contract).
 struct HBStarScratch {
   HBPackScratch pack;
   HBState::Packed packed;  ///< decoded placement of the current candidate
@@ -164,7 +164,6 @@ struct HBPlacerOptions {
   std::uint64_t seed = 11;
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;  ///< 0 = auto
-  HBStarScratch* scratch = nullptr;  ///< optional caller-owned buffers
   /// Cooperative cancellation, checked per sweep (anneal/annealer.h).
   const CancelToken* cancel = nullptr;
 };
@@ -194,8 +193,11 @@ struct HBStarBackend {
   using Options = HBPlacerOptions;
   using Result = HBPlacerResult;
   using State = HBState;
+  using Scratch = HBStarScratch;
 
-  HBStarBackend(const Circuit& circuit, const Options& options);
+  /// Binds the scratch's pack buffers to `circuit` (once per session).
+  HBStarBackend(const Circuit& circuit, const Options& options,
+                Scratch& scratch);
 
   State initialState() const;
   /// Node-local repack into the scratch; the pointer aliases
@@ -207,8 +209,7 @@ struct HBStarBackend {
   const Circuit& circuit;
   Options options;
   CostModel model;
-  HBStarScratch localScratch;
-  HBStarScratch& scr;
+  Scratch& scr;
 };
 
 }  // namespace als

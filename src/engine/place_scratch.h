@@ -5,9 +5,11 @@
 // bstar/hbstar.h each define their native scratch).  `PlaceScratch` bundles
 // one of each so one entry of the executor's per-cell bank
 // (`TemperingScratch`, runtime/plan_executor.h) serves whichever backend
-// its cell runs, plan after plan.  A session borrows it through
-// `makeReplicaSession`'s scratch parameter; given none, a session owns its
-// buffers.  The bank stays because the exact allocation gates warm through
+// its cell runs, plan after plan.  A session borrows its backend's entry
+// (`std::get<Backend::Scratch>`) through `makeReplicaSession`'s scratch
+// parameter, which hands it to `AnnealSession` (anneal/session.h), the one
+// place a scratch is lent; given none, the session decodes into buffers of
+// its own.  The bank stays because the exact allocation gates warm through
 // it (a cold slicing session grows its curve buffers for ~100 sweeps), and
 // it serves both executor routes, which stay because they differ in memory
 // held (~2 KB per finished cell against ~192 KB per live cell).
@@ -18,10 +20,16 @@
 //   * at most one live session may use a given scratch at a time; reuse
 //     across sequential runs, circuits and backends is encouraged (that is
 //     the point), concurrent sharing is a race;
+//   * a cache inside a scratch is keyed on its inputs, never on which
+//     circuit used the scratch last (the sequence-pair island signature,
+//     the HB*-tree encoding stamps; `HBPackScratch::bind` runs once per
+//     session), so no decode re-checks a binding;
 //   * the executor lends bank entry i to cell i only, so the contract
 //     holds by construction and the runners stay const and stateless,
 //     which is what allows concurrent callers.
 #pragma once
+
+#include <tuple>
 
 #include "bstar/flat_placer.h"
 #include "bstar/hbstar.h"
@@ -30,26 +38,8 @@
 
 namespace als {
 
-struct PlaceScratch {
-  FlatBStarScratch flatBStar;
-  SeqPairScratch seqPair;
-  SlicingScratch slicing;
-  HBStarScratch hbStar;
-};
-
-/// Overload set mapping the aggregate to a backend's native sub-scratch
-/// (selected by the pointer type of the backend's options field).
-inline FlatBStarScratch* subScratch(PlaceScratch& s, FlatBStarScratch*) {
-  return &s.flatBStar;
-}
-inline SeqPairScratch* subScratch(PlaceScratch& s, SeqPairScratch*) {
-  return &s.seqPair;
-}
-inline SlicingScratch* subScratch(PlaceScratch& s, SlicingScratch*) {
-  return &s.slicing;
-}
-inline HBStarScratch* subScratch(PlaceScratch& s, HBStarScratch*) {
-  return &s.hbStar;
-}
+/// One native scratch per backend, found by type.
+struct PlaceScratch : std::tuple<FlatBStarScratch, SeqPairScratch,
+                                 SlicingScratch, HBStarScratch> {};
 
 }  // namespace als

@@ -38,12 +38,14 @@ template <EngineBackend B, class Backend>
 class TypedReplica final : public ReplicaSession {
  public:
   using Options = typename Backend::Options;
+  using Scratch = typename Backend::Scratch;
 
   TypedReplica(const Circuit& circuit, const EngineOptions& options,
                double tempScale, PlaceScratch* scratch)
       : seed_(options.seed),
         deadline_(options.cancel),
-        session_(circuit, nativeOptions(options, scratch), tempScale) {}
+        session_(circuit, nativeOptions(options), tempScale,
+                 scratch ? &std::get<Scratch>(*scratch) : nullptr) {}
 
   EngineBackend backend() const override { return B; }
 
@@ -83,9 +85,8 @@ class TypedReplica final : public ReplicaSession {
  private:
   /// The one place `timeLimitSec` is armed: each session caps itself on a
   /// token linked to the caller's.
-  Options nativeOptions(const EngineOptions& options, PlaceScratch* scratch) {
+  Options nativeOptions(const EngineOptions& options) {
     Options opt = mapEngineOptions<B, Options>(options);
-    if (scratch != nullptr) opt.scratch = subScratch(*scratch, opt.scratch);
     if (options.timeLimitSec > 0.0) {
       deadline_.setDeadlineAfter(options.timeLimitSec);
       opt.cancel = &deadline_;

@@ -68,10 +68,10 @@ struct PlaceScratch;  // engine/place_scratch.h
 /// One resumable replica of `backend` on `circuit`.  `tempScale` multiplies
 /// the calibrated t0 of every internal restart (1.0 = the sequential
 /// schedule, exactly) — the temperature-ladder hook.  `scratch`, when
-/// given, lends the session warm decode buffers (the backend's
-/// sub-scratch; the scratch-reuse contract of engine/place_scratch.h: it
-/// must outlive the session and serve no other live session); without
-/// one the session owns its buffers.  Results are identical either way.
+/// given, lends the session the backend's entry of it as warm decode
+/// buffers (the scratch-reuse contract of engine/place_scratch.h: it must
+/// outlive the session and serve no other live session); without one the
+/// session owns its buffers.  Results are identical either way.
 /// No knob is refused here; the runtime routes refuse (engine/knobs.h).
 std::unique_ptr<ReplicaSession> makeReplicaSession(
     EngineBackend backend, const Circuit& circuit,

@@ -1,11 +1,14 @@
 // Circuit container: modules, nets, symmetry groups, hierarchy tree.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "netlist/hierarchy.h"
 #include "netlist/module.h"
+#include "util/rng.h"
 
 namespace als {
 
@@ -57,5 +60,26 @@ class Circuit {
   std::vector<SymmetryGroup> symGroups_;
   HierTree hier_;
 };
+
+/// The modules a shape move draws from: those with a shape curve, and none
+/// when `shapeMoveProb` is 0, so a run without shape moves draws no RNG for
+/// them and decodes the declared footprints.
+inline std::vector<ModuleId> shapeMoveModules(const Circuit& c,
+                                              double shapeMoveProb) {
+  std::vector<ModuleId> out;
+  for (ModuleId m = 0; shapeMoveProb > 0.0 && m < c.moduleCount(); ++m) {
+    if (c.module(m).shapes.size() > 1) out.push_back(m);
+  }
+  return out;
+}
+
+/// The shape move: one module of `modules` re-draws its point on the curve
+/// (`shapeIdx` holds one per module).  Returns the module.
+inline ModuleId redrawShape(const Circuit& c, std::span<const ModuleId> modules,
+                            std::span<std::uint8_t> shapeIdx, Rng& rng) {
+  const ModuleId m = modules[rng.index(modules.size())];
+  shapeIdx[m] = static_cast<std::uint8_t>(rng.index(c.module(m).shapes.size()));
+  return m;
+}
 
 }  // namespace als

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,14 @@ struct ModuleShape {
   Coord h = 0;
 
   friend bool operator==(const ModuleShape&, const ModuleShape&) = default;
+};
+
+/// How a module is realized: a point on its shape curve, turned by 90
+/// degrees or not.  Every backend encodes the choice its own way; the
+/// footprint of a choice is `Module::footprint`.
+struct ModuleChoice {
+  std::uint8_t shape = 0;  ///< index into Module::shapes (0 = footprint)
+  bool turned = false;
 };
 
 /// A placeable device-level module: name plus fixed footprint.  Rotation by
@@ -43,6 +52,29 @@ struct Module {
   /// decode and backends with shape moves disabled are bit-identical to
   /// builds that predate the curve.
   std::vector<ModuleShape> shapes;
+
+  /// The realization rule: the (w, h) of shape `shape`, swapped when turned.
+  ModuleShape footprint(std::size_t shape, bool turned) const {
+    const ModuleShape s = shape == 0 ? ModuleShape{w, h} : shapes[shape];
+    return turned ? ModuleShape{s.h, s.w} : s;
+  }
+
+  /// The choice read back from a placed rect (the cross-backend reseed):
+  /// the first of the declared footprint, its turn, the curve points and
+  /// their turns whose dims are the rect's; (0, unturned) when none are.
+  ModuleChoice choiceOf(const Rect& r) const {
+    const ModuleShape dims{r.w, r.h};
+    if (dims == footprint(0, false)) return {};
+    if (rotatable && dims == footprint(0, true)) return {0, true};
+    for (bool turned : {false, true}) {
+      for (std::size_t s = 1; s < shapes.size(); ++s) {
+        if ((rotatable || !turned) && dims == footprint(s, turned)) {
+          return {static_cast<std::uint8_t>(s), turned};
+        }
+      }
+    }
+    return {};
+  }
 };
 
 /// A pair of modules required to be mirror images about the group axis.

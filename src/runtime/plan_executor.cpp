@@ -56,11 +56,6 @@ class PlanRun {
                              : std::vector<double>(k_, 1.0);
     seeds_.resize(k_);
     for (std::size_t r = 0; r < k_; ++r) seeds_[r] = plan_[r].seed;
-    movesPerTemp_.resize(req_.circuits.size());
-    for (std::size_t c = 0; c < req_.circuits.size(); ++c) {
-      movesPerTemp_[c] = resolveMovesPerTemp(
-          opt_.movesPerTemp, req_.circuits[c].moduleCount());
-    }
     if (exchanging_) {
       roundSweeps_ = opt_.exchangeInterval;
     } else if (req_.hook != nullptr) {
@@ -117,10 +112,10 @@ class PlanRun {
   /// its own buffers otherwise.
   std::unique_ptr<ReplicaSession> createCell(std::size_t i) const {
     const std::size_t group = i / k_;
-    const std::size_t c = group / backendCount();
     return makeReplicaSession(
-        req_.backends[group % backendCount()], req_.circuits[c],
-        sliceEngineOptions(opt_, plan_[i % k_], movesPerTemp_[c]),
+        req_.backends[group % backendCount()],
+        req_.circuits[group / backendCount()],
+        sliceEngineOptions(opt_, plan_[i % k_]),
         scales_[i % k_],
         req_.bank != nullptr ? req_.bank->replicas[i].get() : nullptr);
   }
@@ -233,7 +228,6 @@ class PlanRun {
   std::size_t roundSweeps_ = 0;  ///< 0 = barrier-free route
   std::vector<double> scales_;
   std::vector<std::uint64_t> seeds_;
-  std::vector<std::size_t> movesPerTemp_;  ///< per circuit
   std::vector<EngineResult> results_;
   std::vector<std::unique_ptr<ReplicaSession>> sessions_;  ///< rounds route
   std::vector<double> costs_, temps_;
@@ -262,12 +256,10 @@ std::vector<RestartSlice> makeRestartPlan(const EngineOptions& options) {
 }
 
 EngineOptions sliceEngineOptions(const EngineOptions& base,
-                                 const RestartSlice& slice,
-                                 std::size_t resolvedMovesPerTemp) {
+                                 const RestartSlice& slice) {
   EngineOptions opt = base;
   opt.seed = slice.seed;
   opt.maxSweeps = slice.maxSweeps;
-  opt.movesPerTemp = resolvedMovesPerTemp;
   opt.numRestarts = 1;
   opt.numThreads = 1;
   opt.tempering = false;

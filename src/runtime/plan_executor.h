@@ -97,13 +97,13 @@ struct RestartSlice {
 /// "uncapped" everywhere in the library, not "no work".
 std::vector<RestartSlice> makeRestartPlan(const EngineOptions& options);
 
-/// Options of one cell: own seed and budget, shared resolved movesPerTemp,
-/// multi-start and tempering knobs neutralized (a cell is exactly one
-/// session).  Every field the caller set — objective weights, the cancel
-/// token — flows through unchanged.
+/// Options of one cell: own seed and budget, multi-start and tempering
+/// knobs neutralized (a cell is exactly one session).  Every field the
+/// caller set — objective weights, `movesPerTemp` (its auto value each
+/// session resolves from its circuit's size), the cancel token — flows
+/// through unchanged.
 EngineOptions sliceEngineOptions(const EngineOptions& base,
-                                 const RestartSlice& slice,
-                                 std::size_t resolvedMovesPerTemp);
+                                 const RestartSlice& slice);
 
 /// Position of the best of `results` on the total order (cost, bestSeed,
 /// position): strict improvement only, so an exact tie keeps the earliest.

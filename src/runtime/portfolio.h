@@ -23,10 +23,10 @@
 // on session-owned buffers; the per-cell bank stays for callers that keep
 // sessions warm across plans (tempering, serve).
 //
-// `movesPerTemp == 0` auto-scaling is resolved ONCE per circuit (from its
-// module count, the hint every registered backend uses) and the resolved
-// value is stamped into each slice, so split-budget restarts anneal on
-// exactly the schedule the equivalent sequential run would have used.
+// `movesPerTemp == 0` auto-scaling reads only the circuit's module count
+// (the hint every registered backend uses), so each slice's session
+// resolves the value the equivalent sequential run would have used, and
+// split-budget restarts anneal on exactly its schedule.
 //
 // `timeLimitSec`, when positive, arms a deadline on each slice's session
 // when that session is built, so what it caps depends on the executor's

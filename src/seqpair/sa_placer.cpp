@@ -19,7 +19,8 @@ std::vector<bool> rotatableMask(const Circuit& circuit) {
 
 }  // namespace
 
-SeqPairBackend::SeqPairBackend(const Circuit& c, const Options& o)
+SeqPairBackend::SeqPairBackend(const Circuit& c, const Options& o,
+                               Scratch& scratch)
     : circuit(c),
       groups(c.symmetryGroups()),
       moves(groups, rotatableMask(c), o.enableRepairMoves),
@@ -34,11 +35,7 @@ SeqPairBackend::SeqPairBackend(const Circuit& c, const Options& o)
                                  .maxWidth = o.maxWidth,
                                  .maxHeight = o.maxHeight,
                                  .targetAspect = o.targetAspect})),
-      scr(o.scratch ? *o.scratch : localScratch),
-      // The O(n^2) verification is a no-op on every reachable code (the
-      // move set preserves S-F); the hot path drops it (debug builds still
-      // assert).
-      buildOpts{.verify = false},
+      scr(scratch),
       merged(mergedGroup(groups)) {}
 
 SeqPairState SeqPairBackend::initialState() const {
@@ -48,22 +45,28 @@ SeqPairState SeqPairBackend::initialState() const {
   return init;
 }
 
-const Placement* SeqPairBackend::decode(const State& s) {
+void SeqPairBackend::realize(const State& s) {
   const std::size_t n = circuit.moduleCount();
   scr.w.resize(n);
   scr.h.resize(n);
   for (std::size_t m = 0; m < n; ++m) {
-    const Module& mod = circuit.module(m);
-    scr.w[m] = s.rotated[m] ? mod.h : mod.w;
-    scr.h[m] = s.rotated[m] ? mod.w : mod.h;
+    const ModuleShape f = circuit.module(m).footprint(0, s.rotated[m]);
+    scr.w[m] = f.w;
+    scr.h[m] = f.h;
   }
+}
+
+const Placement* SeqPairBackend::decode(const State& s) {
+  realize(s);
   // Island layouts are cached on the scratch across moves
   // (seqpair/sym_placer.h); the LCS packs and the cost reduction run over
   // the whole placement.  Decode failure (a non-S-F code) maps to the
   // objective's infeasible cost — cannot happen for the move set here, but
   // keeps the annealer total if it ever does.
-  if (!buildSymmetricPlacementInto(s.sp, scr.w, scr.h, groups, buildOpts,
-                                   scr.sym, scr.result)) {
+  // The O(n^2) verification is a no-op on every reachable code (the move
+  // set preserves S-F); the hot path drops it (debug builds still assert).
+  if (!buildSymmetricPlacementInto(s.sp, scr.w, scr.h, groups,
+                                   {.verify = false}, scr.sym, scr.result)) {
     return nullptr;
   }
   return &scr.result.placement;
@@ -71,15 +74,14 @@ const Placement* SeqPairBackend::decode(const State& s) {
 
 void SeqPairBackend::reseed(State& s, const Placement& placement) {
   sequencePairFromPlacement(placement, reseedScratch, s.sp);
-  // Recover rotations from the rect dims (square modules stay unrotated —
-  // deterministic either way), then force mirror partners consistent: the
-  // symmetric construction realizes a pair with ONE orientation choice, and
-  // inconsistent flags would silently change the b-cell's footprint.
+  // Read the turns back from the rects (a curve point, which this encoding
+  // cannot realize, reads as the declared footprint), then force mirror
+  // partners consistent: the symmetric construction realizes a pair with
+  // ONE orientation choice, and inconsistent flags would silently change
+  // the b-cell's footprint.
   for (std::size_t m = 0; m < circuit.moduleCount(); ++m) {
-    const Module& mod = circuit.module(m);
-    const Rect& r = placement[m];
-    s.rotated[m] = mod.rotatable && !(r.w == mod.w && r.h == mod.h) &&
-                   r.w == mod.h && r.h == mod.w;
+    const ModuleChoice choice = circuit.module(m).choiceOf(placement[m]);
+    s.rotated[m] = choice.shape == 0 && choice.turned;
   }
   for (const SymmetryGroup& g : groups) {
     for (const SymPair& p : g.pairs) s.rotated[p.b] = s.rotated[p.a];
@@ -91,15 +93,8 @@ void SeqPairBackend::reseed(State& s, const Placement& placement) {
 }
 
 SeqPairPlacerResult SeqPairBackend::finish(State best) {
-  const std::size_t n = circuit.moduleCount();
   SeqPairPlacerResult result;
-  scr.w.resize(n);
-  scr.h.resize(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    const Module& mod = circuit.module(m);
-    scr.w[m] = best.rotated[m] ? mod.h : mod.w;
-    scr.h[m] = best.rotated[m] ? mod.w : mod.h;
-  }
+  realize(best);
   auto built = buildSymmetricPlacement(best.sp, scr.w, scr.h, groups);
   if (built) {
     result.placement = std::move(built->placement);

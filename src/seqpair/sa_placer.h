@@ -22,8 +22,8 @@
 
 namespace als {
 
-/// Reusable decode buffers of one sequence-pair SA run (optional; see
-/// bstar/flat_placer.h for the sharing contract).
+/// Reusable decode buffers of one sequence-pair SA run (lent by the
+/// session; see engine/place_scratch.h for the sharing contract).
 struct SeqPairScratch {
   std::vector<Coord> w, h;    ///< orientation-resolved footprints
   SymPlaceScratch sym;
@@ -49,8 +49,6 @@ struct SeqPairPlacerOptions {
   /// seqpair/moves.h); the default move mix keeps it on.
   bool enableRepairMoves = true;
 
-  SeqPairScratch* scratch = nullptr;  ///< optional caller-owned buffers
-
   /// Cooperative cancellation, checked per sweep (anneal/annealer.h).
   const CancelToken* cancel = nullptr;
 };
@@ -72,8 +70,10 @@ struct SeqPairBackend {
   using Options = SeqPairPlacerOptions;
   using Result = SeqPairPlacerResult;
   using State = SeqPairState;
+  using Scratch = SeqPairScratch;
 
-  SeqPairBackend(const Circuit& circuit, const Options& options);
+  SeqPairBackend(const Circuit& circuit, const Options& options,
+                 Scratch& scratch);
 
   /// The constructively symmetrized identity pair.
   State initialState() const;
@@ -82,18 +82,18 @@ struct SeqPairBackend {
   const Placement* decode(const State& s);
   void move(State& s, Rng& rng) const { moves.apply(s, rng); }
   /// The diagonal-order pair of `placement` (seqpair/from_placement.h),
-  /// rotations recovered from the rect dimensions (mirror partners forced
-  /// consistent), then the symmetric-feasible invariant re-established.
+  /// turns read back from the rects (mirror partners forced consistent),
+  /// then the symmetric-feasible invariant re-established.
   void reseed(State& s, const Placement& placement);
   Result finish(State best);
+  /// The state's footprints into scr.w / scr.h.
+  void realize(const State& s);
 
   const Circuit& circuit;
   std::span<const SymmetryGroup> groups;
   SymmetricMoveSet moves;
   CostModel model;
-  SeqPairScratch localScratch;
-  SeqPairScratch& scr;
-  SymBuildOptions buildOpts;
+  Scratch& scr;
   // Cross-backend reseed buffers (warm after the first reseed).
   SeqPairFromPlacementScratch reseedScratch;
   SymmetryGroup merged;

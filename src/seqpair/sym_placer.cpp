@@ -11,6 +11,8 @@ namespace als {
 namespace {
 
 constexpr std::uint32_t kNoGroup = ~0u;
+/// Island relaxation fixpoint cap (the stacked fallback takes over).
+constexpr int kMaxRelaxIterations = 200;
 
 using detail::SymIslandBuf;
 using detail::SymOrientedPair;
@@ -56,11 +58,11 @@ void propagateY(const SequencePair& sp, std::span<const std::size_t> cells,
 }
 
 /// Mirror relaxation for ONE group over the induced sub-sequence-pair.
-/// Returns false if no fixpoint is reached within maxIterations.
+/// Returns false if no fixpoint is reached within kMaxRelaxIterations.
 bool relaxIsland(const SequencePair& sp, std::span<const Coord> w,
                  std::span<const Coord> h, const SymmetryGroup& group,
-                 std::span<const SymOrientedPair> pairs, int maxIterations,
-                 SymIslandBuf& island, SymPlaceScratch& scratch) {
+                 std::span<const SymOrientedPair> pairs, SymIslandBuf& island,
+                 SymPlaceScratch& scratch) {
   const auto& cells = island.cells;
   std::vector<Coord>& x = scratch.relaxX;
   std::vector<Coord>& y = scratch.relaxY;
@@ -75,7 +77,7 @@ bool relaxIsland(const SequencePair& sp, std::span<const Coord> w,
   for (std::size_t m : cells) ceiling += 2 * w[m];
 
   int iter = 0;
-  for (; iter < maxIterations; ++iter) {
+  for (; iter < kMaxRelaxIterations; ++iter) {
     bool changed = false;
     for (const SymOrientedPair& pr : pairs) {
       a2 = std::max(a2, (centerD(pr.left) + centerD(pr.right)) / 2);
@@ -116,7 +118,7 @@ bool relaxIsland(const SequencePair& sp, std::span<const Coord> w,
       if (x[m] > ceiling) return false;  // diverged
     }
   }
-  if (iter >= maxIterations) return false;
+  if (iter >= kMaxRelaxIterations) return false;
 
   island.local.assign(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -174,27 +176,14 @@ void stackedIsland(const SequencePair& sp, std::span<const Coord> w,
 
 std::optional<SymPlacementResult> buildSymmetricPlacement(
     const SequencePair& sp, std::span<const Coord> widths,
-    std::span<const Coord> heights, std::span<const SymmetryGroup> groups,
-    int maxIterations) {
+    std::span<const Coord> heights, std::span<const SymmetryGroup> groups) {
   SymPlaceScratch scratch;
   SymPlacementResult result;
-  if (!buildSymmetricPlacementInto(sp, widths, heights, groups, maxIterations,
-                                   scratch, result)) {
+  if (!buildSymmetricPlacementInto(sp, widths, heights, groups, {}, scratch,
+                                   result)) {
     return std::nullopt;
   }
   return result;
-}
-
-bool buildSymmetricPlacementInto(const SequencePair& sp,
-                                 std::span<const Coord> widths,
-                                 std::span<const Coord> heights,
-                                 std::span<const SymmetryGroup> groups,
-                                 int maxIterations, SymPlaceScratch& scratch,
-                                 SymPlacementResult& out) {
-  SymBuildOptions options;
-  options.maxIterations = maxIterations;
-  return buildSymmetricPlacementInto(sp, widths, heights, groups, options,
-                                     scratch, out);
 }
 
 bool buildSymmetricPlacementInto(const SequencePair& sp,
@@ -241,17 +230,6 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
     }
   }
 
-  // Warm-reuse gate: the island caches are trusted only while the instance
-  // shape matches the previous call on this scratch.
-  const bool warm = scratch.prevN == n && scratch.prevGroups == groups.size() &&
-                    freeCells == scratch.prevFreeCells;
-  if (!warm) {
-    for (SymIslandBuf& isl : scratch.islands) isl.sigValid = false;
-    scratch.prevN = n;
-    scratch.prevGroups = groups.size();
-    scratch.prevFreeCells = freeCells;
-  }
-
   // --- 1. build one island per group (unchanged signatures reuse the
   //        cached layout: relaxation is deterministic in its inputs). ---
   if (scratch.islands.size() < groups.size()) scratch.islands.resize(groups.size());
@@ -273,15 +251,14 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
         return false;  // vertically related partners: not S-F
       }
     }
-    // Everything the island layout depends on, flattened: the iteration
-    // cap, the pair/self split, the cells, their footprints, and the
-    // island's own order in each sequence (as local indices).  Relaxation
-    // and the stacked fallback read only the relative order of the island's
-    // cells, so a move that merely shifts their absolute positions keeps
-    // the cached layout.
+    // Everything the island layout depends on, flattened: the pair/self
+    // split, the cells, their footprints, and the island's own order in
+    // each sequence (as local indices).  Relaxation and the stacked
+    // fallback read only the relative order of the island's cells, so a
+    // move that merely shifts their absolute positions keeps the cached
+    // layout, and the key holds across circuits as well as across moves.
     std::vector<std::size_t>& sig = scratch.tmpSig;
     sig.clear();
-    sig.push_back(static_cast<std::size_t>(options.maxIterations));
     sig.push_back(groups[g].pairs.size());
     for (std::size_t m : island.cells) {
       sig.push_back(m);
@@ -299,12 +276,11 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
                 [&](std::size_t a, std::size_t b) { return pos(a) < pos(b); });
       sig.insert(sig.end(), local.begin(), local.end());
     }
-    if (island.sigValid && sig == island.sig) continue;
+    if (sig == island.sig) continue;
     island.sig.swap(sig);
-    island.sigValid = true;
     island.usedFallback = false;
-    if (!relaxIsland(sp, widths, heights, groups[g], island.pairs,
-                     options.maxIterations, island, scratch)) {
+    if (!relaxIsland(sp, widths, heights, groups[g], island.pairs, island,
+                     scratch)) {
       stackedIsland(sp, widths, heights, groups[g], island.pairs, island,
                     scratch);
     }

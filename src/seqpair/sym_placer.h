@@ -72,9 +72,9 @@ struct SymIslandBuf {
   bool usedFallback = false;
   std::vector<SymOrientedPair> pairs;
   // Island layout cache: the signature captures every input the layout
-  // depends on; an unchanged signature skips relaxation.
+  // depends on; an unchanged signature skips relaxation.  An empty one
+  // (never built) matches no island.
   std::vector<std::size_t> sig;
-  bool sigValid = false;
 };
 
 /// One row of the stacked fallback island.
@@ -88,8 +88,11 @@ struct SymRow {
 }  // namespace detail
 
 /// Reusable buffers of one symmetric-placement construction loop (the
-/// sequence-pair placer's per-move decode).  Not shareable between
-/// concurrent callers; contents never influence results.
+/// sequence-pair placer's per-move decode).  May serve any sequence of
+/// calls, over any circuits: the island cache is keyed on every input of
+/// an island's layout, so a layout cached for one circuit is reused for
+/// another only where it is that circuit's layout too.  Not shareable
+/// between concurrent callers; contents never influence results.
 struct SymPlaceScratch {
   std::vector<detail::SymIslandBuf> islands;
   std::vector<Coord> relaxX, relaxY;      ///< per-module longest-path coords
@@ -106,11 +109,6 @@ struct SymPlaceScratch {
   std::vector<std::size_t> freeIndexOf;   ///< reduced index per free module
   std::vector<std::uint8_t> groupSeen;    ///< per-group flag (order builds)
   std::vector<std::size_t> tmpSig;        ///< candidate island signature
-  // Warm-reuse gate: caches are trusted only while the instance shape (n,
-  // group count, free-cell list) matches the previous call on this scratch.
-  std::vector<std::size_t> prevFreeCells;
-  std::size_t prevN = static_cast<std::size_t>(-1);
-  std::size_t prevGroups = 0;
 };
 
 /// Options of the scratch-reuse construction path.  Island layouts are
@@ -118,7 +116,6 @@ struct SymPlaceScratch {
 /// relative order in both sequences and their footprints are unchanged
 /// skips relaxation); results are bit-identical to a cold build.
 struct SymBuildOptions {
-  int maxIterations = 200;  ///< island relaxation fixpoint cap
   /// Run the O(n^2) legality + mirror verification and fail on violation.
   /// Hot decode loops turn this off; debug builds assert it regardless.
   bool verify = true;
@@ -130,8 +127,7 @@ struct SymBuildOptions {
 /// not S-F).
 std::optional<SymPlacementResult> buildSymmetricPlacement(
     const SequencePair& sp, std::span<const Coord> widths,
-    std::span<const Coord> heights, std::span<const SymmetryGroup> groups,
-    int maxIterations = 200);
+    std::span<const Coord> heights, std::span<const SymmetryGroup> groups);
 
 /// Scratch-reuse variant: identical results; returns false exactly when the
 /// by-value overload returns nullopt.  `out` is fully overwritten on
@@ -142,14 +138,6 @@ bool buildSymmetricPlacementInto(const SequencePair& sp,
                                  std::span<const SymmetryGroup> groups,
                                  const SymBuildOptions& options,
                                  SymPlaceScratch& scratch,
-                                 SymPlacementResult& out);
-
-/// Legacy convenience overload: default options with `maxIterations`.
-bool buildSymmetricPlacementInto(const SequencePair& sp,
-                                 std::span<const Coord> widths,
-                                 std::span<const Coord> heights,
-                                 std::span<const SymmetryGroup> groups,
-                                 int maxIterations, SymPlaceScratch& scratch,
                                  SymPlacementResult& out);
 
 /// Verifies mirror exactness of a result (used by tests and asserts):

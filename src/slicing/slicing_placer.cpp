@@ -6,7 +6,8 @@
 
 namespace als {
 
-SlicingBackend::SlicingBackend(const Circuit& c, const Options& o)
+SlicingBackend::SlicingBackend(const Circuit& c, const Options& o,
+                               Scratch& scratch)
     : circuit(c),
       options(o),
       w(c.moduleCount()),
@@ -16,19 +17,13 @@ SlicingBackend::SlicingBackend(const Circuit& c, const Options& o)
       // (and, when weighted, thermal mismatch) only.
       model(c, makeObjective(c, {.wirelength = o.wirelengthWeight,
                                  .thermal = o.thermalWeight})),
-      scr(o.scratch ? *o.scratch : localScratch) {
+      shapy(shapeMoveModules(c, o.shapeMoveProb)),
+      scr(scratch) {
   for (std::size_t m = 0; m < c.moduleCount(); ++m) {
     w[m] = c.module(m).w;
     h[m] = c.module(m).h;
     rotatable[m] = c.module(m).rotatable;
   }
-  // See bstar/flat_placer.cpp: shape moves only exist when asked for AND
-  // some module carries a curve; disabled runs draw the historical RNG
-  // stream and decode the declared footprints, bit for bit.
-  for (ModuleId m = 0; m < c.moduleCount(); ++m) {
-    if (c.module(m).shapes.size() > 1) shapy.push_back(m);
-  }
-  shapeMoves = o.shapeMoveProb > 0.0 && !shapy.empty();
 }
 
 SlicingBackend::State SlicingBackend::initialState() const {
@@ -37,26 +32,23 @@ SlicingBackend::State SlicingBackend::initialState() const {
 }
 
 const Placement* SlicingBackend::decode(const State& s) {
-  // Only modules with curves are touched; w/h otherwise keep the declared
-  // dims.  The best-area realization fills its root shape exactly and is
-  // anchored at the origin, so the placement bounding box IS the chosen
-  // shape.
-  if (shapeMoves) {
-    for (ModuleId m : shapy) {
-      const ModuleShape& shape = circuit.module(m).shapes[s.shapeIdx[m]];
-      w[m] = shape.w;
-      h[m] = shape.h;
-    }
+  // Only shape move candidates are touched; w/h otherwise keep the
+  // declared dims.  Turns are the evaluator's choice, so every footprint
+  // here is unturned.  The best-area realization fills its root shape
+  // exactly and is anchored at the origin, so the placement bounding box
+  // IS the chosen shape.
+  for (ModuleId m : shapy) {
+    const ModuleShape f = circuit.module(m).footprint(s.shapeIdx[m], false);
+    w[m] = f.w;
+    h[m] = f.h;
   }
   return &evaluatePolish(s.expr, w, h, rotatable, options.shapeCap, scr)
               .placement;
 }
 
 void SlicingBackend::move(State& s, Rng& rng) const {
-  if (shapeMoves && rng.uniform() < options.shapeMoveProb) {
-    ModuleId m = shapy[rng.index(shapy.size())];
-    s.shapeIdx[m] = static_cast<std::uint8_t>(
-        rng.index(circuit.module(m).shapes.size()));
+  if (!shapy.empty() && rng.uniform() < options.shapeMoveProb) {
+    redrawShape(circuit, shapy, s.shapeIdx, rng);
     return;
   }
   s.expr.perturb(rng);

@@ -19,9 +19,10 @@
 
 namespace als {
 
-/// Reusable decode buffers of one slicing SA run (optional; see
-/// bstar/flat_placer.h for the sharing contract): the evaluator's scratch,
-/// whose `result` holds the decoded placement of the current candidate.
+/// Reusable decode buffers of one slicing SA run (lent by the session; see
+/// engine/place_scratch.h for the sharing contract): the evaluator's
+/// scratch, whose `result` holds the decoded placement of the current
+/// candidate.
 using SlicingScratch = PolishEvalScratch;
 
 struct SlicingPlacerOptions {
@@ -33,7 +34,6 @@ struct SlicingPlacerOptions {
   double coolingFactor = 0.96;
   std::size_t movesPerTemp = 0;
   std::size_t shapeCap = 32;
-  SlicingScratch* scratch = nullptr;  ///< optional caller-owned buffers
   /// Cooperative cancellation, checked per sweep (anneal/annealer.h).
   const CancelToken* cancel = nullptr;
 };
@@ -54,6 +54,7 @@ SlicingPlacerResult placeSlicingSA(const Circuit& circuit,
 struct SlicingBackend {
   using Options = SlicingPlacerOptions;
   using Result = SlicingPlacerResult;
+  using Scratch = SlicingScratch;
   /// The Polish expression plus, when shape moves are on, the chosen
   /// realization index per module (0 = declared footprint).
   struct State {
@@ -61,7 +62,8 @@ struct SlicingBackend {
     std::vector<std::uint8_t> shapeIdx;
   };
 
-  SlicingBackend(const Circuit& circuit, const Options& options);
+  SlicingBackend(const Circuit& circuit, const Options& options,
+                 Scratch& scratch);
 
   State initialState() const;
   /// Applies the state's chosen realizations to the dim buffers, then
@@ -76,10 +78,8 @@ struct SlicingBackend {
   std::vector<Coord> w, h;  ///< declared footprints, shape choices applied
   std::vector<bool> rotatable;
   CostModel model;
-  std::vector<ModuleId> shapy;  ///< modules with a shape curve
-  bool shapeMoves = false;
-  SlicingScratch localScratch;
-  SlicingScratch& scr;
+  std::vector<ModuleId> shapy;  ///< shape move candidates (shapeMoveModules)
+  Scratch& scr;
 };
 
 }  // namespace als

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "anneal/session.h"
 #include "bstar/from_placement.h"
 #include "engine/place_scratch.h"
 #include "engine/replica_session.h"
@@ -174,21 +175,23 @@ TEST(AllocGateLcs, SeqPairDecodeDoesNotAllocatePerMove) {
   const Circuit circuit = loadCorpusCircuit(CorpusCircuit::N100);
   SeqPairScratch scratch;
   SeqPairPlacerOptions opt;
-  opt.scratch = &scratch;
   opt.seed = 3;
+  auto place = [&] {
+    return AnnealSession<SeqPairBackend>(circuit, opt, 1.0, &scratch).finish();
+  };
 
   opt.maxSweeps = 12;
-  SeqPairPlacerResult warm = placeSeqPairSA(circuit, opt);
+  SeqPairPlacerResult warm = place();
 
   opt.maxSweeps = 6;
   unsigned long long before = gAllocCount.load(std::memory_order_relaxed);
-  SeqPairPlacerResult shortRun = placeSeqPairSA(circuit, opt);
+  SeqPairPlacerResult shortRun = place();
   unsigned long long shortAllocs =
       gAllocCount.load(std::memory_order_relaxed) - before;
 
   opt.maxSweeps = 12;
   before = gAllocCount.load(std::memory_order_relaxed);
-  SeqPairPlacerResult longRun = placeSeqPairSA(circuit, opt);
+  SeqPairPlacerResult longRun = place();
   unsigned long long longAllocs =
       gAllocCount.load(std::memory_order_relaxed) - before;
 

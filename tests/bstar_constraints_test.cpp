@@ -3,6 +3,7 @@
 // and the HB*-tree hierarchical placer on the Fig. 2 design.
 #include <gtest/gtest.h>
 
+#include "anneal/session.h"
 #include "bstar/asf.h"
 #include "bstar/common_centroid.h"
 #include "bstar/flat_placer.h"
@@ -188,8 +189,8 @@ TEST(HBStar, SyntheticHierarchicalCircuitPlaces) {
 TEST(HBStar, ScratchReuseAcrossCircuitsNeverChangesResults) {
   // The scratch-reuse contract (engine/place_scratch.h): a scratch handed
   // from one circuit's run to another's must not influence results — in
-  // particular the cached common-centroid macros must re-bind on content,
-  // not on circuit identity.
+  // particular each session must rebuild the common-centroid macros and
+  // never read a node buffer packed for the other circuit.
   HBPlacerOptions opt;
   opt.maxSweeps = 40;
   opt.seed = 5;
@@ -199,11 +200,12 @@ TEST(HBStar, ScratchReuseAcrossCircuitsNeverChangesResults) {
   HBPlacerResult freshB = placeHBStarSA(b, opt);
 
   HBStarScratch scratch;
-  HBPlacerOptions withScratch = opt;
-  withScratch.scratch = &scratch;
-  HBPlacerResult a1 = placeHBStarSA(a, withScratch);
-  HBPlacerResult b1 = placeHBStarSA(b, withScratch);  // scratch warm from a
-  HBPlacerResult a2 = placeHBStarSA(a, withScratch);  // scratch warm from b
+  auto withScratch = [&](const Circuit& c) {
+    return AnnealSession<HBStarBackend>(c, opt, 1.0, &scratch).finish();
+  };
+  HBPlacerResult a1 = withScratch(a);
+  HBPlacerResult b1 = withScratch(b);  // scratch warm from a
+  HBPlacerResult a2 = withScratch(a);  // scratch warm from b
   EXPECT_EQ(freshA.placement.rects(), a1.placement.rects());
   EXPECT_EQ(freshA.placement.rects(), a2.placement.rects());
   EXPECT_EQ(freshB.placement.rects(), b1.placement.rects());

@@ -286,6 +286,33 @@ TEST(Corpus, AllCircuitsParseAndValidate) {
   }
 }
 
+TEST(Corpus, EveryRealizationReadsBackToItsFootprint) {
+  // The reseed contract of Module::choiceOf: for every legal choice of
+  // every module (each curve point, turned when rotatable), the choice
+  // read back from its footprint realizes that same footprint.
+  std::vector<CorpusCircuit> corpus = allCorpusCircuits();
+  for (CorpusCircuit which : largeCorpusCircuits()) corpus.push_back(which);
+  std::size_t curvePoints = 0;
+  for (CorpusCircuit which : corpus) {
+    SCOPED_TRACE(corpusName(which));
+    const Circuit c = loadCorpusCircuit(which);
+    for (const Module& mod : c.modules()) {
+      const std::size_t shapes = std::max<std::size_t>(1, mod.shapes.size());
+      curvePoints += shapes - 1;
+      for (std::size_t shape = 0; shape < shapes; ++shape) {
+        for (bool turned : {false, true}) {
+          if (turned && !mod.rotatable) continue;
+          const ModuleShape f = mod.footprint(shape, turned);
+          const ModuleChoice back = mod.choiceOf(Rect{0, 0, f.w, f.h});
+          EXPECT_EQ(mod.footprint(back.shape, back.turned), f)
+              << mod.name << " shape " << shape << " turned " << turned;
+        }
+      }
+    }
+  }
+  EXPECT_GT(curvePoints, 0u);  // n100's soft blocks carry curves
+}
+
 TEST(Corpus, GsrcCircuitsParseValidateAndScale) {
   const std::size_t expectedBlocks[] = {100, 200, 300};
   std::size_t i = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "anneal/session.h"
 #include "io/corpus.h"
 #include "netlist/generators.h"
 #include "seqpair/moves.h"
@@ -328,7 +329,7 @@ TEST(PackerIncremental, IsTheFullPackAndListsEveryModule) {
 TEST(SymPlacerIslandCache, WarmScratchMatchesFreshOverSymmetricWalks) {
   // The island signature cache must reproduce a cold build bit for bit at
   // every step of a feasibility-preserving walk.  One warm scratch serves
-  // both circuits in turn, so the instance-shape gate is crossed too.
+  // both circuits in turn, so the signature must key across circuits too.
   SymPlaceScratch warmScratch;
   for (CorpusCircuit which : {CorpusCircuit::Ami33, CorpusCircuit::N100,
                               CorpusCircuit::Ami33}) {
@@ -410,8 +411,8 @@ TEST(SaPlacer, WarmScratchMatchesFreshScratchTrajectory) {
     SeqPairPlacerOptions warm, fresh;
     warm.maxSweeps = fresh.maxSweeps = which == CorpusCircuit::N100 ? 6 : 24;
     warm.seed = fresh.seed = 83;
-    warm.scratch = &shared;
-    SeqPairPlacerResult a = placeSeqPairSA(c, warm);
+    SeqPairPlacerResult a =
+        AnnealSession<SeqPairBackend>(c, warm, 1.0, &shared).finish();
     SeqPairPlacerResult b = placeSeqPairSA(c, fresh);
     ASSERT_EQ(a.movesTried, b.movesTried) << corpusName(which);
     ASSERT_EQ(a.cost, b.cost) << corpusName(which);
